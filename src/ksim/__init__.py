@@ -10,8 +10,8 @@ __version__ = "0.1.0"
 
 from .metric import (Decomposition, FiniteMetric, HstSpace, PointId,
                      build_hst, build_uniform, decompose, validate_hst)
-from .offline import (INF, DemandTracker, OptResult, demand, max_demand_trace,
-                      opt_cost, opt_cost_exhaustive)
+from .offline import (INF, DemandTracker, OptResult, UniformDemandTracker, demand,
+                      max_demand_trace, opt_cost, opt_cost_exhaustive)
 from .marking import Marking, harmonic, marking_f
 from .shell import (BlockShell, Jump, PhaseStats, ShellInvariantError,
                     StepReport, Subroutine, build_hst_algorithm, compose_f)
@@ -26,7 +26,8 @@ from .verify import (CheckReport, check_ama_bound, check_lower_bound_demand,
 __all__ = [
     "Decomposition", "FiniteMetric", "HstSpace", "PointId", "build_hst",
     "build_uniform", "decompose", "validate_hst",
-    "INF", "DemandTracker", "OptResult", "demand", "max_demand_trace",
+    "INF", "DemandTracker", "OptResult", "UniformDemandTracker", "demand",
+    "max_demand_trace",
     "opt_cost", "opt_cost_exhaustive",
     "Marking", "harmonic", "marking_f",
     "BlockShell", "Jump", "PhaseStats", "ShellInvariantError", "StepReport",

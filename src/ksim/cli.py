@@ -14,7 +14,8 @@ import sys
 from fractions import Fraction
 
 from . import __version__
-from .files import ParseError, load_configuration, load_hst, load_metric, load_requests
+from .files import (ParseError, load_configuration, load_hst, load_metric, load_requests,
+                    parse_rational)
 from .generators import parse_generator
 from .harness import (default_initial, probe_demand_monotonicity, render_rational,
                       reports_to_csv, run_trials)
@@ -131,6 +132,14 @@ def _check_required(args) -> None:
                        + ", ".join(f"--{m}" for m in missing))
 
 
+def _rational_option(args, name: str) -> Fraction:
+    # str(): a config file may give the value as a JSON number
+    try:
+        return parse_rational(str(getattr(args, name)))
+    except ValueError as exc:
+        raise CliError(f"--{name}: {exc}") from None
+
+
 def _cmd_opt(args) -> int:
     metric = load_metric(args.metric)
     rho = load_requests(args.requests, metric.n)
@@ -147,7 +156,7 @@ def _cmd_opt(args) -> int:
 def _cmd_demand(args) -> int:
     metric = load_metric(args.metric)
     rho = load_requests(args.requests, metric.n)
-    delta = Fraction(args.delta)
+    delta = _rational_option(args, "delta")
     print(f"demand {demand_op(metric, delta, rho)}")
     return 0
 
@@ -173,12 +182,11 @@ def _cmd_run(args) -> int:
         if sink is not None:
             from .generators import generate
             from .harness import run_shell
-            from .metric import decompose
             from .shell import make_node_handle, node_decompositions
             from .marking import Marking
 
-            dec = decompose(space, 0)
             decs = node_decompositions(space)
+            dec = decs[0]
             children = space.children[0]
 
             def factory(block, points, config, m, sub_seed):
@@ -257,8 +265,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_probe(args) -> int:
-    metric = build_uniform(args.points, Fraction(args.d))
-    summary = probe_demand_monotonicity(metric, Fraction(args.delta),
+    metric = build_uniform(args.points, _rational_option(args, "d"))
+    summary = probe_demand_monotonicity(metric, _rational_option(args, "delta"),
                                         max_len=args.max_len)
     print(f"sequences {summary.sequences}")
     print(f"prefixes {summary.prefixes}")

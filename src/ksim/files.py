@@ -10,6 +10,7 @@ line on failure and re-validate every structural invariant on load.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 from .metric import FiniteMetric, HstSpace, build_hst
@@ -40,10 +41,27 @@ def _tokens_with_lines(path: str) -> list[tuple[int, str]]:
     return toks
 
 
+_RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+
+
+def parse_rational(text: str) -> Fraction:
+    """An integer or `p/q` literal as an exact Fraction.
+
+    Decimal and exponent forms such as `1.5` or `1e3` are rejected, as is a
+    zero denominator: every input is meant to be exact.
+    """
+    if _RATIONAL.fullmatch(text) is None:
+        raise ValueError(f"bad rational {text!r}, expected integer or p/q")
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"bad rational {text!r}, zero denominator") from None
+
+
 def _parse_rational(path: str, lineno: int, tok: str, what: str) -> Fraction:
     try:
-        return Fraction(tok)
-    except (ValueError, ZeroDivisionError):
+        return parse_rational(tok)
+    except ValueError:
         raise ParseError(path, lineno, f"bad {what} {tok!r}, expected integer or p/q") from None
 
 

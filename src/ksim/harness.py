@@ -18,7 +18,7 @@ from typing import Callable, Iterable, Optional, Sequence
 
 from .generators import GeneratorSpec, generate
 from .marking import Marking, marking_f
-from .metric import Decomposition, FiniteMetric, HstSpace, PointId, decompose
+from .metric import Decomposition, FiniteMetric, HstSpace, PointId
 from .offline import INF, DemandTracker, opt_cost
 from .shell import (BlockShell, check_hst_admissible, compose_f,
                     make_node_handle, node_decompositions)
@@ -146,8 +146,8 @@ def run_trials(space: HstSpace, k: int, algo: str, gen_spec: GeneratorSpec,
 
     use_shell = algo == "algox" and space.height >= 2
     if use_shell:
-        dec = decompose(space, 0)
         decs = node_decompositions(space)
+        dec = decs[0]
         children = space.children[0]
 
         def factory(block, points, config, m, sub_seed):

@@ -8,6 +8,7 @@ costs, and a float epsilon would silently change which server count wins.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
 from typing import Optional, Sequence
 
@@ -316,18 +317,29 @@ class Decomposition:
     def validate(self) -> None:
         if self.t < 1:
             raise ValueError("need at least one block")
+        for p in self.points:
+            self.metric.check_point(p)
+        rows = self.metric._rows
         for s, blk in enumerate(self.blocks):
             for a, b in combinations(blk, 2):
-                if self.metric.distance(a, b) > self.delta:
+                if rows[a][b] > self.delta:
                     raise ValueError(f"block {s} has diameter above delta")
         for s1, s2 in combinations(range(self.t), 2):
             for a in self.blocks[s1]:
+                row = rows[a]
                 for b in self.blocks[s2]:
-                    if self.metric.distance(a, b) != self.Delta:
+                    if row[b] != self.Delta:
                         raise ValueError(
                             f"cross-block distance d({a},{b}) = "
-                            f"{self.metric.distance(a, b)} != Delta = {self.Delta}"
+                            f"{row[b]} != Delta = {self.Delta}"
                         )
+
+    @cached_property
+    def uniform_blocks(self) -> tuple[bool, ...]:
+        """Per block, whether its points are pairwise equidistant (a single
+        point counts as uniform)."""
+        return tuple(len(blk) == 1 or self.metric.uniform_distance(blk) is not None
+                     for blk in self.blocks)
 
 
 def decompose(space: HstSpace, node: int) -> Decomposition:

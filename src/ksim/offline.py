@@ -15,6 +15,7 @@ and argmin ties are exact.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, permutations
@@ -335,6 +336,69 @@ class DemandTracker:
                 best_val = val
                 best_ell = ell
         return best_ell
+
+
+class UniformDemandTracker(DemandTracker):
+    """`DemandTracker` for a block whose points are pairwise at one scaled
+    distance `d`, in O(distinct^2) per push instead of the configuration DP.
+
+    On a uniform block a lazy schedule pays d per miss, so opt(ell) is d
+    times the fewest misses.  A request to r at time t whose previous request
+    to r was at time a (a = 0 for a first occurrence: the start is free) is a
+    hit exactly when r keeps a server through the interval [a+1, t-1]; the
+    server on the current request is the ell-th, so the kept intervals may
+    overlap at most ell-1 deep.  Keeping the most intervals under that load
+    is exact by a greedy pass in order of right endpoint, which is request
+    order: each interval goes to the one of ell-1 "machines" whose last
+    interval ends latest at or before a, and is a miss when none does (best
+    fit; Carlisle & Lloyd 1995).  An empty interval (a = t-1) is always a
+    hit.  With seen distinct points, ell = seen keeps every interval, and the
+    run for ell = seen+1 is the run for seen plus one idle machine, so a new
+    point extends the table by one copied entry.
+
+    Only `push` and the optimum for 1 <= ell < distinct are replaced; the
+    other conventions and the queries are the DP's.  The configuration DP stays the oracle (and the
+    path for non-uniform blocks); the two agree on opt(ell) and demand().
+    """
+
+    def __init__(self, costs: ScaledCosts, delta_cost: int, d: int):
+        super().__init__(costs, delta_cost)
+        self._d = d  # scaled integer distance inside the block
+        self._last: dict[PointId, int] = {}  # time of each seen point's last request
+        self._empty_hits = 0  # empty intervals: hits at every ell >= 1
+        # index ell-1, for ell = 1..max(seen, 1): the sorted right ends of the
+        # ell-1 machines (0 = idle) and the non-empty intervals kept so far
+        self._ends: list[list[int]] = [[]]
+        self._kept: list[int] = [0]
+
+    def push(self, r: PointId) -> None:
+        self._costs.metric.check_point(r)
+        t = self._pushes + 1
+        a = self._last.get(r)
+        if a is None:
+            a = 0
+            if self._seen:
+                self._ends.append([0] + self._ends[-1])
+                self._kept.append(self._kept[-1])
+            self._seen.append(r)
+        self._last[r] = t
+        self._pushes = t
+        if a == t - 1:
+            self._empty_hits += 1
+            return
+        kept = self._kept
+        for i, ends in enumerate(self._ends):
+            j = bisect_right(ends, a)
+            if j:
+                # every end is below t-1, so the list stays sorted
+                del ends[j - 1]
+                ends.append(t - 1)
+                kept[i] += 1
+
+    def _opt_scaled(self, ell: int) -> Optional[int]:
+        if 1 <= ell < len(self._seen):
+            return self._d * (self._pushes - self._empty_hits - self._kept[ell - 1])
+        return super()._opt_scaled(ell)
 
 
 def demand(m: FiniteMetric, Delta, rho: Sequence[PointId]) -> int:

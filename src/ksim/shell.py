@@ -29,7 +29,7 @@ from typing import Callable, Iterable, Optional, Protocol
 
 from .marking import Marking, marking_f
 from .metric import Decomposition, FiniteMetric, HstSpace, PointId, decompose
-from .offline import DemandTracker, ScaledCosts
+from .offline import DemandTracker, ScaledCosts, UniformDemandTracker
 
 
 class ShellInvariantError(RuntimeError):
@@ -118,6 +118,11 @@ class BlockShell:
 
         self._costs = ScaledCosts(dec.metric, extra=[dec.Delta])
         self._delta_int = self._costs.extra[0]
+        # scaled distance inside each uniform block, read off any pair (its
+        # demand needs no configuration DP); None for a block that is not uniform
+        dist = self._costs.dist
+        self._uniform_d = [dist[blk[0]][blk[-1]] if uniform else None
+                           for blk, uniform in zip(dec.blocks, dec.uniform_blocks)]
 
         if sub_factory is None:
             sub_factory = default_marking_factory
@@ -130,7 +135,7 @@ class BlockShell:
 
         self.phase = 1
         self._marked = [c == 0 for c in self._counts]
-        self._trackers = [DemandTracker(self._costs, self._delta_int) for _ in range(self.t)]
+        self._trackers: list[Optional[DemandTracker]] = [None] * self.t
         self._peak_demand = [0] * self.t
         self._last_push: Optional[tuple[int, int]] = None  # (block, peak before push)
 
@@ -157,6 +162,12 @@ class BlockShell:
         parts.extend(f"{k}={v}" for k, v in fields.items())
         parts.append(f"draws={self.draws}")
         self._event_sink("\t".join(parts))
+
+    def _new_tracker(self, s: int) -> DemandTracker:
+        d = self._uniform_d[s]
+        if d is None:
+            return DemandTracker(self._costs, self._delta_int)
+        return UniformDemandTracker(self._costs, self._delta_int, d)
 
     def _choice(self, seq):
         self.draws += 1
@@ -210,6 +221,11 @@ class BlockShell:
         self.phase_logs[-1].append(r)
         prev_peak = self._peak_demand[s]
         tracker = self._trackers[s]
+        if tracker is None:
+            # built on the block's first request of the phase: on random
+            # [3,3,3] runs about 40% of the blocks see none before the next
+            # phase or rebuild
+            tracker = self._trackers[s] = self._new_tracker(s)
         tracker.push(r)
         peak = max(prev_peak, tracker.demand())
         self._peak_demand[s] = peak
@@ -283,7 +299,7 @@ class BlockShell:
         self._current_phase_jumps = 0
         self.phase_logs.append([])
         self._marked = [c == 0 for c in self._counts]
-        self._trackers = [DemandTracker(self._costs, self._delta_int) for _ in range(self.t)]
+        self._trackers = [None] * self.t
         self._peak_demand = [0] * self.t
         self._last_push = None
         for b in range(self.t):

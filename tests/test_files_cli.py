@@ -67,6 +67,19 @@ class TestParsers:
             with pytest.raises(ParseError, match=match):
                 load_hst(str(p))
 
+    @pytest.mark.parametrize("tok", ["1.5", "1e3", "1/0", "0x2"])
+    def test_metric_rejects_inexact_literals(self, tmp_path, tok):
+        p = tmp_path / "m.txt"
+        p.write_text(f"2\n{tok}\n")
+        with pytest.raises(ParseError, match=r"m\.txt:2: bad distance"):
+            load_metric(str(p))
+
+    def test_hst_rejects_decimal_mu(self, tmp_path):
+        p = tmp_path / "t.txt"
+        p.write_text("mu 2.5\nbranching 2 2\n")
+        with pytest.raises(ParseError, match="bad mu"):
+            load_hst(str(p))
+
     def test_requests_range_checked(self, tmp_path):
         p = tmp_path / "r.txt"
         p.write_text("0 1 7\n")
@@ -100,6 +113,30 @@ class TestCli:
                    "--delta", "2", "--requests", str(workdir / "reqs.txt")])
         assert rc == 0
         assert "demand 2" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("delta", ["1.5", "2e0", "1/0"])
+    def test_demand_rejects_inexact_delta(self, workdir, capsys, delta):
+        rc = main(["demand", "--metric", str(workdir / "uniform3.txt"),
+                   "--delta", delta, "--requests", str(workdir / "reqs.txt")])
+        assert rc == 1
+        assert "--delta: bad rational" in capsys.readouterr().err
+
+    def test_demand_rejects_float_delta_from_config(self, workdir, capsys):
+        cfg = workdir / "cfg.json"
+        cfg.write_text(json.dumps({"delta": 2.5}))
+        rc = main(["--config", str(cfg), "demand", "--metric", str(workdir / "uniform3.txt"),
+                   "--requests", str(workdir / "reqs.txt")])
+        assert rc == 1
+        assert "--delta: bad rational '2.5'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--d", "--delta"])
+    def test_probe_demand_rejects_inexact_rationals(self, capsys, flag):
+        args = {"--d": "1", "--delta": "2"}
+        args[flag] = "0.5"
+        rc = main(["probe-demand", "--points", "2", "--max-len", "2",
+                   "--d", args["--d"], "--delta", args["--delta"]])
+        assert rc == 1
+        assert f"{flag}: bad rational '0.5'" in capsys.readouterr().err
 
     def test_run(self, workdir, capsys):
         rc = main(["run", "--hst", str(workdir / "tree.txt"), "--k", "3",

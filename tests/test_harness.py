@@ -1,4 +1,5 @@
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -138,6 +139,31 @@ class TestRunTrials:
         text = reports_to_csv(run_trials(space, 2, "algox", spec, 2, base_seed=1))
         body = text.strip().split("\n")[1:]
         assert any("/" in line for line in body)  # exact rationals surface
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+# (branching, mu, k, generator, trials, base_seed); the CSV bytes in
+# tests/golden/<name>.csv were rendered before the interval demand tracker
+# existed, and must never change
+PINNED_BATCHES = {
+    "h2_uniform_random": ((4, 4), 4, 4, GeneratorSpec("uniform_random", 120, seed=11), 6, 3),
+    "h2_block_sweep": ((4, 4), 4, 4,
+                       GeneratorSpec("block_sweep", 120, seed=0, params={"width": 3}), 6, 5),
+    "h2_rational_mu": ((4, 4), Fraction(17, 4), 4,
+                       GeneratorSpec("uniform_random", 120, seed=13), 6, 7),
+    "h3_uniform_random": ((3, 3, 3), 3, 3, GeneratorSpec("uniform_random", 120, seed=12), 6, 9),
+    "h3_block_sweep": ((3, 3, 3), 3, 3,
+                       GeneratorSpec("block_sweep", 120, seed=0, params={"width": 5}), 6, 1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_BATCHES))
+def test_pinned_csv_bytes(name):
+    branching, mu, k, spec, trials, base_seed = PINNED_BATCHES[name]
+    reports = run_trials(build_hst(branching, mu), k, "algox", spec, trials, base_seed)
+    expected = (GOLDEN / f"{name}.csv").read_bytes()
+    assert reports_to_csv(reports).encode() == expected
 
 
 class TestProbe:

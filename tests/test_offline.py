@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ksim.metric import FiniteMetric, build_uniform
-from ksim.offline import (INF, DemandTracker, demand, max_demand_trace,
-                          opt_cost, opt_cost_exhaustive)
+from ksim.offline import (INF, DemandTracker, ScaledCosts, UniformDemandTracker,
+                          demand, max_demand_trace, opt_cost, opt_cost_exhaustive)
 
 PATH3 = FiniteMetric([[0, 1, 2], [1, 0, 1], [2, 1, 0]])
 
@@ -177,6 +177,49 @@ class TestDemandTracker:
         assert tracker.demand() == 0
         assert tracker.opt(0) == 0
         assert tracker.opt(2) == 0
+
+
+def clustered_metric(offset: int, n: int, d: Fraction, other: Fraction) -> FiniteMetric:
+    """Points 0..offset-1 pairwise at `other`, points offset..offset+n-1
+    pairwise at `d`, and the two clusters max(d, other) apart."""
+    far = max(d, other)
+    size = offset + n
+    return FiniteMetric([[0 if i == j else d if min(i, j) >= offset
+                          else other if max(i, j) < offset else far
+                          for j in range(size)] for i in range(size)])
+
+
+rationals = st.builds(Fraction, st.integers(1, 30), st.integers(1, 6))
+
+
+class TestUniformDemandTracker:
+    """The interval greedy against the configuration DP it replaces on
+    uniform blocks; block points are global ids, so the block need not
+    start at point 0."""
+
+    @settings(max_examples=600, deadline=None)
+    @given(n=st.integers(1, 7), offset=st.integers(0, 4), d=rationals,
+           other=rationals, Delta=rationals, data=st.data())
+    def test_matches_dp_after_every_push(self, n, offset, d, other, Delta, data):
+        costs = ScaledCosts(clustered_metric(offset, n, d, other), extra=[Delta])
+        block = list(range(offset, offset + n))
+        used = data.draw(st.lists(st.sampled_from(block), min_size=1, unique=True))
+        rho = data.draw(st.lists(st.sampled_from(used), max_size=30))
+        dp = DemandTracker(costs, costs.extra[0])
+        greedy = UniformDemandTracker(costs, costs.extra[0], costs.dist[block[0]][block[-1]])
+        assert greedy.demand() == dp.demand() == 0
+        for r in rho:
+            dp.push(r)
+            greedy.push(r)
+            assert [greedy.opt(ell) for ell in range(n + 1)] == \
+                [dp.opt(ell) for ell in range(n + 1)]
+            assert greedy.demand() == dp.demand()
+            assert (greedy.length, greedy.distinct) == (dp.length, dp.distinct)
+
+    def test_checks_points(self):
+        costs = ScaledCosts(build_uniform(3, 1), extra=[2])
+        with pytest.raises(ValueError, match="out of range"):
+            UniformDemandTracker(costs, costs.extra[0], 1).push(3)
 
 
 class TestMonotonicity:

@@ -8,8 +8,10 @@ import pytest
 from ksim.generators import GeneratorSpec, generate
 from ksim.marking import Marking, marking_f
 from ksim.metric import Decomposition, FiniteMetric, build_hst, decompose
+from ksim.offline import DemandTracker, UniformDemandTracker
 from ksim.shell import (BlockShell, ShellInvariantError, ShellSubroutine,
-                        build_hst_algorithm, compose_f, make_node_handle)
+                        build_hst_algorithm, compose_f, make_node_handle,
+                        node_decompositions)
 
 
 def two_block_shell(seed=42, events=None):
@@ -45,6 +47,25 @@ class TestConstruction:
             BlockShell(dec, 3, {0, 1}, seed=0)
         with pytest.raises(ValueError):
             BlockShell(dec, 0, set(), seed=0)
+
+
+class TestTrackerChoice:
+    def test_uniform_blocks_get_the_interval_tracker(self):
+        space = build_hst([8, 8], 8)
+        sh = BlockShell(node_decompositions(space)[0], 8, range(8), seed=0)
+        assert all(type(sh._new_tracker(s)) is UniformDemandTracker for s in range(2))
+
+    def test_non_uniform_blocks_keep_the_dp(self):
+        root = build_hst_algorithm(build_hst([3, 3, 3], 3), 3, {0, 1, 2}, seed=0).shell
+        assert all(type(root._new_tracker(s)) is DemandTracker for s in range(3))
+        inner = root._subs[0].shell  # [3,3] node: blocks of three leaves
+        assert all(type(inner._new_tracker(s)) is UniformDemandTracker for s in range(3))
+
+    def test_single_point_blocks_count_as_uniform(self):
+        dec = decompose(build_hst([2, 1], 2), 0)
+        assert dec.uniform_blocks == (True, True)
+        sh = BlockShell(dec, 1, {0}, seed=0)
+        assert all(type(sh._new_tracker(s)) is UniformDemandTracker for s in range(2))
 
 
 class TestTracedTwoBlockRun:
