@@ -17,8 +17,7 @@ from . import __version__
 from .files import (ParseError, load_configuration, load_hst, load_metric, load_requests,
                     parse_rational)
 from .generators import parse_generator
-from .harness import (default_initial, probe_demand_monotonicity, render_rational,
-                      reports_to_csv, run_trials)
+from .harness import probe_demand_monotonicity, render_rational, reports_to_csv, run_trials
 from .metric import build_uniform
 from .offline import demand as demand_op, opt_cost
 from .verify import checks_to_csv, run_ama_suite, run_contract_suite, run_lower_bound_suite
@@ -140,6 +139,20 @@ def _rational_option(args, name: str) -> Fraction:
         raise CliError(f"--{name}: {exc}") from None
 
 
+def _int_option(args, name: str) -> int:
+    # a config file gives JSON scalars; int() alone would truncate 1.9 and
+    # read true as 1
+    value = getattr(args, name)
+    if isinstance(value, str):
+        try:
+            return int(value)
+        except ValueError:
+            pass
+    elif isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise CliError(f"--{name.replace('_', '-')}: expected an integer, got {json.dumps(value)}")
+
+
 def _cmd_opt(args) -> int:
     metric = load_metric(args.metric)
     rho = load_requests(args.requests, metric.n)
@@ -161,15 +174,13 @@ def _cmd_demand(args) -> int:
     return 0
 
 
-def _run_reports(args, trials: int):
+def _run_inputs(args):
     space = load_hst(args.hst)
-    gen = parse_generator(args.gen, length=args.length, seed=args.seed ^ 0x5EED)
-    return run_trials(space, args.k, args.algo, gen, trials, args.seed), space, gen
+    return space, parse_generator(args.gen, length=args.length, seed=args.seed ^ 0x5EED)
 
 
 def _cmd_run(args) -> int:
-    space = load_hst(args.hst)
-    gen = parse_generator(args.gen, length=args.length, seed=args.seed ^ 0x5EED)
+    space, gen = _run_inputs(args)
     events = None
     sink = None
     if args.events:
@@ -179,35 +190,7 @@ def _cmd_run(args) -> int:
             events = open(args.events, "w", encoding="utf-8")
             sink = lambda line: events.write(line + "\n")
     try:
-        if sink is not None:
-            from .generators import generate
-            from .harness import run_shell
-            from .shell import make_node_handle, node_decompositions
-            from .marking import Marking
-
-            decs = node_decompositions(space)
-            dec = decs[0]
-            children = space.children[0]
-
-            def factory(block, points, config, m, sub_seed):
-                if space.is_leaf(children[block]):
-                    sub = Marking(m, (), sub_seed, points=points)
-                    sub.reset(config)
-                    return sub
-                handle = make_node_handle(space, children[block], sub_seed, decs)
-                handle.reset(config)
-                return handle
-
-            seq = generate(gen, space)
-            rec = run_shell(dec, args.k, default_initial(args.k), seq, args.seed,
-                            sub_factory=factory, event_sink=sink)
-            total = rec.total_inner + rec.total_jump
-            print(f"total {render_rational(total)}")
-            print(f"inner {render_rational(rec.total_inner)}")
-            print(f"jump {render_rational(rec.total_jump)}")
-            print(f"phases {len(rec.phase_logs)}")
-            return 0
-        reports = run_trials(space, args.k, args.algo, gen, 1, args.seed)
+        reports = run_trials(space, args.k, args.algo, gen, 1, args.seed, event_sink=sink)
     finally:
         if events is not None:
             events.close()
@@ -223,7 +206,8 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    reports, _, _ = _run_reports(args, args.trials)
+    space, gen = _run_inputs(args)
+    reports = run_trials(space, args.k, args.algo, gen, args.trials, args.seed)
     csv_text = reports_to_csv(reports)
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
         fh.write(csv_text)
@@ -292,11 +276,10 @@ def main(argv=None) -> int:
     try:
         args = _apply_config(parser, argv)
         _check_required(args)
-        # config values arrive as JSON scalars; normalize the integer options
         for attr in ("servers", "k", "trials", "seed", "length", "runs",
                      "seeds", "points", "max_len"):
             if getattr(args, attr, None) is not None:
-                setattr(args, attr, int(getattr(args, attr)))
+                setattr(args, attr, _int_option(args, attr))
         return _COMMANDS[args.command](args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -11,17 +11,17 @@ newline '\\n'.  Identical config and seed give identical bytes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from typing import Callable, Iterable, Optional, Sequence
 
 from .generators import GeneratorSpec, generate
-from .marking import Marking, marking_f
+from .marking import Marking
 from .metric import Decomposition, FiniteMetric, HstSpace, PointId
 from .offline import INF, DemandTracker, opt_cost
-from .shell import (BlockShell, check_hst_admissible, compose_f,
-                    make_node_handle, node_decompositions)
+from .shell import (BlockShell, PhaseLogs, check_hst_admissible, child_factory,
+                    node_decompositions, node_f)
 
 CSV_HEADER = "seed,total,inner,jump,opt,ratio,phases,m_sum"
 
@@ -43,12 +43,9 @@ class TrialReport:
     additive: object       # the competitive guarantee's additive term, or None
     adjusted_ratio: object # (total - additive) / opt, or None
 
-    # jump bookkeeping for the verification suites
-    phase_jumps: list = field(default_factory=list)
-
 
 @dataclass
-class RunRecord:
+class RunRecord(PhaseLogs):
     """Everything a verification check needs to replay one shell run."""
     dec: Decomposition
     k: int
@@ -62,16 +59,6 @@ class RunRecord:
     phase_stats: list
     total_inner: Fraction
     total_jump: Fraction
-
-    def phase_sequence(self, p: int, plus: bool) -> list:
-        seq = list(self.phase_logs[p - 1])
-        if plus:
-            seq.append(self.triggers[p - 1])
-        return seq
-
-    @property
-    def completed_phases(self) -> int:
-        return len(self.triggers)
 
 
 def default_initial(k: int) -> frozenset:
@@ -95,10 +82,10 @@ def run_shell(dec: Decomposition, k: int, initial: Iterable[PointId],
         shell.serve(r)
     return RunRecord(
         dec=dec, k=k, initial=init, sequence=list(sequence), seed=seed,
-        phase_logs=[list(log) for log in shell.phase_logs],
-        triggers=list(shell.triggers),
-        dhat=[list(row) for row in shell.dhat],
-        phase_jump_counts=list(shell.phase_jump_counts),
+        phase_logs=shell.phase_logs,
+        triggers=shell.triggers,
+        dhat=shell.dhat,
+        phase_jump_counts=shell.phase_jump_counts,
         phase_stats=shell.mp_trace(),
         total_inner=shell.total_inner,
         total_jump=shell.total_jump,
@@ -118,11 +105,13 @@ def _ratio(total: Fraction, opt) -> object:
 def run_trials(space: HstSpace, k: int, algo: str, gen_spec: GeneratorSpec,
                trials: int, base_seed: int,
                initial: Optional[Iterable[PointId]] = None,
-               opt_guard: int = OPT_STATE_GUARD) -> list[TrialReport]:
+               opt_guard: int = OPT_STATE_GUARD,
+               event_sink: Optional[Callable[[str], None]] = None) -> list[TrialReport]:
     """Seeded batch of runs of one algorithm over one generated sequence.
 
     The sequence and the offline optimum are computed once; only the
-    algorithm's random stream varies across trials.
+    algorithm's random stream varies across trials.  `event_sink` receives
+    the root shell's events of every trial (shell runs only).
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -148,42 +137,27 @@ def run_trials(space: HstSpace, k: int, algo: str, gen_spec: GeneratorSpec,
     if use_shell:
         decs = node_decompositions(space)
         dec = decs[0]
-        children = space.children[0]
-
-        def factory(block, points, config, m, sub_seed):
-            if space.is_leaf(children[block]):
-                sub = Marking(m, (), sub_seed, points=points)
-                sub.reset(config)
-                return sub
-            handle = make_node_handle(space, children[block], sub_seed, decs)
-            handle.reset(config)
-            return handle
-
-        # depth of nesting fixes the guarantee's competitive function
-        f: Callable[[int], object] = marking_f
-        for _ in range(space.height - 1):
-            f = compose_f(f)
+        factory = child_factory(space, 0, decs)
         scale = dec.Delta
     else:
-        f = marking_f
         scale = metric.diameter() if metric.n > 1 else Fraction(1)
 
     # additive slack of the competitive guarantee: f(k) * k * scale / log k
     additive = None
     if k >= 2:
-        additive = float(f(k)) * k * float(scale) / math.log(k)
+        additive = float(node_f(space, 0)(k)) * k * float(scale) / math.log(k)
 
     reports = []
     for i in range(trials):
         seed = base_seed ^ i
         if use_shell:
-            rec = run_shell(dec, k, init, sequence, seed, sub_factory=factory)
+            rec = run_shell(dec, k, init, sequence, seed, sub_factory=factory,
+                            event_sink=event_sink)
             total = rec.total_inner + rec.total_jump
             inner, jump = rec.total_inner, rec.total_jump
             phases = len(rec.phase_logs)
             stats = rec.phase_stats
             m_sum = sum(s.gain for s in stats)
-            phase_jumps = list(rec.phase_jump_counts)
         else:
             alg = Marking(metric, init, seed)
             total = Fraction(0)
@@ -193,7 +167,6 @@ def run_trials(space: HstSpace, k: int, algo: str, gen_spec: GeneratorSpec,
             phases = alg.phase_count
             stats = []
             m_sum = 0
-            phase_jumps = []
         ratio = _ratio(total, opt)
         adjusted = None
         if additive is not None and opt is not None and opt not in (0, INF):
@@ -201,7 +174,7 @@ def run_trials(space: HstSpace, k: int, algo: str, gen_spec: GeneratorSpec,
         reports.append(TrialReport(
             seed=seed, total=total, inner=inner, jump=jump, opt=opt, ratio=ratio,
             phases=phases, phase_stats=stats, m_sum=m_sum,
-            additive=additive, adjusted_ratio=adjusted, phase_jumps=phase_jumps,
+            additive=additive, adjusted_ratio=adjusted,
         ))
     return reports
 

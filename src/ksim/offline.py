@@ -100,6 +100,25 @@ def _pad_config(points: Iterable[PointId], ell: int, n: int) -> frozenset:
     return frozenset(cfg)
 
 
+def _lazy_step(dp: dict[frozenset, int], r: PointId, dist) -> dict[frozenset, int]:
+    """One request of the lazy configuration DP: a configuration holding r
+    stays, any other moves one of its servers onto r."""
+    new_dp: dict[frozenset, int] = {}
+    for cfg, c in dp.items():
+        if r in cfg:
+            prev = new_dp.get(cfg)
+            if prev is None or c < prev:
+                new_dp[cfg] = c
+        else:
+            for s in cfg:
+                cfg2 = (cfg - {s}) | {r}
+                v = c + dist[s][r]
+                prev = new_dp.get(cfg2)
+                if prev is None or v < prev:
+                    new_dp[cfg2] = v
+    return new_dp
+
+
 def opt_cost(m: FiniteMetric, ell: int, rho: Sequence[PointId],
              initial: Optional[Iterable[PointId]] = None) -> OptResult:
     """Minimum total movement serving `rho` in order with `ell` servers.
@@ -131,20 +150,7 @@ def opt_cost(m: FiniteMetric, ell: int, rho: Sequence[PointId],
         dp = {frozenset(c): 0 for c in combinations(universe, ell)}
 
     for r in rho:
-        new_dp: dict[frozenset, int] = {}
-        for cfg, c in dp.items():
-            if r in cfg:
-                prev = new_dp.get(cfg)
-                if prev is None or c < prev:
-                    new_dp[cfg] = c
-            else:
-                for s in cfg:
-                    cfg2 = (cfg - {s}) | {r}
-                    v = c + dist[s][r]
-                    prev = new_dp.get(cfg2)
-                    if prev is None or v < prev:
-                        new_dp[cfg2] = v
-        dp = new_dp
+        dp = _lazy_step(dp, r, dist)
 
     best_cfg = None
     best = None
@@ -290,21 +296,7 @@ class DemandTracker:
             self._seen.append(r)
             self._seen_set.add(r)
         for ell in range(1, len(self._seen) + 1):
-            dp = self._dp[ell]
-            new_dp: dict[frozenset, int] = {}
-            for cfg, c in dp.items():
-                if r in cfg:
-                    prev = new_dp.get(cfg)
-                    if prev is None or c < prev:
-                        new_dp[cfg] = c
-                else:
-                    for s in cfg:
-                        cfg2 = (cfg - {s}) | {r}
-                        v = c + dist[s][r]
-                        prev = new_dp.get(cfg2)
-                        if prev is None or v < prev:
-                            new_dp[cfg2] = v
-            self._dp[ell] = new_dp
+            self._dp[ell] = _lazy_step(self._dp[ell], r, dist)
         self._pushes += 1
 
     def _opt_scaled(self, ell: int) -> Optional[int]:

@@ -85,7 +85,30 @@ def default_marking_factory(block: int, points: tuple, config: frozenset,
     return sub
 
 
-class BlockShell:
+class PhaseLogs:
+    """Per-phase request records, read alike from a live shell and from a
+    finished run: `phase_logs` holds the requests of every started phase (the
+    last one still running), `triggers` the first request of each later
+    phase."""
+
+    @property
+    def completed_phases(self) -> int:
+        return len(self.triggers)
+
+    def phase_sequence(self, p: int, plus: bool) -> list[PointId]:
+        """Requests of phase p (1-based); with `plus`, the first request of
+        phase p+1 is appended (only available for completed phases)."""
+        if not (1 <= p <= len(self.phase_logs)):
+            raise ValueError(f"no phase {p}")
+        seq = list(self.phase_logs[p - 1])
+        if plus:
+            if p > len(self.triggers):
+                raise ValueError(f"phase {p} has not ended; no follow-up request yet")
+            seq.append(self.triggers[p - 1])
+        return seq
+
+
+class BlockShell(PhaseLogs):
     """One live instance of the shell algorithm on a decomposition."""
 
     def __init__(self, dec: Decomposition, k: int, initial: Iterable[PointId],
@@ -143,7 +166,6 @@ class BlockShell:
         self.phase_logs: list[list[PointId]] = [[]]   # [-1] is the running phase
         self.triggers: list[PointId] = []             # first request of each later phase
         self.dhat: list[list[int]] = [list(self._counts)]  # [0] = initial counts
-        self.jump_log: list[Jump] = []
         self.phase_jump_counts: list[int] = []
         self._current_phase_jumps = 0
         self.total_inner = Fraction(0)
@@ -269,7 +291,6 @@ class BlockShell:
             self._counts[b] -= 1
             self._counts[s] += 1
             jump = Jump(self.phase, b, s, src, dst)
-            self.jump_log.append(jump)
             self._current_phase_jumps += 1
             rep.jumps.append(jump)
             rep.jump_cost += self.Delta
@@ -327,10 +348,6 @@ class BlockShell:
 
     # -- reporting ----------------------------------------------------------
 
-    @property
-    def completed_phases(self) -> int:
-        return len(self.triggers)
-
     def mp_trace(self) -> list[PhaseStats]:
         """Gain and jump count for every completed phase."""
         out = []
@@ -338,18 +355,6 @@ class BlockShell:
             gain = sum(max(0, self.dhat[p][s] - self.dhat[p - 1][s]) for s in range(self.t))
             out.append(PhaseStats(phase=p, gain=gain, jumps=self.phase_jump_counts[p - 1]))
         return out
-
-    def phase_sequence(self, p: int, plus: bool) -> list[PointId]:
-        """Requests of phase p (1-based); with `plus`, the first request of
-        phase p+1 is appended (only available for completed phases)."""
-        if not (1 <= p <= len(self.phase_logs)):
-            raise ValueError(f"no phase {p}")
-        seq = list(self.phase_logs[p - 1])
-        if plus:
-            if p > len(self.triggers):
-                raise ValueError(f"phase {p} has not ended; no follow-up request yet")
-            seq.append(self.triggers[p - 1])
-        return seq
 
 
 # -- recursive construction over separation trees ---------------------------
@@ -419,6 +424,30 @@ def node_decompositions(space: HstSpace) -> dict[int, Decomposition]:
     return {v: decompose(space, v) for v in space.internal_nodes()}
 
 
+def node_f(space: HstSpace, node: int) -> Callable[[int], object]:
+    """Competitive function of the algorithm on the subtree at `node`:
+    marking at a parent of leaves, composed once per level above it."""
+    f: Callable[[int], object] = marking_f
+    for _ in range(space.height - space.depth[node] - 1):
+        f = compose_f(f)
+    return f
+
+
+def child_factory(space: HstSpace, node: int,
+                  decs: dict[int, Decomposition]) -> Callable:
+    """Block-subroutine factory of the shell at internal node `node`: block s
+    runs the algorithm of the node's s-th child, started at the block's
+    servers."""
+    children = space.children[node]
+
+    def factory(block: int, points: tuple, config: frozenset,
+                metric: FiniteMetric, sub_seed: int) -> Subroutine:
+        handle = make_node_handle(space, children[block], sub_seed, decs)
+        handle.reset(config)
+        return handle
+    return factory
+
+
 def make_node_handle(space: HstSpace, node: int, seed: int,
                      decs: Optional[dict[int, Decomposition]] = None,
                      event_sink: Optional[Callable[[str], None]] = None) -> Subroutine:
@@ -433,22 +462,13 @@ def make_node_handle(space: HstSpace, node: int, seed: int,
     if all(space.is_leaf(c) for c in children):
         points = space.subtree_leaf_points(node)
         return Marking(space.leaf_metric, (), seed, points=points)
-    dec = decs[node]
     rng = random.Random(seed)
-    child_seeds = [rng.getrandbits(64) for _ in children]
-
-    def factory(block: int, points: tuple, config: frozenset,
-                metric: FiniteMetric, sub_seed: int) -> Subroutine:
-        handle = make_node_handle(space, children[block], sub_seed, decs)
-        handle.reset(config)
-        return handle
-
-    # children all share one height, so one composed f covers every block
-    child_height = space.height - space.depth[children[0]]
-    f: Callable[[int], object] = marking_f
-    for _ in range(child_height - 1):
-        f = compose_f(f)
-    return ShellSubroutine(dec, factory, rng.getrandbits(64), compose_f(f),
+    # one unused draw per child ahead of the shell's seed, so that nested
+    # seeds replay unchanged
+    for _ in children:
+        rng.getrandbits(64)
+    return ShellSubroutine(decs[node], child_factory(space, node, decs),
+                           rng.getrandbits(64), node_f(space, node),
                            event_sink=event_sink)
 
 

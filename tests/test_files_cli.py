@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -6,6 +7,8 @@ from ksim.cli import main
 from ksim.files import (ParseError, load_configuration, load_hst, load_metric,
                         load_requests)
 from ksim.verify import CheckReport
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 @pytest.fixture
@@ -156,6 +159,36 @@ class TestCli:
         assert ev1.read_bytes() == ev2.read_bytes()
         assert b"jump" in ev1.read_bytes()
 
+    def test_run_events_prints_the_same_lines_as_run(self, workdir, capsys):
+        args = ["run", "--hst", str(workdir / "tree.txt"), "--k", "3",
+                "--gen", "uniform_random", "--length", "40", "--seed", "4"]
+        assert main(args) == 0
+        plain = capsys.readouterr().out
+        assert main(args + ["--events", str(workdir / "ev.log")]) == 0
+        assert capsys.readouterr().out == plain
+        assert "opt " in plain and "ratio " in plain and "m_sum " in plain
+
+    def test_run_events_rejects_inadmissible_tree(self, tmp_path, capsys):
+        tree = tmp_path / "t.txt"
+        tree.write_text("mu 2\nbranching 3 3\n")  # mu below both k and degree
+        rc = main(["run", "--hst", str(tree), "--k", "3", "--gen", "uniform_random",
+                   "--events", str(tmp_path / "ev.log")])
+        assert rc == 1
+        assert "below both" in capsys.readouterr().err
+
+    # tests/golden/run_events_<branching>.log were written by the three-way
+    # construction this one replaced, and must never change
+    @pytest.mark.parametrize("branching", ["2 2 3", "3 3 3"])
+    def test_run_event_log_bytes(self, tmp_path, capsys, branching):
+        tree = tmp_path / "t.txt"
+        tree.write_text(f"mu 3\nbranching {branching}\n")
+        log = tmp_path / "ev.log"
+        rc = main(["run", "--hst", str(tree), "--k", "3", "--gen", "uniform_random",
+                   "--length", "80", "--seed", "7", "--events", str(log)])
+        assert rc == 0
+        name = "run_events_" + branching.replace(" ", "_") + ".log"
+        assert log.read_bytes() == (GOLDEN / name).read_bytes()
+
     def test_bench_reproducible(self, workdir, capsys):
         out1 = workdir / "a.csv"
         out2 = workdir / "b.csv"
@@ -208,3 +241,28 @@ class TestCli:
                    "--requests", str(workdir / "reqs.txt")])
         assert rc == 0
         assert "demand 2" in capsys.readouterr().out  # explicit flag wins
+
+    @pytest.mark.parametrize("value", [1.9, True, "1.5", "x", [1]])
+    def test_config_rejects_non_integer_options(self, workdir, capsys, value):
+        cfg = workdir / "cfg.json"
+        cfg.write_text(json.dumps({"servers": value}))
+        rc = main(["--config", str(cfg), "opt", "--metric", str(workdir / "uniform3.txt"),
+                   "--requests", str(workdir / "reqs.txt")])
+        assert rc == 1
+        assert "--servers: expected an integer" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", [1, "1"])
+    def test_config_accepts_integer_options(self, workdir, capsys, value):
+        cfg = workdir / "cfg.json"
+        cfg.write_text(json.dumps({"servers": value}))
+        rc = main(["--config", str(cfg), "opt", "--metric", str(workdir / "uniform3.txt"),
+                   "--requests", str(workdir / "reqs.txt")])
+        assert rc == 0
+        assert "cost 3" in capsys.readouterr().out
+
+    def test_config_integer_error_names_the_flag(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"max-len": 2.5}))
+        rc = main(["--config", str(cfg), "probe-demand", "--delta", "2"])
+        assert rc == 1
+        assert "--max-len: expected an integer, got 2.5" in capsys.readouterr().err

@@ -11,7 +11,7 @@ from ksim.metric import Decomposition, FiniteMetric, build_hst, decompose
 from ksim.offline import DemandTracker, UniformDemandTracker
 from ksim.shell import (BlockShell, ShellInvariantError, ShellSubroutine,
                         build_hst_algorithm, compose_f, make_node_handle,
-                        node_decompositions)
+                        node_decompositions, node_f)
 
 
 def two_block_shell(seed=42, events=None):
@@ -259,6 +259,15 @@ class TestHstAlgorithm:
         algo = build_hst_algorithm(space, 3, {0, 1, 2}, seed=0)
         expect = float(marking_f(3)) * (6 * math.log(3) + 8)
         assert algo.f(3) == pytest.approx(expect)
+
+    def test_node_f_composes_once_per_level_above_marking(self):
+        space = build_hst([2, 2, 2], 3)
+        mid = space.children[0][0]
+        assert node_f(space, space.children[mid][0]) is marking_f  # parent of leaves
+        assert node_f(space, mid)(3) == compose_f(marking_f)(3)
+        assert node_f(space, 0)(3) == compose_f(compose_f(marking_f))(3)
+        algo = build_hst_algorithm(space, 3, {0, 1, 2}, seed=0)
+        assert algo.f(3) == node_f(space, 0)(3)
 
     def test_rejects_mu_below_both_thresholds(self):
         space = build_hst([3, 3], 2)  # mu=2 < k=3 and < degree 3
