@@ -25,6 +25,10 @@ from .verify import checks_to_csv, run_ama_suite, run_contract_suite, run_lower_
 USAGE_ERROR = 1
 CHECK_FAILURE = 2
 
+# probe-demand enumerates every sequence up to --max-len; beyond this many
+# it refuses instead of running for minutes
+PROBE_MAX_SEQUENCES = 200_000
+
 
 class CliError(Exception):
     pass
@@ -182,19 +186,17 @@ def _run_inputs(args):
 def _cmd_run(args) -> int:
     space, gen = _run_inputs(args)
     events = None
-    sink = None
     if args.events:
         if args.algo != "algox" or space.height < 2:
             print("events are only produced by shell (algox) runs", file=sys.stderr)
         else:
-            events = open(args.events, "w", encoding="utf-8")
-            sink = lambda line: events.write(line + "\n")
-    try:
-        reports = run_trials(space, args.k, args.algo, gen, 1, args.seed, event_sink=sink)
-    finally:
-        if events is not None:
-            events.close()
-    rep = reports[0]
+            events = []
+    # one trial, bounded by --length: the log is written only once it succeeded
+    rep = run_trials(space, args.k, args.algo, gen, 1, args.seed,
+                     event_sink=None if events is None else events.append)[0]
+    if events is not None:
+        with open(args.events, "w", encoding="utf-8") as fh:
+            fh.writelines(line + "\n" for line in events)
     print(f"total {render_rational(rep.total)}")
     print(f"inner {render_rational(rep.inner)}")
     print(f"jump {render_rational(rep.jump)}")
@@ -250,6 +252,12 @@ def _cmd_verify(args) -> int:
 
 def _cmd_probe(args) -> int:
     metric = build_uniform(args.points, _rational_option(args, "d"))
+    count = 0
+    for length in range(1, args.max_len + 1):
+        count += args.points ** length
+        if count > PROBE_MAX_SEQUENCES:
+            raise CliError(f"--max-len {args.max_len} over {args.points} points enumerates "
+                           f"more than {PROBE_MAX_SEQUENCES} sequences; lower --max-len")
     summary = probe_demand_monotonicity(metric, _rational_option(args, "delta"),
                                         max_len=args.max_len)
     print(f"sequences {summary.sequences}")

@@ -38,7 +38,6 @@ class TrialReport:
     opt: object            # Fraction, INF, or None when the solver guard tripped
     ratio: object          # Fraction, INF ("flagged non-finite"), or None
     phases: int            # phases started (>= 1)
-    phase_stats: list      # PhaseStats per completed phase
     m_sum: int
     additive: object       # the competitive guarantee's additive term, or None
     adjusted_ratio: object # (total - additive) / opt, or None
@@ -80,6 +79,7 @@ def run_shell(dec: Decomposition, k: int, initial: Iterable[PointId],
                        event_sink=event_sink)
     for r in sequence:
         shell.serve(r)
+    scale = dec.metric.scale
     return RunRecord(
         dec=dec, k=k, initial=init, sequence=list(sequence), seed=seed,
         phase_logs=shell.phase_logs,
@@ -87,8 +87,8 @@ def run_shell(dec: Decomposition, k: int, initial: Iterable[PointId],
         dhat=shell.dhat,
         phase_jump_counts=shell.phase_jump_counts,
         phase_stats=shell.mp_trace(),
-        total_inner=shell.total_inner,
-        total_jump=shell.total_jump,
+        total_inner=Fraction(shell.total_inner, scale),
+        total_jump=Fraction(shell.total_jump, scale),
     )
 
 
@@ -99,7 +99,7 @@ def _ratio(total: Fraction, opt) -> object:
         return None
     if opt == 0:
         return Fraction(1) if total == 0 else INF
-    return Fraction(total) / opt
+    return total / opt
 
 
 def run_trials(space: HstSpace, k: int, algo: str, gen_spec: GeneratorSpec,
@@ -109,9 +109,10 @@ def run_trials(space: HstSpace, k: int, algo: str, gen_spec: GeneratorSpec,
                event_sink: Optional[Callable[[str], None]] = None) -> list[TrialReport]:
     """Seeded batch of runs of one algorithm over one generated sequence.
 
-    The sequence and the offline optimum are computed once; only the
-    algorithm's random stream varies across trials.  `event_sink` receives
-    the root shell's events of every trial (shell runs only).
+    The sequence and the offline optimum are computed once, after the
+    inputs are checked; only the algorithm's random stream varies across
+    trials.  `event_sink` receives the root shell's events of every trial
+    (shell runs only).
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -120,6 +121,10 @@ def run_trials(space: HstSpace, k: int, algo: str, gen_spec: GeneratorSpec,
     init = frozenset(initial) if initial is not None else default_initial(k)
     if len(init) != k:
         raise ValueError(f"initial configuration has {len(init)} points, expected k={k}")
+    if algo == "marking" and space.height > 1:
+        raise ValueError("marking as the whole algorithm needs a height-1 (uniform) space")
+    if algo == "algox":
+        check_hst_admissible(space, k)
     sequence = generate(gen_spec, space)
     metric = space.leaf_metric
 
@@ -127,11 +132,6 @@ def run_trials(space: HstSpace, k: int, algo: str, gen_spec: GeneratorSpec,
         opt = opt_cost(metric, k, sequence, initial=init).cost
     else:
         opt = None  # guard tripped: costs still reported, ratios unavailable
-
-    if algo == "marking" and space.height > 1:
-        raise ValueError("marking as the whole algorithm needs a height-1 (uniform) space")
-    if algo == "algox":
-        check_hst_admissible(space, k)
 
     use_shell = algo == "algox" and space.height >= 2
     if use_shell:
@@ -153,27 +153,23 @@ def run_trials(space: HstSpace, k: int, algo: str, gen_spec: GeneratorSpec,
         if use_shell:
             rec = run_shell(dec, k, init, sequence, seed, sub_factory=factory,
                             event_sink=event_sink)
-            total = rec.total_inner + rec.total_jump
             inner, jump = rec.total_inner, rec.total_jump
             phases = len(rec.phase_logs)
-            stats = rec.phase_stats
-            m_sum = sum(s.gain for s in stats)
+            m_sum = sum(s.gain for s in rec.phase_stats)
         else:
             alg = Marking(metric, init, seed)
-            total = Fraction(0)
-            for r in sequence:
-                total += alg.serve(r)
-            inner, jump = total, Fraction(0)
+            inner = Fraction(sum(alg.serve(r) for r in sequence), metric.scale)
+            jump = Fraction(0)
             phases = alg.phase_count
-            stats = []
             m_sum = 0
+        total = inner + jump
         ratio = _ratio(total, opt)
         adjusted = None
         if additive is not None and opt is not None and opt not in (0, INF):
             adjusted = (float(total) - additive) / float(opt)
         reports.append(TrialReport(
             seed=seed, total=total, inner=inner, jump=jump, opt=opt, ratio=ratio,
-            phases=phases, phase_stats=stats, m_sum=m_sum,
+            phases=phases, m_sum=m_sum,
             additive=additive, adjusted_ratio=adjusted,
         ))
     return reports

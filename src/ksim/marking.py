@@ -41,8 +41,10 @@ class Marking:
 
     `points` selects the universe (defaults to the whole space); the pairwise
     distances over it must all be equal, since the eviction rule only has a
-    guarantee there.  Every random decision consumes the instance's own
-    seeded stream, so runs replay bit-identically per seed.
+    guarantee there.  `serve` returns costs in the metric's integer unit
+    (`Fraction(cost, metric.scale)` is the distance moved).  Every random
+    decision consumes the instance's own seeded stream, so runs replay
+    bit-identically per seed.
     """
 
     def __init__(self, metric: FiniteMetric, initial: Iterable[PointId], seed: int,
@@ -53,12 +55,12 @@ class Marking:
         for p in self.points:
             metric.check_point(p)
         if len(self.points) >= 2:
-            d = metric.uniform_distance(self.points)
+            d = metric.uniform_cost(self.points)
             if d is None:
                 raise ValueError("marking requires a uniform space")
             self.d = d
         else:
-            self.d = Fraction(0)  # single point, no paid move can occur
+            self.d = 0  # single point, no paid move can occur
         init = frozenset(initial)
         if not init <= self._point_set:
             raise ValueError("initial configuration must lie inside the space")
@@ -85,14 +87,14 @@ class Marking:
         self.marked = set()
         self.phase_count = 1
 
-    def serve(self, r: PointId) -> Fraction:
+    def serve(self, r: PointId) -> int:
         if r not in self._point_set:
             raise ValueError(f"request {r} outside this space")
         if self.k == 0:
             raise RuntimeError("marking state has no servers; caller must move some in first")
         if r in self.positions:
             self.marked.add(r)
-            return Fraction(0)
+            return 0
         if self.positions <= self.marked:
             self.marked = set()
             self.phase_count += 1

@@ -1,16 +1,21 @@
 """Finite metric spaces, separation trees and block decompositions.
 
-All distances are exact rationals (fractions.Fraction).  Exactness matters:
-the offline solver and the demand computation resolve ties between candidate
-costs, and a float epsilon would silently change which server count wins.
+All distances are exact.  A metric stores them as integers scaled by the lcm
+of their denominators, the one cost unit inside ksim; costs become Fractions
+only where reports are rendered (tree parameters such as mu and Delta stay
+Fractions).  Exactness matters: the offline solver and the demand
+computation resolve ties between candidate costs, and a float epsilon would
+silently change which server count wins.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
-from typing import Optional, Sequence
+from operator import sub
+from typing import Iterable, Optional, Sequence
 
 PointId = int
 
@@ -25,42 +30,49 @@ def as_fraction(value) -> Fraction:
 class FiniteMetric:
     """Symmetric distance table over points 0..n-1.
 
-    Construction validates the metric axioms, including the triangle
-    inequality over all triples (intended for desk-scale spaces, n <= 200).
-    Instances are immutable after construction and safe to share.
+    `dist[p][q]` is `scale` times the distance from p to q, an integer, with
+    `scale` the lcm of the distance denominators; `Fraction(v, scale)` turns
+    a value in this unit back into a distance.  Construction validates the
+    metric axioms on the table, including the triangle inequality over all
+    triples (intended for desk-scale spaces, n <= 200).  Instances are
+    immutable after construction and safe to share.
     """
 
-    __slots__ = ("n", "_rows", "_int_cache")
+    __slots__ = ("n", "scale", "dist")
 
-    def __init__(self, rows: Sequence[Sequence], validate: bool = True):
-        self.n = len(rows)
-        self._rows = tuple(tuple(as_fraction(v) for v in row) for row in rows)
-        self._int_cache: Optional[tuple] = None
-        if validate:
-            self._validate()
-
-    def _validate(self) -> None:
-        if self.n < 1:
+    def __init__(self, rows: Sequence[Sequence]):
+        rows = [[v if isinstance(v, (int, Fraction)) else as_fraction(v) for v in row]
+                for row in rows]
+        self.n = n = len(rows)
+        self.scale = scale = math.lcm(*(v.denominator for row in rows for v in row))
+        self.dist = t = tuple(tuple(v.numerator * (scale // v.denominator) for v in row)
+                              for row in rows)
+        frac = self._fraction
+        if n < 1:
             raise ValueError("a metric needs at least one point")
-        for i, row in enumerate(self._rows):
-            if len(row) != self.n:
-                raise ValueError(f"row {i} has {len(row)} entries, expected {self.n}")
+        for i, row in enumerate(t):
+            if len(row) != n:
+                raise ValueError(f"row {i} has {len(row)} entries, expected {n}")
             if row[i] != 0:
-                raise ValueError(f"dist({i},{i}) = {row[i]}, must be 0")
-        for i in range(self.n):
-            for j in range(i + 1, self.n):
-                if self._rows[i][j] != self._rows[j][i]:
+                raise ValueError(f"dist({i},{i}) = {frac(row[i])}, must be 0")
+        for i in range(n):
+            for j in range(i + 1, n):
+                if t[i][j] != t[j][i]:
                     raise ValueError(f"dist({i},{j}) != dist({j},{i})")
-                if self._rows[i][j] <= 0:
-                    raise ValueError(f"dist({i},{j}) = {self._rows[i][j]}, must be positive")
-        for i in range(self.n):
-            for j in range(self.n):
-                for k in range(self.n):
-                    if self._rows[i][k] > self._rows[i][j] + self._rows[j][k]:
-                        raise ValueError(
-                            f"triangle inequality fails on ({i},{j},{k}): "
-                            f"{self._rows[i][k]} > {self._rows[i][j]} + {self._rows[j][k]}"
-                        )
+                if t[i][j] <= 0:
+                    raise ValueError(f"dist({i},{j}) = {frac(t[i][j])}, must be positive")
+        for i, ti in enumerate(t):
+            for j, tj in enumerate(t):
+                # dist(i,k) - dist(j,k) > dist(i,j) for some k breaks the triangle
+                if max(map(sub, ti, tj)) > ti[j]:
+                    k = next(k for k in range(n) if ti[k] > ti[j] + tj[k])
+                    raise ValueError(
+                        f"triangle inequality fails on ({i},{j},{k}): "
+                        f"{frac(ti[k])} > {frac(ti[j])} + {frac(tj[k])}"
+                    )
+
+    def _fraction(self, value: int) -> Fraction:
+        return Fraction(value, self.scale)
 
     @classmethod
     def from_upper_triangle(cls, n: int, values: Sequence) -> "FiniteMetric":
@@ -68,7 +80,7 @@ class FiniteMetric:
         expected = n * (n - 1) // 2
         if len(values) != expected:
             raise ValueError(f"expected {expected} distances for n={n}, got {len(values)}")
-        rows = [[Fraction(0)] * n for _ in range(n)]
+        rows = [[0] * n for _ in range(n)]
         it = iter(values)
         for i in range(n):
             for j in range(i + 1, n):
@@ -84,50 +96,48 @@ class FiniteMetric:
     def distance(self, p: PointId, q: PointId) -> Fraction:
         self.check_point(p)
         self.check_point(q)
-        return self._rows[p][q]
-
-    def int_costs(self) -> tuple:
-        """(scale, table) with table[p][q] = scale * distance as ints.
-
-        scale is the lcm of the distance denominators.  Cached: the solvers
-        call this once per query and the table is immutable anyway.
-        """
-        if self._int_cache is None:
-            import math as _math
-            denoms = [self._rows[p][q].denominator
-                      for p in range(self.n) for q in range(p + 1, self.n)]
-            scale = _math.lcm(*denoms) if denoms else 1
-            table = tuple(tuple(int(v * scale) for v in row) for row in self._rows)
-            self._int_cache = (scale, table)
-        return self._int_cache
+        return self._fraction(self.dist[p][q])
 
     def points(self) -> range:
         return range(self.n)
 
     def diameter(self, points: Optional[Sequence[PointId]] = None) -> Fraction:
         pts = list(points) if points is not None else list(range(self.n))
-        best = Fraction(0)
-        for a, b in combinations(pts, 2):
-            d = self._rows[a][b]
-            if d > best:
-                best = d
-        return best
+        return self._fraction(max((self.dist[a][b] for a, b in combinations(pts, 2)),
+                                  default=0))
 
-    def uniform_distance(self, points: Optional[Sequence[PointId]] = None) -> Optional[Fraction]:
-        """The common pairwise distance over `points`, or None if not uniform.
-
-        A single point is vacuously uniform; its scale is reported as None-safe
-        Fraction(1) would be a guess, so callers handle the singleton case.
-        """
+    def uniform_cost(self, points: Optional[Iterable[PointId]] = None) -> Optional[int]:
+        """The common pairwise distance over `points` in the table's unit, or
+        None if the points are not equidistant (also for a single point,
+        which has no pair to read a distance from)."""
         pts = list(points) if points is not None else list(range(self.n))
-        common: Optional[Fraction] = None
-        for a, b in combinations(pts, 2):
-            d = self._rows[a][b]
-            if common is None:
-                common = d
-            elif d != common:
-                return None
-        return common
+        costs = {self.dist[a][b] for a, b in combinations(pts, 2)}
+        return costs.pop() if len(costs) == 1 else None
+
+    def uniform_distance(self, points: Optional[Iterable[PointId]] = None) -> Optional[Fraction]:
+        """`uniform_cost` as a distance."""
+        d = self.uniform_cost(points)
+        return None if d is None else self._fraction(d)
+
+
+class ScaledCosts:
+    """Integer view of a metric together with further rationals (a block
+    separation cost): scale = lcm of all their denominators, dist[p][q] =
+    scale * distance, and extra[i] = scale * the i-th rational.  The demand
+    trackers price servers in it; when the extras' denominators divide the
+    metric's scale, the table is the metric's own.
+    """
+
+    def __init__(self, metric: FiniteMetric, extra: Iterable = ()):  # extra: rationals to scale
+        extras = [as_fraction(x) for x in extra]
+        self.scale = math.lcm(metric.scale, *[x.denominator for x in extras])
+        self.metric = metric
+        factor = self.scale // metric.scale
+        if factor == 1:
+            self.dist = metric.dist
+        else:
+            self.dist = tuple(tuple(v * factor for v in row) for row in metric.dist)
+        self.extra = [x.numerator * (self.scale // x.denominator) for x in extras]
 
 
 def build_uniform(n: int, d) -> FiniteMetric:
@@ -137,7 +147,7 @@ def build_uniform(n: int, d) -> FiniteMetric:
     d = as_fraction(d)
     if d <= 0:
         raise ValueError("d must be positive")
-    rows = [[Fraction(0) if i == j else d for j in range(n)] for i in range(n)]
+    rows = [[0 if i == j else d for j in range(n)] for i in range(n)]
     return FiniteMetric(rows)
 
 
@@ -187,6 +197,11 @@ class HstSpace:
         self.leaf_nodes: list[int] = frontier
         self.n_leaves = len(frontier)
         self._leaf_index = {node: i for i, node in enumerate(frontier)}
+        # distance between leaves whose lowest common ancestor sits at depth
+        # j: twice the edge weights from depth j+1 down to the leaves
+        self._lca_distance = [2 * sum((mu ** (self.height - depth)
+                                       for depth in range(j + 1, self.height + 1)), Fraction(0))
+                              for j in range(self.height + 1)]
         self.leaf_metric = self._build_leaf_metric()
 
     # -- tree queries -------------------------------------------------------
@@ -222,24 +237,11 @@ class HstSpace:
         return self.depth[a]
 
     def leaf_distance(self, p: PointId, q: PointId) -> Fraction:
-        if p == q:
-            return Fraction(0)
-        j = self._lca_depth(self.leaf_nodes[p], self.leaf_nodes[q])
-        # 2 * sum of edge weights from depth h down to depth j+1
-        total = Fraction(0)
-        for depth in range(j + 1, self.height + 1):
-            total += self.mu ** (self.height - depth)
-        return 2 * total
+        return self._lca_distance[self._lca_depth(self.leaf_nodes[p], self.leaf_nodes[q])]
 
     def _build_leaf_metric(self) -> FiniteMetric:
         n = self.n_leaves
-        rows = [[Fraction(0)] * n for _ in range(n)]
-        for p in range(n):
-            for q in range(p + 1, n):
-                d = self.leaf_distance(p, q)
-                rows[p][q] = d
-                rows[q][p] = d
-        return FiniteMetric(rows)
+        return FiniteMetric([[self.leaf_distance(p, q) for q in range(n)] for p in range(n)])
 
 
 def build_hst(branching: Sequence[int], mu) -> HstSpace:
@@ -295,7 +297,7 @@ class Decomposition:
     """
 
     def __init__(self, metric: FiniteMetric, blocks: Sequence[Sequence[PointId]],
-                 Delta, delta, validate: bool = True):
+                 Delta, delta):
         self.metric = metric
         self.blocks = tuple(tuple(sorted(b)) for b in blocks)
         self.Delta = as_fraction(Delta)
@@ -311,35 +313,45 @@ class Decomposition:
         # the decomposed universe; may be a subset of the metric's points
         # (a subtree's decomposition keeps the global ids of its leaves)
         self.points = tuple(sorted(self.block_of))
-        if validate:
-            self.validate()
+        self.validate()
 
     def validate(self) -> None:
         if self.t < 1:
             raise ValueError("need at least one block")
         for p in self.points:
             self.metric.check_point(p)
-        rows = self.metric._rows
+        dist, scale = self.metric.dist, self.metric.scale
+        # in the table's unit a distance exceeds delta exactly when it exceeds
+        # the floor of delta, and equals Delta only if Delta scales to an integer
+        delta = math.floor(self.delta * scale)
+        Delta = self.Delta * scale
+        Delta = Delta.numerator if Delta.denominator == 1 else None
         for s, blk in enumerate(self.blocks):
             for a, b in combinations(blk, 2):
-                if rows[a][b] > self.delta:
+                if dist[a][b] > delta:
                     raise ValueError(f"block {s} has diameter above delta")
         for s1, s2 in combinations(range(self.t), 2):
             for a in self.blocks[s1]:
-                row = rows[a]
+                row = dist[a]
                 for b in self.blocks[s2]:
-                    if row[b] != self.Delta:
+                    if row[b] != Delta:
                         raise ValueError(
                             f"cross-block distance d({a},{b}) = "
-                            f"{row[b]} != Delta = {self.Delta}"
+                            f"{self.metric.distance(a, b)} != Delta = {self.Delta}"
                         )
 
     @cached_property
     def uniform_blocks(self) -> tuple[bool, ...]:
         """Per block, whether its points are pairwise equidistant (a single
         point counts as uniform)."""
-        return tuple(len(blk) == 1 or self.metric.uniform_distance(blk) is not None
+        return tuple(len(blk) == 1 or self.metric.uniform_cost(blk) is not None
                      for blk in self.blocks)
+
+    @cached_property
+    def demand_costs(self) -> ScaledCosts:
+        """The demand trackers' unit: the metric table and Delta, scaled
+        together.  Built once and shared by every shell on this decomposition."""
+        return ScaledCosts(self.metric, extra=[self.Delta])
 
 
 def decompose(space: HstSpace, node: int) -> Decomposition:

@@ -8,20 +8,19 @@ simultaneous multi-server relocations between requests, so it does not
 inherit the laziness assumption; the two must agree wherever the oracle's
 size guard admits the instance.
 
-Costs are computed in integers after clearing denominators, so comparisons
-and argmin ties are exact.
+Costs are added in the metric's integer unit (`FiniteMetric.dist`), so
+comparisons and argmin ties are exact; results are returned as Fractions.
 """
 
 from __future__ import annotations
 
-import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, permutations
 from typing import Iterable, Optional, Sequence
 
-from .metric import FiniteMetric, PointId, as_fraction
+from .metric import FiniteMetric, PointId, ScaledCosts, as_fraction
 
 INF = float("inf")
 
@@ -39,31 +38,6 @@ class OptResult:
     @property
     def finite(self) -> bool:
         return self.cost != INF
-
-
-class ScaledCosts:
-    """Integer view of a metric (and optionally a block separation cost).
-
-    scale = lcm of all denominators; dist[p][q] = scale * metric distance.
-    Shared by the solvers and the demand trackers so the conversion happens
-    once per space instead of once per phase.
-    """
-
-    def __init__(self, metric: FiniteMetric, extra: Iterable = ()):  # extra: rationals to scale
-        base_scale, base_table = metric.int_costs()
-        extras = [as_fraction(x) for x in extra]
-        self.scale = math.lcm(base_scale, *[x.denominator for x in extras]) \
-            if extras else base_scale
-        self.metric = metric
-        factor = self.scale // base_scale
-        if factor == 1:
-            self.dist = base_table
-        else:
-            self.dist = tuple(tuple(v * factor for v in row) for row in base_table)
-        self.extra = [int(x * self.scale) for x in extras]
-
-    def to_fraction(self, value: int) -> Fraction:
-        return Fraction(value, self.scale)
 
 
 def _ordered_distinct(rho: Sequence[PointId]) -> list[PointId]:
@@ -141,8 +115,7 @@ def opt_cost(m: FiniteMetric, ell: int, rho: Sequence[PointId],
         return OptResult(Fraction(0), _pad_config(distinct, ell, m.n))
 
     universe = sorted(set(distinct) | (set(init) if init is not None else set()))
-    costs = ScaledCosts(m)
-    dist = costs.dist
+    dist = m.dist
 
     if init is not None:
         dp = {init: 0}
@@ -158,7 +131,7 @@ def opt_cost(m: FiniteMetric, ell: int, rho: Sequence[PointId],
         if best is None or c < best or (c == best and sorted(cfg) < sorted(best_cfg)):
             best = c
             best_cfg = cfg
-    return OptResult(costs.to_fraction(best), best_cfg)
+    return OptResult(Fraction(best, m.scale), best_cfg)
 
 
 EXHAUSTIVE_MAX_N = 5
@@ -205,9 +178,8 @@ def opt_cost_exhaustive(m: FiniteMetric, ell: int, rho: Sequence[PointId],
             return OptResult(INF, None)
         return OptResult(Fraction(0), frozenset())
 
-    costs = ScaledCosts(m)
     configs = list(combinations(range(m.n), ell))  # sorted tuples
-    reloc = _relocation_table(costs.dist, configs)
+    reloc = _relocation_table(m.dist, configs)
 
     if init is not None:
         dp = {tuple(sorted(init)): 0}
@@ -234,7 +206,7 @@ def opt_cost_exhaustive(m: FiniteMetric, ell: int, rho: Sequence[PointId],
         if best is None or c < best:
             best = c
             best_cfg = cfg
-    return OptResult(costs.to_fraction(best), frozenset(best_cfg))
+    return OptResult(Fraction(best, m.scale), frozenset(best_cfg))
 
 
 class DemandTracker:
@@ -311,7 +283,7 @@ class DemandTracker:
         v = self._opt_scaled(ell)
         if v is None:
             return INF
-        return self._costs.to_fraction(v)
+        return Fraction(v, self._costs.scale)
 
     def demand(self) -> int:
         """Least server count minimizing opt(ell) + ell * Delta; 0 when empty."""

@@ -16,7 +16,9 @@ block's demand and peak demand for the current phase and then:
     first request of the next phase.
 
 Per-phase bookkeeping (end-of-phase server counts, jump counts, request
-logs) is retained for the inequality checks in `ksim.verify`.
+logs) is retained for the inequality checks in `ksim.verify`.  Costs are
+integers in the unit of the metric's table (`FiniteMetric.dist`); only event
+lines render them as Fractions.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from typing import Callable, Iterable, Optional, Protocol
 
 from .marking import Marking, marking_f
 from .metric import Decomposition, FiniteMetric, HstSpace, PointId, decompose
-from .offline import DemandTracker, ScaledCosts, UniformDemandTracker
+from .offline import DemandTracker, UniformDemandTracker
 
 
 class ShellInvariantError(RuntimeError):
@@ -39,7 +41,9 @@ class ShellInvariantError(RuntimeError):
 class Subroutine(Protocol):
     f: Callable[[int], object]
 
-    def serve(self, r: PointId) -> Fraction: ...
+    def serve(self, r: PointId) -> int:
+        """Serve request r; the cost is in the metric's integer unit
+        (`Fraction(cost, metric.scale)` is the distance moved)."""
 
     def reset(self, config: Iterable[PointId]) -> None: ...
 
@@ -59,13 +63,13 @@ class Jump:
 @dataclass
 class StepReport:
     block: int
-    inner_cost: Fraction = Fraction(0)
-    jump_cost: Fraction = Fraction(0)
+    inner_cost: int = 0  # costs in the metric's integer unit
+    jump_cost: int = 0
     jumps: list = field(default_factory=list)
     phase_ended: bool = False
 
     @property
-    def total(self) -> Fraction:
+    def total(self) -> int:
         return self.inner_cost + self.jump_cost
 
 
@@ -131,7 +135,6 @@ class BlockShell(PhaseLogs):
         self.metric = dec.metric
         self.k = k
         self.t = dec.t
-        self.Delta = dec.Delta
         self._block_sets = [frozenset(b) for b in dec.blocks]
         self.positions: set[PointId] = set(init)
         self._counts = [len(init & bs) for bs in self._block_sets]
@@ -139,7 +142,7 @@ class BlockShell(PhaseLogs):
         self.draws = 0
         self._event_sink = event_sink
 
-        self._costs = ScaledCosts(dec.metric, extra=[dec.Delta])
+        self._costs = dec.demand_costs
         self._delta_int = self._costs.extra[0]
         # scaled distance inside each uniform block, read off any pair (its
         # demand needs no configuration DP); None for a block that is not uniform
@@ -149,7 +152,6 @@ class BlockShell(PhaseLogs):
 
         if sub_factory is None:
             sub_factory = default_marking_factory
-        self._sub_factory = sub_factory
         self._subs: list[Subroutine] = []
         for s, blk in enumerate(dec.blocks):
             sub_seed = self.rng.getrandbits(64)
@@ -168,8 +170,8 @@ class BlockShell(PhaseLogs):
         self.dhat: list[list[int]] = [list(self._counts)]  # [0] = initial counts
         self.phase_jump_counts: list[int] = []
         self._current_phase_jumps = 0
-        self.total_inner = Fraction(0)
-        self.total_jump = Fraction(0)
+        self.total_inner = 0
+        self.total_jump = 0
 
         for s in range(self.t):
             if self._marked[s]:
@@ -180,6 +182,8 @@ class BlockShell(PhaseLogs):
     def _emit(self, kind: str, **fields) -> None:
         if self._event_sink is None:
             return
+        if "cost" in fields:
+            fields["cost"] = Fraction(fields["cost"], self.metric.scale)
         parts = [kind, f"phase={self.phase}"]
         parts.extend(f"{k}={v}" for k, v in fields.items())
         parts.append(f"draws={self.draws}")
@@ -215,7 +219,7 @@ class BlockShell(PhaseLogs):
     def _reset_sub(self, s: int) -> None:
         self._subs[s].reset(self.block_config(s))
 
-    def _sub_serve(self, s: int, r: PointId) -> Fraction:
+    def _sub_serve(self, s: int, r: PointId) -> int:
         sub = self._subs[s]
         cost = sub.serve(r)
         new_cfg = sub.config
@@ -293,8 +297,10 @@ class BlockShell(PhaseLogs):
             jump = Jump(self.phase, b, s, src, dst)
             self._current_phase_jumps += 1
             rep.jumps.append(jump)
-            rep.jump_cost += self.Delta
-            self._emit("jump", from_block=b, to_block=s, src=src, dst=dst, cost=self.Delta)
+            # a cross-block distance, which the decomposition pins to Delta
+            cost = self.metric.dist[src][dst]
+            rep.jump_cost += cost
+            self._emit("jump", from_block=b, to_block=s, src=src, dst=dst, cost=cost)
             if self._counts[b] == self._peak_demand[b]:
                 self._mark(b)
             self._reset_sub(s)
@@ -398,7 +404,7 @@ class ShellSubroutine:
         else:
             self._shell = None
 
-    def serve(self, r: PointId) -> Fraction:
+    def serve(self, r: PointId) -> int:
         if self._shell is None:
             raise RuntimeError("subtree holds no servers; caller must jump one in first")
         rep = self._shell.serve(r)

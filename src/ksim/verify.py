@@ -211,10 +211,8 @@ def check_subroutine_contract(make_algo: Callable[[int], object],
     totals = []
     for seed in seeds:
         algo = make_algo(seed)
-        total = Fraction(0)
-        for r in sequence:
-            total += algo.serve(r)
-        totals.append(float(total))
+        # serve costs are in the metric's integer unit
+        totals.append(float(Fraction(sum(algo.serve(r) for r in sequence), metric.scale)))
     mean, stderr = _mean_stderr(totals)
     f_ell = float(f(ell))
     bound = f_ell * float(opt) + f_ell * ell * float(delta_scale) / math.log(ell) \

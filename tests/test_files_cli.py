@@ -175,19 +175,32 @@ class TestCli:
                    "--events", str(tmp_path / "ev.log")])
         assert rc == 1
         assert "below both" in capsys.readouterr().err
+        assert not (tmp_path / "ev.log").exists()  # no empty log is left behind
+
+    @staticmethod
+    def _event_log(tmp_path, mu: str, branching: str) -> bytes:
+        tree = tmp_path / "t.txt"
+        tree.write_text(f"mu {mu}\nbranching {branching}\n")
+        log = tmp_path / "ev.log"
+        rc = main(["run", "--hst", str(tree), "--k", "3", "--gen", "uniform_random",
+                   "--length", "80", "--seed", "7", "--events", str(log)])
+        assert rc == 0
+        return log.read_bytes()
 
     # tests/golden/run_events_<branching>.log were written by the three-way
     # construction this one replaced, and must never change
     @pytest.mark.parametrize("branching", ["2 2 3", "3 3 3"])
     def test_run_event_log_bytes(self, tmp_path, capsys, branching):
-        tree = tmp_path / "t.txt"
-        tree.write_text(f"mu 3\nbranching {branching}\n")
-        log = tmp_path / "ev.log"
-        rc = main(["run", "--hst", str(tree), "--k", "3", "--gen", "uniform_random",
-                   "--length", "80", "--seed", "7", "--events", str(log)])
-        assert rc == 0
         name = "run_events_" + branching.replace(" ", "_") + ".log"
-        assert log.read_bytes() == (GOLDEN / name).read_bytes()
+        assert self._event_log(tmp_path, "3", branching) == (GOLDEN / name).read_bytes()
+
+    def test_run_event_log_bytes_rational_mu(self, tmp_path, capsys):
+        # distances 2, 9 and 67/2 have scale 2, so every cost on an event line
+        # is converted from the integer unit; the golden was written while
+        # the shell still added Fractions
+        log = self._event_log(tmp_path, "7/2", "3 3 3")
+        assert b"cost=67/2" in log
+        assert log == (GOLDEN / "run_events_3_3_3_mu7_2.log").read_bytes()
 
     def test_bench_reproducible(self, workdir, capsys):
         out1 = workdir / "a.csv"
@@ -206,6 +219,14 @@ class TestCli:
         out = capsys.readouterr().out
         assert rc == 0
         assert "decreases" in out
+
+    def test_probe_demand_refuses_oversized_enumeration(self, capsys, monkeypatch):
+        def no_probe(*args, **kwargs):
+            raise AssertionError("enumeration started")
+        monkeypatch.setattr("ksim.cli.probe_demand_monotonicity", no_probe)
+        rc = main(["probe-demand", "--points", "8", "--delta", "2", "--max-len", "12"])
+        assert rc == 1
+        assert "--max-len" in capsys.readouterr().err
 
     def test_usage_error_exit_one(self, capsys):
         assert main(["opt", "--metric", "nope.txt", "--servers", "1",

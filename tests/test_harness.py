@@ -104,6 +104,16 @@ class TestRunTrials:
             run_trials(space, 2, "marking",
                        GeneratorSpec("uniform_random", 5, seed=1), 1, 0)
 
+    def test_rejects_before_solving(self, monkeypatch):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("opt_cost ran on a rejected input")
+        monkeypatch.setattr("ksim.harness.opt_cost", no_solve)
+        spec = GeneratorSpec("uniform_random", 300, seed=1)
+        with pytest.raises(ValueError, match="below both"):
+            run_trials(build_hst([4, 4], 2), 4, "algox", spec, 1, 0)
+        with pytest.raises(ValueError, match="height-1"):
+            run_trials(build_hst([2, 2], 2), 2, "marking", spec, 1, 0)
+
     def test_algox_on_flat_space_degenerates_to_marking(self):
         space = build_hst([5], 2)
         spec = GeneratorSpec("phase_stress", 16, params={"width": 4})
@@ -145,7 +155,8 @@ GOLDEN = Path(__file__).parent / "golden"
 
 # (branching, mu, k, generator, trials, base_seed); the CSV bytes in
 # tests/golden/<name>.csv were rendered before the interval demand tracker
-# existed, and must never change
+# existed (h3_rational_mu, whose costs have scale 2, before costs were added
+# as integers), and must never change
 PINNED_BATCHES = {
     "h2_uniform_random": ((4, 4), 4, 4, GeneratorSpec("uniform_random", 120, seed=11), 6, 3),
     "h2_block_sweep": ((4, 4), 4, 4,
@@ -155,6 +166,8 @@ PINNED_BATCHES = {
     "h3_uniform_random": ((3, 3, 3), 3, 3, GeneratorSpec("uniform_random", 120, seed=12), 6, 9),
     "h3_block_sweep": ((3, 3, 3), 3, 3,
                        GeneratorSpec("block_sweep", 120, seed=0, params={"width": 5}), 6, 1),
+    "h3_rational_mu": ((3, 3, 3), Fraction(7, 2), 3, GeneratorSpec("uniform_random", 80, seed=7),
+                       6, 7),
 }
 
 
