@@ -25,9 +25,10 @@ from .verify import checks_to_csv, run_ama_suite, run_contract_suite, run_lower_
 USAGE_ERROR = 1
 CHECK_FAILURE = 2
 
-# probe-demand enumerates every sequence up to --max-len; beyond this many
-# it refuses instead of running for minutes
-PROBE_MAX_SEQUENCES = 200_000
+# probe-demand pushes every prefix of every sequence up to --max-len (the sum
+# of L * points**L); beyond this many pushes, over 15 s of work at the fastest
+# rate measured (one point, about 355k pushes/s), it refuses instead
+PROBE_MAX_PUSHES = 5_500_000
 
 
 class CliError(Exception):
@@ -252,12 +253,12 @@ def _cmd_verify(args) -> int:
 
 def _cmd_probe(args) -> int:
     metric = build_uniform(args.points, _rational_option(args, "d"))
-    count = 0
+    pushes = 0
     for length in range(1, args.max_len + 1):
-        count += args.points ** length
-        if count > PROBE_MAX_SEQUENCES:
-            raise CliError(f"--max-len {args.max_len} over {args.points} points enumerates "
-                           f"more than {PROBE_MAX_SEQUENCES} sequences; lower --max-len")
+        pushes += length * args.points ** length
+        if pushes > PROBE_MAX_PUSHES:
+            raise CliError(f"--max-len {args.max_len} over {args.points} points pushes "
+                           f"more than {PROBE_MAX_PUSHES} prefixes; lower --max-len")
     summary = probe_demand_monotonicity(metric, _rational_option(args, "delta"),
                                         max_len=args.max_len)
     print(f"sequences {summary.sequences}")

@@ -11,7 +11,7 @@ newline '\\n'.  Identical config and seed give identical bytes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
 from typing import Callable, Iterable, Optional, Sequence
@@ -58,6 +58,10 @@ class RunRecord(PhaseLogs):
     phase_stats: list
     total_inner: Fraction
     total_jump: Fraction
+    # phase -> optimum of the phase, filled by the verification checks on
+    # first use, so that the checks reading it solve it once per run
+    phase_optima: dict = field(default_factory=dict, init=False, repr=False,
+                               compare=False)
 
 
 def default_initial(k: int) -> frozenset:

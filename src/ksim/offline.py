@@ -10,6 +10,8 @@ size guard admits the instance.
 
 Costs are added in the metric's integer unit (`FiniteMetric.dist`), so
 comparisons and argmin ties are exact; results are returned as Fractions.
+Inside the configuration DP a configuration is an int bitmask, bit p set
+when a server sits on point p.
 """
 
 from __future__ import annotations
@@ -74,22 +76,49 @@ def _pad_config(points: Iterable[PointId], ell: int, n: int) -> frozenset:
     return frozenset(cfg)
 
 
-def _lazy_step(dp: dict[frozenset, int], r: PointId, dist) -> dict[frozenset, int]:
-    """One request of the lazy configuration DP: a configuration holding r
-    stays, any other moves one of its servers onto r."""
-    new_dp: dict[frozenset, int] = {}
-    for cfg, c in dp.items():
-        if r in cfg:
-            prev = new_dp.get(cfg)
+def _mask(points: Iterable[PointId]) -> int:
+    m = 0
+    for p in points:
+        m |= 1 << p
+    return m
+
+
+def _members(m: int) -> list[PointId]:
+    """The points of a configuration mask, ascending."""
+    out = []
+    while m:
+        low = m & -m
+        out.append(low.bit_length() - 1)
+        m ^= low
+    return out
+
+
+def _lazy_step(dp: dict[int, int], r: PointId, dist) -> dict[int, int]:
+    """One request of the lazy configuration DP over configuration masks: a
+    configuration holding r stays, any other moves one of its servers onto r.
+
+    A move from s costs dist[r][s], which is dist[s][r]: the metric is
+    symmetric."""
+    bit = 1 << r
+    row = dist[r]
+    new_dp: dict[int, int] = {}
+    get = new_dp.get
+    for m, c in dp.items():
+        if m & bit:
+            prev = get(m)
             if prev is None or c < prev:
-                new_dp[cfg] = c
+                new_dp[m] = c
         else:
-            for s in cfg:
-                cfg2 = (cfg - {s}) | {r}
-                v = c + dist[s][r]
-                prev = new_dp.get(cfg2)
+            base = m | bit
+            rest = m
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                m2 = base ^ low
+                v = c + row[low.bit_length() - 1]
+                prev = get(m2)
                 if prev is None or v < prev:
-                    new_dp[cfg2] = v
+                    new_dp[m2] = v
     return new_dp
 
 
@@ -118,20 +147,17 @@ def opt_cost(m: FiniteMetric, ell: int, rho: Sequence[PointId],
     dist = m.dist
 
     if init is not None:
-        dp = {init: 0}
+        dp = {_mask(init): 0}
     else:
-        dp = {frozenset(c): 0 for c in combinations(universe, ell)}
+        dp = {_mask(c): 0 for c in combinations(universe, ell)}
 
     for r in rho:
         dp = _lazy_step(dp, r, dist)
 
-    best_cfg = None
-    best = None
-    for cfg, c in dp.items():
-        if best is None or c < best or (c == best and sorted(cfg) < sorted(best_cfg)):
-            best = c
-            best_cfg = cfg
-    return OptResult(Fraction(best, m.scale), best_cfg)
+    best = min(dp.values())
+    # ties go to the lexicographically least sorted point list
+    best_cfg = min(_members(cfg) for cfg, c in dp.items() if c == best)
+    return OptResult(Fraction(best, m.scale), frozenset(best_cfg))
 
 
 EXHAUSTIVE_MAX_N = 5
@@ -229,7 +255,7 @@ class DemandTracker:
         self._seen: list[PointId] = []
         self._seen_set: set[PointId] = set()
         self._pushes = 0
-        self._dp: list[dict[frozenset, int]] = [{}]  # index 0 unused
+        self._dp: list[dict[int, int]] = [{}]  # configuration masks; index 0 unused
 
     @classmethod
     def for_metric(cls, metric: FiniteMetric, Delta) -> "DemandTracker":
@@ -251,17 +277,18 @@ class DemandTracker:
         self._costs.metric.check_point(r)
         dist = self._costs.dist
         if r not in self._seen_set:
+            bit = 1 << r
             self._dp.append({})
             for ell in range(len(self._seen) + 1, 0, -1):
                 if ell - 1 >= 1:
                     lower = self._dp[ell - 1]
                 elif self._pushes == 0:
-                    lower = {frozenset(): 0}
+                    lower = {0: 0}
                 else:
                     lower = {}
                 target = self._dp[ell]
                 for cfg, c in lower.items():
-                    cfg2 = cfg | {r}
+                    cfg2 = cfg | bit
                     prev = target.get(cfg2)
                     if prev is None or c < prev:
                         target[cfg2] = c

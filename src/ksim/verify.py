@@ -22,7 +22,7 @@ from .generators import GeneratorSpec, generate
 from .harness import RunRecord, default_initial, run_shell
 from .marking import Marking, marking_f
 from .metric import FiniteMetric, HstSpace, build_hst, build_uniform, decompose
-from .offline import demand, opt_cost
+from .offline import DemandTracker, opt_cost
 from .shell import build_hst_algorithm, compose_f
 
 
@@ -75,27 +75,41 @@ def _mean_stderr(values: Sequence[float]) -> tuple[float, float]:
 # -- deterministic lower bounds ---------------------------------------------
 
 
+def _phase_opt(record: RunRecord, p: int) -> Fraction:
+    """Free-start optimum with k servers of phase p, with the follow-up
+    request appended when the phase is completed; solved once per record."""
+    cost = record.phase_optima.get(p)
+    if cost is None:
+        seq = record.phase_sequence(p, p <= record.completed_phases)
+        cost = record.phase_optima[p] = opt_cost(record.dec.metric, record.k, seq).cost
+    return cost
+
+
 def check_lower_bound_demand(record: RunRecord) -> list[CheckReport]:
     """Per phase: the phase's standalone optimum dominates the sum of
     block optima at their demands plus Delta per server beyond k.
 
     Evaluated with the follow-up request appended for completed phases and
-    on the bare log for the final one; both sides are exact.
+    on the bare log for the final one; both sides are exact.  One demand
+    tracker per block (the configuration DP, not the shell's uniform fast
+    path) gives both the block's demand and its optimum there.
     """
     dec = record.dec
+    costs = dec.demand_costs
     out = []
     for p in range(1, len(record.phase_logs) + 1):
         plus = p <= record.completed_phases
         seq = record.phase_sequence(p, plus)
-        lhs = opt_cost(dec.metric, record.k, seq).cost
+        lhs = _phase_opt(record, p)
+        trackers = [DemandTracker(costs, costs.extra[0]) for _ in range(dec.t)]
+        for r in seq:
+            trackers[dec.block_of[r]].push(r)
         rhs = Fraction(0)
         demand_sum = 0
-        for s in range(dec.t):
-            block_seq = [r for r in seq if dec.block_of[r] == s]
-            d_s = demand(dec.metric, dec.Delta, block_seq)
+        for tracker in trackers:
+            d_s = tracker.demand()
             demand_sum += d_s
-            opt_s = opt_cost(dec.metric, d_s, block_seq).cost
-            rhs += opt_s
+            rhs += tracker.opt(d_s)
         rhs += dec.Delta * (demand_sum - record.k)
         out.append(CheckReport(
             name="lower_bound_demand", phase=p, lhs=lhs, rhs=rhs,
@@ -125,8 +139,7 @@ def check_phase_costs_delta(record: RunRecord) -> list[CheckReport]:
     dec = record.dec
     out = []
     for p in range(1, record.completed_phases + 1):
-        seq = record.phase_sequence(p, plus=True)
-        lhs = opt_cost(dec.metric, record.k, seq).cost
+        lhs = _phase_opt(record, p)
         out.append(CheckReport(
             name="phase_cost_delta", phase=p, lhs=lhs, rhs=dec.Delta,
             passed=bool(lhs >= dec.Delta),
@@ -136,6 +149,8 @@ def check_phase_costs_delta(record: RunRecord) -> list[CheckReport]:
 
 
 def deterministic_checks(record: RunRecord) -> list[CheckReport]:
+    """All three lower-bound checks; the first and the third share each
+    phase's optimum through the record."""
     out = check_lower_bound_demand(record)
     out.append(check_lower_bound_mp(record))
     out.extend(check_phase_costs_delta(record))

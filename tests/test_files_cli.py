@@ -228,6 +228,17 @@ class TestCli:
         assert rc == 1
         assert "--max-len" in capsys.readouterr().err
 
+    def test_probe_demand_bounds_prefix_pushes(self, capsys, monkeypatch):
+        # one point: 100,000 sequences, but about 5 * 10**9 prefix pushes
+        def no_probe(*args, **kwargs):
+            raise AssertionError("enumeration started")
+        monkeypatch.setattr("ksim.cli.probe_demand_monotonicity", no_probe)
+        rc = main(["probe-demand", "--points", "1", "--delta", "2", "--max-len", "100000"])
+        assert rc == 1
+        assert "--max-len" in capsys.readouterr().err
+        monkeypatch.undo()
+        assert main(["probe-demand", "--points", "3", "--delta", "2", "--max-len", "3"]) == 0
+
     def test_usage_error_exit_one(self, capsys):
         assert main(["opt", "--metric", "nope.txt", "--servers", "1",
                      "--requests", "nope.txt"]) == 1

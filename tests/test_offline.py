@@ -1,10 +1,12 @@
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ksim.metric import FiniteMetric, build_uniform
+from ksim.generators import GeneratorSpec, generate
+from ksim.metric import FiniteMetric, build_hst, build_uniform, decompose
 from ksim.offline import (INF, DemandTracker, ScaledCosts, UniformDemandTracker,
                           demand, max_demand_trace, opt_cost, opt_cost_exhaustive)
 
@@ -13,10 +15,17 @@ PATH3 = FiniteMetric([[0, 1, 2], [1, 0, 1], [2, 1, 0]])
 
 def random_metric(rng: random.Random, n: int) -> FiniteMetric:
     """Random weights repaired into a metric by shortest-path closure."""
+    return metric_closure(n, [rng.randint(1, 9) for _ in range(n * (n - 1) // 2)])
+
+
+def metric_closure(n: int, weights) -> FiniteMetric:
+    """Upper-triangle weights (row-major) repaired into a metric by
+    shortest-path closure."""
     w = [[0] * n for _ in range(n)]
+    it = iter(weights)
     for i in range(n):
         for j in range(i + 1, n):
-            w[i][j] = w[j][i] = rng.randint(1, 9)
+            w[i][j] = w[j][i] = next(it)
     for k in range(n):
         for i in range(n):
             for j in range(n):
@@ -178,6 +187,22 @@ class TestDemandTracker:
         assert tracker.opt(0) == 0
         assert tracker.opt(2) == 0
 
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_opt_matches_exhaustive_oracle_on_every_prefix(self, data):
+        # the oracle allows non-lazy relocations and shares no code with the
+        # configuration DP that the tracker and opt_cost run on
+        n = data.draw(st.integers(1, 5))
+        weights = data.draw(st.lists(rationals, min_size=n * (n - 1) // 2,
+                                     max_size=n * (n - 1) // 2))
+        m = metric_closure(n, weights)
+        rho = data.draw(st.lists(st.integers(0, n - 1), max_size=7))
+        tracker = DemandTracker.for_metric(m, data.draw(rationals))
+        for i, r in enumerate(rho):
+            tracker.push(r)
+            for ell in range(min(3, n) + 1):
+                assert tracker.opt(ell) == opt_cost_exhaustive(m, ell, rho[: i + 1]).cost
+
 
 def clustered_metric(offset: int, n: int, d: Fraction, other: Fraction) -> FiniteMetric:
     """Points 0..offset-1 pairwise at `other`, points offset..offset+n-1
@@ -236,3 +261,55 @@ class TestMonotonicity:
         ell = data.draw(st.integers(1, n))
         prefix_costs = [opt_cost(m, ell, rho[:i]).cost for i in range(len(rho) + 1)]
         assert all(a <= b for a, b in zip(prefix_costs, prefix_costs[1:]))
+
+
+GOLDEN_CONFIGS = Path(__file__).parent / "golden" / "opt_cost_configs.txt"
+
+
+def _points(config) -> str:
+    return "none" if config is None else " ".join(map(str, sorted(config)))
+
+
+def render_opt_cost_configs() -> str:
+    """opt_cost's cost and argmin configuration (the lexicographically least
+    sorted point list among the cheapest final configurations) on seeded
+    inputs, then the prefix-demand traces of [3,3,3]'s root blocks."""
+    lines = []
+    rng = random.Random(2026)
+    for i in range(400):
+        # small weights and denominators make cost ties, and so tie-breaks, common
+        n = rng.randint(1, 9)
+        m = metric_closure(n, [Fraction(rng.randint(1, 4), rng.randint(1, 2))
+                               for _ in range(n * (n - 1) // 2)])
+        ell = rng.randint(0, n)
+        rho = [rng.randrange(n) for _ in range(rng.randint(0, 12))]
+        starts = [None] if ell == 0 else [None, rng.sample(range(n), ell)]
+        for init in starts:
+            res = opt_cost(m, ell, rho, initial=init)
+            lines.append(f"random {i} n={n} ell={ell} start={_points(init)} "
+                         f"cost={res.cost} config={_points(res.config)}")
+    # point ids reach 26, beyond any small-int shortcut
+    space = build_hst([3, 3, 3], Fraction(7, 2))
+    for seed in range(3):
+        rho = generate(GeneratorSpec("uniform_random", 30, seed=seed), space) + [26]
+        for init in (None, [0, 1, 2], [24, 25, 26]):
+            res = opt_cost(space.leaf_metric, 3, rho, initial=init)
+            lines.append(f"h3 mu=7/2 seed={seed} start={_points(init)} "
+                         f"cost={res.cost} config={_points(res.config)}")
+    for mu in (3, Fraction(7, 2)):
+        space = build_hst([3, 3, 3], mu)
+        dec = decompose(space, 0)
+        for seed in range(3):
+            rho = generate(GeneratorSpec("uniform_random", 120, seed=seed), space)
+            for s, block in enumerate(dec.blocks):
+                trace = max_demand_trace(dec.metric, dec.Delta,
+                                         [r for r in rho if r in block])
+                lines.append(f"h3 mu={mu} seed={seed} block={s} "
+                             f"max_demand_trace={' '.join(map(str, trace))}")
+    return "\n".join(lines) + "\n"
+
+
+def test_opt_cost_configs_golden():
+    # tests/golden/opt_cost_configs.txt was rendered while configurations
+    # were frozensets, before the bitmask DP
+    assert render_opt_cost_configs().encode() == GOLDEN_CONFIGS.read_bytes()

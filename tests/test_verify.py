@@ -178,3 +178,26 @@ class TestReporting:
         rec = traced_record()
         names = {r.name for r in deterministic_checks(rec)}
         assert names == {"lower_bound_demand", "lower_bound_mp", "phase_cost_delta"}
+
+    def test_deterministic_checks_solve_each_optimum_once(self, monkeypatch):
+        space = build_hst([3, 3], 3)
+        seq = generate(GeneratorSpec("block_sweep", 60, seed=12,
+                                     params={"width": 3, "passes": 4}), space)
+        dec = decompose(space, 0)
+        rec = run_shell(dec, 3, default_initial(3), seq, seed=5)
+        phases = len(rec.phase_logs)
+        assert phases >= 4
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return opt_cost(*args, **kwargs)
+        monkeypatch.setattr("ksim.verify.opt_cost", counted)
+        reports = deterministic_checks(rec)
+        # one solve per phase, shared by two checks, and one for the whole run
+        assert len(calls) == phases + 1
+        shared = [r for r in reports if r.name in ("lower_bound_demand", "phase_cost_delta")]
+        assert len(shared) == 2 * phases - 1
+        for r in shared:
+            phase_seq = rec.phase_sequence(r.phase, r.phase <= rec.completed_phases)
+            assert r.lhs == opt_cost(dec.metric, 3, phase_seq).cost
