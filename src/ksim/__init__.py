@@ -12,9 +12,10 @@ from .metric import (Decomposition, FiniteMetric, HstSpace, PointId,
                      build_hst, build_uniform, decompose, validate_hst)
 from .offline import (INF, DemandTracker, OptResult, UniformDemandTracker, demand,
                       max_demand_trace, opt_cost, opt_cost_exhaustive)
-from .marking import Marking, harmonic, marking_f
-from .shell import (BlockShell, Jump, PhaseStats, ShellInvariantError,
-                    StepReport, Subroutine, build_hst_algorithm, compose_f)
+from .marking import Marking, Universe, harmonic, marking_f
+from .shell import (BlockShell, Jump, NodePlan, PhaseStats, ShellInvariantError,
+                    StepReport, Subroutine, build_hst_algorithm, compose_f,
+                    tree_plan)
 from .generators import GeneratorSpec, generate, parse_generator
 from .harness import (TrialReport, RunRecord, probe_demand_monotonicity,
                       reports_to_csv, run_shell, run_trials)
@@ -29,9 +30,9 @@ __all__ = [
     "INF", "DemandTracker", "OptResult", "UniformDemandTracker", "demand",
     "max_demand_trace",
     "opt_cost", "opt_cost_exhaustive",
-    "Marking", "harmonic", "marking_f",
-    "BlockShell", "Jump", "PhaseStats", "ShellInvariantError", "StepReport",
-    "Subroutine", "build_hst_algorithm", "compose_f",
+    "Marking", "Universe", "harmonic", "marking_f",
+    "BlockShell", "Jump", "NodePlan", "PhaseStats", "ShellInvariantError",
+    "StepReport", "Subroutine", "build_hst_algorithm", "compose_f", "tree_plan",
     "GeneratorSpec", "generate", "parse_generator",
     "TrialReport", "RunRecord", "probe_demand_monotonicity", "reports_to_csv",
     "run_shell", "run_trials",

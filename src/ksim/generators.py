@@ -13,7 +13,10 @@ from typing import Optional
 
 from .metric import HstSpace, PointId
 
-KINDS = ("uniform_random", "block_sweep", "phase_stress", "file")
+# the parameters each generator kind reads; any other key is rejected
+PARAMS = {"uniform_random": (), "block_sweep": ("width", "passes"),
+          "phase_stress": ("block", "width"), "file": ("path",)}
+KINDS = tuple(PARAMS)
 
 
 @dataclass
@@ -33,6 +36,11 @@ def _leaf_blocks(space: HstSpace) -> list[tuple[PointId, ...]]:
 def generate(spec: GeneratorSpec, space: HstSpace) -> list[PointId]:
     if spec.length < 0:
         raise ValueError("length must be >= 0")
+    if spec.kind not in PARAMS:
+        raise ValueError(f"unknown generator kind {spec.kind!r}")
+    unknown = sorted(set(spec.params) - set(PARAMS[spec.kind]))
+    if unknown:
+        raise ValueError(f"unknown {spec.kind} parameter {unknown[0]!r}")
     if spec.kind == "uniform_random":
         rng = random.Random(spec.seed)
         n = space.n_leaves
@@ -45,6 +53,8 @@ def generate(spec: GeneratorSpec, space: HstSpace) -> list[PointId]:
         blocks = _leaf_blocks(space)
         width = int(spec.params.get("width", 0))
         passes = int(spec.params.get("passes", 4))
+        if passes < 1:
+            raise ValueError(f"block_sweep passes must be >= 1, got {passes}")
         out: list[PointId] = []
         burst = 0
         while len(out) < spec.length:
@@ -67,15 +77,13 @@ def generate(spec: GeneratorSpec, space: HstSpace) -> list[PointId]:
         width = max(1, min(width, len(blk)))
         return [blk[i % width] for i in range(spec.length)]
 
-    if spec.kind == "file":
-        path = spec.params.get("path")
-        if not path:
-            raise ValueError("file generator needs params['path']")
-        from .files import load_requests
-        reqs = load_requests(path, space.n_leaves)
-        return reqs[: spec.length] if spec.length else reqs
-
-    raise ValueError(f"unknown generator kind {spec.kind!r}")
+    # the one kind left: file
+    path = spec.params.get("path")
+    if not path:
+        raise ValueError("file generator needs params['path']")
+    from .files import load_requests
+    reqs = load_requests(path, space.n_leaves)
+    return reqs[: spec.length] if spec.length else reqs
 
 
 def parse_generator(text: str, length: Optional[int] = None,

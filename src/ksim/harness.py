@@ -20,8 +20,7 @@ from .generators import GeneratorSpec, generate
 from .marking import Marking
 from .metric import Decomposition, FiniteMetric, HstSpace, PointId
 from .offline import INF, DemandTracker, opt_cost
-from .shell import (BlockShell, PhaseLogs, check_hst_admissible, child_factory,
-                    node_decompositions, node_f)
+from .shell import BlockShell, NodePlan, PhaseLogs, check_hst_admissible, tree_plan
 
 CSV_HEADER = "seed,total,inner,jump,opt,ratio,phases,m_sum"
 
@@ -62,6 +61,8 @@ class RunRecord(PhaseLogs):
     # first use, so that the checks reading it solve it once per run
     phase_optima: dict = field(default_factory=dict, init=False, repr=False,
                                compare=False)
+    # optimum of the whole sequence, filled alike or handed over by the caller
+    optimum: object = field(default=None, init=False, repr=False, compare=False)
 
 
 def default_initial(k: int) -> frozenset:
@@ -73,19 +74,17 @@ def solver_guard_ok(n: int, k: int, length: int, guard: int = OPT_STATE_GUARD) -
     return math.comb(n, k) * max(1, length) * max(1, k) <= guard
 
 
-def run_shell(dec: Decomposition, k: int, initial: Iterable[PointId],
+def run_shell(plan: NodePlan, k: int, initial: Iterable[PointId],
               sequence: Sequence[PointId], seed: int,
-              sub_factory: Optional[Callable] = None,
               event_sink: Optional[Callable[[str], None]] = None) -> RunRecord:
     """One seeded shell run over a fixed sequence, with verification records."""
     init = frozenset(initial)
-    shell = BlockShell(dec, k, init, sub_factory=sub_factory, seed=seed,
-                       event_sink=event_sink)
+    shell = BlockShell(plan, k, init, seed=seed, event_sink=event_sink)
     for r in sequence:
         shell.serve(r)
-    scale = dec.metric.scale
+    scale = plan.dec.metric.scale
     return RunRecord(
-        dec=dec, k=k, initial=init, sequence=list(sequence), seed=seed,
+        dec=plan.dec, k=k, initial=init, sequence=list(sequence), seed=seed,
         phase_logs=shell.phase_logs,
         triggers=shell.triggers,
         dhat=shell.dhat,
@@ -120,6 +119,8 @@ def run_trials(space: HstSpace, k: int, algo: str, gen_spec: GeneratorSpec,
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    if k < 1:
+        raise ValueError("need at least one server")
     if algo not in ("marking", "algox"):
         raise ValueError(f"unknown algorithm {algo!r}")
     init = frozenset(initial) if initial is not None else default_initial(k)
@@ -137,31 +138,29 @@ def run_trials(space: HstSpace, k: int, algo: str, gen_spec: GeneratorSpec,
     else:
         opt = None  # guard tripped: costs still reported, ratios unavailable
 
-    use_shell = algo == "algox" and space.height >= 2
+    plan = tree_plan(space)
+    use_shell = isinstance(plan, NodePlan)  # algox on a tree of height >= 2
     if use_shell:
-        decs = node_decompositions(space)
-        dec = decs[0]
-        factory = child_factory(space, 0, decs)
-        scale = dec.Delta
+        scale = plan.dec.Delta
     else:
         scale = metric.diameter() if metric.n > 1 else Fraction(1)
 
     # additive slack of the competitive guarantee: f(k) * k * scale / log k
     additive = None
     if k >= 2:
-        additive = float(node_f(space, 0)(k)) * k * float(scale) / math.log(k)
+        additive = float(plan.f(k)) * k * float(scale) / math.log(k)
 
     reports = []
     for i in range(trials):
         seed = base_seed ^ i
         if use_shell:
-            rec = run_shell(dec, k, init, sequence, seed, sub_factory=factory,
-                            event_sink=event_sink)
+            rec = run_shell(plan, k, init, sequence, seed, event_sink=event_sink)
             inner, jump = rec.total_inner, rec.total_jump
             phases = len(rec.phase_logs)
             m_sum = sum(s.gain for s in rec.phase_stats)
         else:
-            alg = Marking(metric, init, seed)
+            alg = Marking.on(plan, seed)
+            alg.reset(init)
             inner = Fraction(sum(alg.serve(r) for r in sequence), metric.scale)
             jump = Fraction(0)
             phases = alg.phase_count

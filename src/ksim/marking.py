@@ -36,6 +36,28 @@ def marking_f(ell: int) -> Fraction:
     return 2 * harmonic(ell)
 
 
+class Universe:
+    """A validated point set for marking: its sorted points, their set, and
+    the common pairwise distance `d` in the metric's integer unit (0 for a
+    single point, where no paid move can occur).  Built once per block and
+    shared by every `Marking` started on it."""
+
+    __slots__ = ("metric", "points", "point_set", "d")
+    f = staticmethod(marking_f)  # competitive function of marking on it
+
+    def __init__(self, metric: FiniteMetric, points: Optional[Sequence[PointId]] = None):
+        self.metric = metric
+        self.points = tuple(sorted(points)) if points is not None else tuple(metric.points())
+        self.point_set = frozenset(self.points)
+        for p in self.points:
+            metric.check_point(p)
+        self.d = 0
+        if len(self.points) >= 2:
+            self.d = metric.uniform_cost(self.points)
+            if self.d is None:
+                raise ValueError("marking requires a uniform space")
+
+
 class Marking:
     """Marking state over the uniform restriction of a metric.
 
@@ -49,29 +71,26 @@ class Marking:
 
     def __init__(self, metric: FiniteMetric, initial: Iterable[PointId], seed: int,
                  points: Optional[Sequence[PointId]] = None):
-        self.metric = metric
-        self.points = tuple(sorted(points)) if points is not None else tuple(metric.points())
-        self._point_set = frozenset(self.points)
-        for p in self.points:
-            metric.check_point(p)
-        if len(self.points) >= 2:
-            d = metric.uniform_cost(self.points)
-            if d is None:
-                raise ValueError("marking requires a uniform space")
-            self.d = d
-        else:
-            self.d = 0  # single point, no paid move can occur
+        universe = Universe(metric, points)
         init = frozenset(initial)
-        if not init <= self._point_set:
+        if not init <= universe.point_set:
             raise ValueError("initial configuration must lie inside the space")
-        if len(init) > len(self.points):
-            raise ValueError("more servers than points")
-        self.k = len(init)
-        self.positions: set[PointId] = set(init)
-        self.marked: set[PointId] = set()
+        self._start(universe, seed)
+        self.reset(init)
+
+    @classmethod
+    def on(cls, universe: Universe, seed: int) -> "Marking":
+        """Marking on a validated universe; `reset` must place the servers
+        before it serves."""
+        self = cls.__new__(cls)
+        self._start(universe, seed)
+        return self
+
+    def _start(self, universe: Universe, seed: int) -> None:
+        self.universe = universe
+        self._point_set = universe.point_set
+        self.d = universe.d
         self.rng = random.Random(seed)
-        self.phase_count = 1
-        self.f = marking_f
 
     @property
     def config(self) -> frozenset:

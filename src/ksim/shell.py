@@ -27,10 +27,10 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterable, Optional, Protocol
+from typing import Callable, Iterable, Optional, Protocol, Union
 
-from .marking import Marking, marking_f
-from .metric import Decomposition, FiniteMetric, HstSpace, PointId, decompose
+from .marking import Marking, Universe
+from .metric import Decomposition, HstSpace, PointId, decompose
 from .offline import DemandTracker, UniformDemandTracker
 
 
@@ -39,8 +39,6 @@ class ShellInvariantError(RuntimeError):
 
 
 class Subroutine(Protocol):
-    f: Callable[[int], object]
-
     def serve(self, r: PointId) -> int:
         """Serve request r; the cost is in the metric's integer unit
         (`Fraction(cost, metric.scale)` is the distance moved)."""
@@ -82,11 +80,27 @@ class PhaseStats:
     jumps: int
 
 
-def default_marking_factory(block: int, points: tuple, config: frozenset,
-                            metric: FiniteMetric, seed: int) -> Subroutine:
-    sub = Marking(metric, (), seed, points=points)
-    sub.reset(config)
-    return sub
+class NodePlan:
+    """What every shell at one tree node shares, fixed once built: the
+    decomposition, its blocks as sets, the distance inside each uniform block
+    in the demand trackers' unit (None elsewhere), each block's subroutine
+    plan (a marking `Universe` or the child's `NodePlan`) and the competitive
+    function `f`.  `NodePlan(dec)` runs marking on every block."""
+
+    __slots__ = ("dec", "block_sets", "uniform_d", "subs", "f")
+
+    def __init__(self, dec: Decomposition,
+                 subs: Optional[tuple[Union["NodePlan", Universe], ...]] = None):
+        self.dec = dec
+        self.block_sets = tuple(frozenset(b) for b in dec.blocks)
+        # read off any pair: a uniform block's demand needs no configuration DP
+        dist = dec.demand_costs.dist
+        self.uniform_d = tuple(dist[blk[0]][blk[-1]] if uniform else None
+                               for blk, uniform in zip(dec.blocks, dec.uniform_blocks))
+        if subs is None:
+            subs = tuple(Universe(dec.metric, blk) for blk in dec.blocks)
+        self.subs = subs
+        self.f = compose_f(subs[0].f)
 
 
 class PhaseLogs:
@@ -113,11 +127,11 @@ class PhaseLogs:
 
 
 class BlockShell(PhaseLogs):
-    """One live instance of the shell algorithm on a decomposition."""
+    """One live instance of the shell algorithm on a node plan's decomposition."""
 
-    def __init__(self, dec: Decomposition, k: int, initial: Iterable[PointId],
-                 sub_factory: Optional[Callable] = None, seed: int = 0,
+    def __init__(self, plan: NodePlan, k: int, initial: Iterable[PointId], seed: int = 0,
                  event_sink: Optional[Callable[[str], None]] = None):
+        dec = plan.dec
         init = frozenset(initial)
         if k < 1:
             raise ValueError("need at least one server")
@@ -135,7 +149,8 @@ class BlockShell(PhaseLogs):
         self.metric = dec.metric
         self.k = k
         self.t = dec.t
-        self._block_sets = [frozenset(b) for b in dec.blocks]
+        self._block_sets = plan.block_sets
+        self._uniform_d = plan.uniform_d
         self.positions: set[PointId] = set(init)
         self._counts = [len(init & bs) for bs in self._block_sets]
         self.rng = random.Random(seed)
@@ -144,19 +159,11 @@ class BlockShell(PhaseLogs):
 
         self._costs = dec.demand_costs
         self._delta_int = self._costs.extra[0]
-        # scaled distance inside each uniform block, read off any pair (its
-        # demand needs no configuration DP); None for a block that is not uniform
-        dist = self._costs.dist
-        self._uniform_d = [dist[blk[0]][blk[-1]] if uniform else None
-                           for blk, uniform in zip(dec.blocks, dec.uniform_blocks)]
 
-        if sub_factory is None:
-            sub_factory = default_marking_factory
-        self._subs: list[Subroutine] = []
-        for s, blk in enumerate(dec.blocks):
-            sub_seed = self.rng.getrandbits(64)
-            cfg = frozenset(self.positions & self._block_sets[s])
-            self._subs.append(sub_factory(s, blk, cfg, dec.metric, sub_seed))
+        self._subs: list[Subroutine] = [start_subroutine(sub, self.rng.getrandbits(64))
+                                        for sub in plan.subs]
+        for s in range(self.t):
+            self._reset_sub(s)
 
         self.phase = 1
         self._marked = [c == 0 for c in self._counts]
@@ -199,9 +206,6 @@ class BlockShell(PhaseLogs):
         self.draws += 1
         return self.rng.choice(seq)
 
-    def block_config(self, s: int) -> frozenset:
-        return frozenset(self.positions & self._block_sets[s])
-
     def server_count(self, s: int) -> int:
         return self._counts[s]
 
@@ -217,7 +221,7 @@ class BlockShell(PhaseLogs):
             self._emit("mark", block=s)
 
     def _reset_sub(self, s: int) -> None:
-        self._subs[s].reset(self.block_config(s))
+        self._subs[s].reset(self.positions & self._block_sets[s])
 
     def _sub_serve(self, s: int, r: PointId) -> int:
         sub = self._subs[s]
@@ -258,16 +262,12 @@ class BlockShell(PhaseLogs):
         self._last_push = (s, prev_peak)
 
         count = self._counts[s]
-        if peak < count:
+        if peak <= count:
             cost = self._sub_serve(s, r)
             rep.inner_cost += cost
             self._emit("serve", block=s, point=r, cost=cost)
-            return
-        if peak == count:
-            cost = self._sub_serve(s, r)
-            rep.inner_cost += cost
-            self._emit("serve", block=s, point=r, cost=cost)
-            self._mark(s)
+            if peak == count:
+                self._mark(s)
             return
 
         # peak > count: raise the block's population by jumping servers in
@@ -381,40 +381,41 @@ class ShellSubroutine:
     own stream so the whole tree replays deterministically per seed.
     """
 
-    def __init__(self, dec: Decomposition, sub_factory: Callable, seed: int,
-                 f: Callable[[int], object],
+    def __init__(self, plan: NodePlan, seed: int,
                  event_sink: Optional[Callable[[str], None]] = None):
-        self._dec = dec
-        self._sub_factory = sub_factory
-        self.rng = random.Random(seed)
-        self.f = f
+        self._plan = plan
+        rng = random.Random(seed)
+        # one unused draw per block ahead of the stream's seed, so that nested
+        # seeds replay unchanged
+        for _ in plan.subs:
+            rng.getrandbits(64)
+        self.rng = random.Random(rng.getrandbits(64))
         self._event_sink = event_sink
-        self._shell: Optional[BlockShell] = None
-
-    @property
-    def shell(self) -> Optional[BlockShell]:
-        return self._shell
+        self.shell: Optional[BlockShell] = None  # None while holding no servers
 
     def reset(self, config: Iterable[PointId]) -> None:
         cfg = frozenset(config)
+        self.shell = None
         if cfg:
-            self._shell = BlockShell(self._dec, len(cfg), cfg, self._sub_factory,
-                                     seed=self.rng.getrandbits(64),
-                                     event_sink=self._event_sink)
-        else:
-            self._shell = None
+            self.shell = BlockShell(self._plan, len(cfg), cfg, self.rng.getrandbits(64),
+                                    self._event_sink)
 
     def serve(self, r: PointId) -> int:
-        if self._shell is None:
+        if self.shell is None:
             raise RuntimeError("subtree holds no servers; caller must jump one in first")
-        rep = self._shell.serve(r)
-        return rep.total
+        return self.shell.serve(r).total
 
     @property
     def config(self) -> frozenset:
-        if self._shell is None:
-            return frozenset()
-        return frozenset(self._shell.positions)
+        return frozenset() if self.shell is None else frozenset(self.shell.positions)
+
+
+def start_subroutine(plan: Union[NodePlan, Universe], seed: int,
+                     event_sink: Optional[Callable[[str], None]] = None) -> Subroutine:
+    """The algorithm a plan describes, seeded and not yet holding servers."""
+    if isinstance(plan, NodePlan):
+        return ShellSubroutine(plan, seed, event_sink)
+    return Marking.on(plan, seed)
 
 
 def check_hst_admissible(space: HstSpace, k: int) -> None:
@@ -430,52 +431,19 @@ def node_decompositions(space: HstSpace) -> dict[int, Decomposition]:
     return {v: decompose(space, v) for v in space.internal_nodes()}
 
 
-def node_f(space: HstSpace, node: int) -> Callable[[int], object]:
-    """Competitive function of the algorithm on the subtree at `node`:
-    marking at a parent of leaves, composed once per level above it."""
-    f: Callable[[int], object] = marking_f
-    for _ in range(space.height - space.depth[node] - 1):
-        f = compose_f(f)
-    return f
-
-
-def child_factory(space: HstSpace, node: int,
-                  decs: dict[int, Decomposition]) -> Callable:
-    """Block-subroutine factory of the shell at internal node `node`: block s
-    runs the algorithm of the node's s-th child, started at the block's
-    servers."""
-    children = space.children[node]
-
-    def factory(block: int, points: tuple, config: frozenset,
-                metric: FiniteMetric, sub_seed: int) -> Subroutine:
-        handle = make_node_handle(space, children[block], sub_seed, decs)
-        handle.reset(config)
-        return handle
-    return factory
-
-
-def make_node_handle(space: HstSpace, node: int, seed: int,
-                     decs: Optional[dict[int, Decomposition]] = None,
-                     event_sink: Optional[Callable[[str], None]] = None) -> Subroutine:
-    """Subroutine for the subtree rooted at `node` (not yet holding servers).
-
-    Leaves' parents get marking on their uniform leaf space; higher nodes get
-    a nested shell whose per-block subroutines are built recursively.
-    """
-    if decs is None:
-        decs = node_decompositions(space)
-    children = space.children[node]
-    if all(space.is_leaf(c) for c in children):
-        points = space.subtree_leaf_points(node)
-        return Marking(space.leaf_metric, (), seed, points=points)
-    rng = random.Random(seed)
-    # one unused draw per child ahead of the shell's seed, so that nested
-    # seeds replay unchanged
-    for _ in children:
-        rng.getrandbits(64)
-    return ShellSubroutine(decs[node], child_factory(space, node, decs),
-                           rng.getrandbits(64), node_f(space, node),
-                           event_sink=event_sink)
+def tree_plan(space: HstSpace) -> Union[NodePlan, Universe]:
+    """Plan of the algorithm on the whole tree, built in one walk up from the
+    parents of leaves: marking on the leaves under each of those, a shell on
+    the child blocks of every node above."""
+    decs = node_decompositions(space)
+    plans: dict[int, Union[NodePlan, Universe]] = {}
+    for v in sorted(decs, reverse=True):  # a child's id exceeds its parent's
+        children = space.children[v]
+        if all(space.is_leaf(c) for c in children):
+            plans[v] = Universe(space.leaf_metric, decs[v].points)
+        else:
+            plans[v] = NodePlan(decs[v], tuple(plans[c] for c in children))
+    return plans[0]
 
 
 def build_hst_algorithm(space: HstSpace, k: int, initial: Iterable[PointId],
@@ -492,6 +460,6 @@ def build_hst_algorithm(space: HstSpace, k: int, initial: Iterable[PointId],
     if k > space.n_leaves:
         raise ValueError("more servers than leaves")
     check_hst_admissible(space, k)
-    handle = make_node_handle(space, 0, seed, event_sink=event_sink)
-    handle.reset(init)
-    return handle
+    algo = start_subroutine(tree_plan(space), seed, event_sink)
+    algo.reset(init)
+    return algo

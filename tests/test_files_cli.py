@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import ksim
 from ksim.cli import main
 from ksim.files import (ParseError, load_configuration, load_hst, load_metric,
                         load_requests)
@@ -238,6 +242,28 @@ class TestCli:
         assert "--max-len" in capsys.readouterr().err
         monkeypatch.undo()
         assert main(["probe-demand", "--points", "3", "--delta", "2", "--max-len", "3"]) == 0
+
+    @pytest.mark.parametrize("gen, name", [("block_sweep:passes=0", "passes"),
+                                           ("uniform_random:foo=1", "foo")])
+    def test_run_rejects_bad_generator_parameters(self, tmp_path, capsys, gen, name):
+        tree = tmp_path / "t.txt"
+        tree.write_text("mu 2\nbranching 2 2\n")
+        rc = main(["run", "--hst", str(tree), "--k", "2", "--gen", gen])
+        assert rc == 1
+        assert name in capsys.readouterr().err
+
+    def test_run_without_servers_is_a_usage_error(self, tmp_path):
+        tree = tmp_path / "t.txt"
+        tree.write_text("mu 2\nbranching 4\n")
+        src = Path(ksim.__file__).resolve().parents[1]
+        proc = subprocess.run(
+            [sys.executable, "-m", "ksim.cli", "run", "--hst", str(tree), "--k", "0",
+             "--algo", "marking", "--gen", "uniform_random", "--length", "5"],
+            capture_output=True, text=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": str(src)})
+        assert proc.returncode == 1
+        assert "error: need at least one server" in proc.stderr
+        assert "Traceback" not in proc.stderr
 
     def test_usage_error_exit_one(self, capsys):
         assert main(["opt", "--metric", "nope.txt", "--servers", "1",

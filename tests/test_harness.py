@@ -1,3 +1,4 @@
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -9,6 +10,7 @@ from ksim.harness import (CSV_HEADER, default_initial, probe_demand_monotonicity
 from ksim.marking import Marking
 from ksim.metric import build_hst, build_uniform, decompose
 from ksim.offline import INF
+from ksim.shell import NodePlan
 
 
 class TestGenerators:
@@ -31,7 +33,7 @@ class TestGenerators:
         dec = decompose(space, 0)
         spec = GeneratorSpec("block_sweep", 50, seed=3, params={"width": 3, "passes": 3})
         seq = generate(spec, space)
-        rec = run_shell(dec, 3, default_initial(3), seq, seed=0)
+        rec = run_shell(NodePlan(dec), 3, default_initial(3), seq, seed=0)
         assert sum(rec.phase_jump_counts) + rec.total_jump > 0
 
     def test_phase_stress_turns_marking_phases(self):
@@ -44,6 +46,26 @@ class TestGenerators:
         for r in seq:
             st.serve(r)
         assert st.phase_count > 1
+
+    def test_block_sweep_needs_a_pass(self):
+        space = build_hst([2, 2], 2)
+        for passes in (0, -1):
+            spec = GeneratorSpec("block_sweep", 10, params={"passes": passes})
+            with pytest.raises(ValueError, match="passes"):
+                generate(spec, space)
+
+    @pytest.mark.parametrize("kind, params", [
+        ("uniform_random", {"foo": 1}),
+        ("uniform_random", {"width": 2}),
+        ("block_sweep", {"block": 0}),
+        ("phase_stress", {"passes": 2}),
+        ("file", {"path": "reqs.txt", "width": 2}),
+    ])
+    def test_unknown_parameters_are_rejected(self, kind, params):
+        space = build_hst([2, 2], 2)
+        bad = sorted(set(params) - {"path"})[0]
+        with pytest.raises(ValueError, match=f"unknown {kind} parameter '{bad}'"):
+            generate(GeneratorSpec(kind, 10, params=params), space)
 
     def test_parse_generator(self):
         spec = parse_generator("block_sweep:width=3,passes=2,seed=7", length=50)
@@ -58,6 +80,39 @@ class TestGenerators:
 
 
 class TestRunTrials:
+    def test_rejects_no_servers_before_generating(self):
+        # the file does not exist: reading it would fail with another error
+        spec = GeneratorSpec("file", 0, params={"path": "missing-requests.txt"})
+        with pytest.raises(ValueError, match="need at least one server"):
+            run_trials(build_hst([3], 2), 0, "marking", spec, 1, 0)
+
+    def test_trials_repeat_no_set_up_work(self, monkeypatch):
+        import ksim.shell
+        from ksim.metric import FiniteMetric, HstSpace
+        calls = Counter()
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(FiniteMetric, "uniform_cost",
+                            counted("uniform_cost", FiniteMetric.uniform_cost))
+        monkeypatch.setattr(HstSpace, "subtree_leaf_points",
+                            counted("subtree_leaf_points", HstSpace.subtree_leaf_points))
+        monkeypatch.setattr(ksim.shell, "node_decompositions",
+                            counted("node_decompositions", ksim.shell.node_decompositions))
+        space = build_hst([3, 3, 3], 3)
+        spec = GeneratorSpec("uniform_random", 60, seed=5)
+        per_batch = []
+        for trials in (1, 8):
+            calls.clear()
+            run_trials(space, 3, "algox", spec, trials, base_seed=3)
+            per_batch.append(dict(calls))
+        assert per_batch[0]["node_decompositions"] == 1
+        assert per_batch[0] == per_batch[1]
+
     def test_empty_sequence_conventions(self):
         space = build_hst([2, 2], 2)
         reports = run_trials(space, 2, "algox",
@@ -168,6 +223,12 @@ PINNED_BATCHES = {
                        GeneratorSpec("block_sweep", 120, seed=0, params={"width": 5}), 6, 1),
     "h3_rational_mu": ((3, 3, 3), Fraction(7, 2), 3, GeneratorSpec("uniform_random", 80, seed=7),
                        6, 7),
+    # two levels of nested shells under the root, rendered before each node's
+    # structure was planned once per tree
+    "h4_uniform_random": ((2, 2, 2, 2), 2, 2, GeneratorSpec("uniform_random", 120, seed=7), 6, 7),
+    "h4_block_sweep": ((2, 3, 2, 2), 3, 3,
+                       GeneratorSpec("block_sweep", 120, seed=7,
+                                     params={"width": 3, "passes": 3}), 4, 9),
 }
 
 

@@ -9,29 +9,29 @@ from ksim.generators import GeneratorSpec, generate
 from ksim.marking import Marking, marking_f
 from ksim.metric import Decomposition, FiniteMetric, build_hst, decompose
 from ksim.offline import DemandTracker, UniformDemandTracker
-from ksim.shell import (BlockShell, ShellInvariantError, ShellSubroutine,
-                        build_hst_algorithm, compose_f, make_node_handle,
-                        node_decompositions, node_f)
+from ksim.shell import (BlockShell, NodePlan, ShellInvariantError, ShellSubroutine,
+                        build_hst_algorithm, compose_f, node_decompositions,
+                        tree_plan)
 
 
 def two_block_shell(seed=42, events=None):
     space = build_hst([2, 2], 2)  # blocks {0,1} and {2,3}, Delta = 6
     dec = decompose(space, 0)
     sink = events.append if events is not None else None
-    return BlockShell(dec, 2, {0, 1}, seed=seed, event_sink=sink)
+    return BlockShell(NodePlan(dec), 2, {0, 1}, seed=seed, event_sink=sink)
 
 
 class TestConstruction:
     def test_initial_marks_follow_empty_blocks(self):
         space = build_hst([3, 2], 3)
         dec = decompose(space, 0)
-        sh = BlockShell(dec, 2, {0, 2}, seed=0)
+        sh = BlockShell(NodePlan(dec), 2, {0, 2}, seed=0)
         assert [sh.is_marked(b) for b in range(3)] == [False, False, True]
 
     def test_all_servers_in_one_block_marks_the_rest(self):
         space = build_hst([3, 2], 3)
         dec = decompose(space, 0)
-        sh = BlockShell(dec, 2, {0, 1}, seed=0)
+        sh = BlockShell(NodePlan(dec), 2, {0, 1}, seed=0)
         assert [sh.is_marked(b) for b in range(3)] == [False, True, True]
 
     def test_rejects_small_separation(self):
@@ -39,20 +39,20 @@ class TestConstruction:
         rows = [[0, 2, 3, 3], [2, 0, 3, 3], [3, 3, 0, 2], [3, 3, 2, 0]]
         dec = Decomposition(FiniteMetric(rows), [(0, 1), (2, 3)], Delta=3, delta=2)
         with pytest.raises(ValueError, match="separation"):
-            BlockShell(dec, 2, {0, 1}, seed=0)
+            BlockShell(NodePlan(dec), 2, {0, 1}, seed=0)
 
     def test_rejects_wrong_initial_size(self):
         dec = decompose(build_hst([2, 2], 2), 0)
         with pytest.raises(ValueError):
-            BlockShell(dec, 3, {0, 1}, seed=0)
+            BlockShell(NodePlan(dec), 3, {0, 1}, seed=0)
         with pytest.raises(ValueError):
-            BlockShell(dec, 0, set(), seed=0)
+            BlockShell(NodePlan(dec), 0, set(), seed=0)
 
 
 class TestTrackerChoice:
     def test_uniform_blocks_get_the_interval_tracker(self):
         space = build_hst([8, 8], 8)
-        sh = BlockShell(node_decompositions(space)[0], 8, range(8), seed=0)
+        sh = BlockShell(NodePlan(node_decompositions(space)[0]), 8, range(8), seed=0)
         assert all(type(sh._new_tracker(s)) is UniformDemandTracker for s in range(2))
 
     def test_non_uniform_blocks_keep_the_dp(self):
@@ -64,7 +64,7 @@ class TestTrackerChoice:
     def test_single_point_blocks_count_as_uniform(self):
         dec = decompose(build_hst([2, 1], 2), 0)
         assert dec.uniform_blocks == (True, True)
-        sh = BlockShell(dec, 1, {0}, seed=0)
+        sh = BlockShell(NodePlan(dec), 1, {0}, seed=0)
         assert all(type(sh._new_tracker(s)) is UniformDemandTracker for s in range(2))
 
 
@@ -132,7 +132,7 @@ class TestInvariants:
         gen = GeneratorSpec("block_sweep", 50, seed=3, params={"width": 3, "passes": 3})
         seq = generate(gen, space)
         for seed in range(30):
-            sh = BlockShell(dec, 3, {0, 1, 2}, seed=seed)
+            sh = BlockShell(NodePlan(dec), 3, {0, 1, 2}, seed=seed)
             for r in seq:
                 rep = sh.serve(r)
                 assert sum(sh.server_count(b) for b in range(dec.t)) == 3
@@ -144,7 +144,7 @@ class TestInvariants:
         dec = decompose(space, 0)
         seq = generate(GeneratorSpec("uniform_random", 60, seed=8), space)
         for seed in range(20):
-            sh = BlockShell(dec, 2, {0, 1}, seed=seed)
+            sh = BlockShell(NodePlan(dec), 2, {0, 1}, seed=seed)
             for r in seq:
                 sh.serve(r)
                 for b in range(dec.t):
@@ -156,7 +156,7 @@ class TestInvariants:
         dec = decompose(space, 0)
         seq = generate(GeneratorSpec("block_sweep", 60, seed=2,
                                      params={"width": 4, "passes": 4}), space)
-        sh = BlockShell(dec, 2, {0, 4}, seed=5)
+        sh = BlockShell(NodePlan(dec), 2, {0, 4}, seed=5)
         for r in seq:
             sh.serve(r)
             for b in range(dec.t):
@@ -169,7 +169,7 @@ class TestInvariants:
         seq = generate(GeneratorSpec("block_sweep", 60, seed=13,
                                      params={"width": 3, "passes": 4}), space)
         for seed in range(50):
-            sh = BlockShell(dec, 3, {0, 1, 2}, seed=seed)
+            sh = BlockShell(NodePlan(dec), 3, {0, 1, 2}, seed=seed)
             for r in seq:
                 sh.serve(r)
             assert all(c <= 3 for c in sh.phase_jump_counts)
@@ -180,7 +180,7 @@ class TestInvariants:
         dec = decompose(space, 0)
         seq = generate(GeneratorSpec("block_sweep", 60, seed=4,
                                      params={"width": 3, "passes": 4}), space)
-        sh = BlockShell(dec, 3, {0, 1, 2}, seed=11, event_sink=events.append)
+        sh = BlockShell(NodePlan(dec), 3, {0, 1, 2}, seed=11, event_sink=events.append)
         for r in seq:
             sh.serve(r)
         marked = set()
@@ -199,7 +199,7 @@ class TestInvariants:
         # ends a phase and must still be served in the next one
         space = build_hst([2, 4], 4)
         dec = decompose(space, 0)
-        sh = BlockShell(dec, 2, {0, 1}, seed=0)
+        sh = BlockShell(NodePlan(dec), 2, {0, 1}, seed=0)
         seq = [0, 1, 2, 3] * 5
         for r in seq:
             sh.serve(r)
@@ -229,7 +229,7 @@ class TestSubroutineResets:
     def test_request_outside_decomposition(self):
         space = build_hst([2, 2, 2], 3)
         dec = decompose(space, space.children[0][0])
-        sh = BlockShell(dec, 1, {dec.points[0]}, seed=0)
+        sh = BlockShell(NodePlan(dec), 1, {dec.points[0]}, seed=0)
         outside = [p for p in range(space.n_leaves) if p not in dec.points][0]
         with pytest.raises(ValueError, match="outside"):
             sh.serve(outside)
@@ -256,18 +256,16 @@ class TestHstAlgorithm:
 
     def test_composed_f(self):
         space = build_hst([2, 3], 3)
-        algo = build_hst_algorithm(space, 3, {0, 1, 2}, seed=0)
         expect = float(marking_f(3)) * (6 * math.log(3) + 8)
-        assert algo.f(3) == pytest.approx(expect)
+        assert tree_plan(space).f(3) == pytest.approx(expect)
 
-    def test_node_f_composes_once_per_level_above_marking(self):
+    def test_plan_f_composes_once_per_level_above_marking(self):
         space = build_hst([2, 2, 2], 3)
-        mid = space.children[0][0]
-        assert node_f(space, space.children[mid][0]) is marking_f  # parent of leaves
-        assert node_f(space, mid)(3) == compose_f(marking_f)(3)
-        assert node_f(space, 0)(3) == compose_f(compose_f(marking_f))(3)
-        algo = build_hst_algorithm(space, 3, {0, 1, 2}, seed=0)
-        assert algo.f(3) == node_f(space, 0)(3)
+        root = tree_plan(space)
+        mid = root.subs[0]
+        assert mid.subs[0].f is marking_f  # parent of leaves
+        assert mid.f(3) == compose_f(marking_f)(3)
+        assert root.f(3) == compose_f(compose_f(marking_f))(3)
 
     def test_rejects_mu_below_both_thresholds(self):
         space = build_hst([3, 3], 2)  # mu=2 < k=3 and < degree 3

@@ -7,10 +7,12 @@ from ksim.harness import default_initial, run_shell
 from ksim.marking import Marking, marking_f
 from ksim.metric import build_hst, build_uniform, decompose
 from ksim.offline import opt_cost
+from ksim.shell import NodePlan
 from ksim.verify import (CheckReport, check_ama_bound, check_lower_bound_demand,
                          check_lower_bound_mp, check_phase_costs_delta,
                          check_subroutine_contract, checks_to_csv,
-                         deterministic_checks, run_lower_bound_suite)
+                         deterministic_checks, desk_instances,
+                         run_lower_bound_suite)
 
 
 def traced_record(extra=()):
@@ -18,7 +20,7 @@ def traced_record(extra=()):
     space = build_hst([2, 2], 2)
     dec = decompose(space, 0)
     seq = [2, 1, 3, 2, 3, 2] + list(extra)
-    return run_shell(dec, 2, {0, 1}, seq, seed=42)
+    return run_shell(NodePlan(dec), 2, {0, 1}, seq, seed=42)
 
 
 class TestLowerBoundDemand:
@@ -39,19 +41,40 @@ class TestLowerBoundDemand:
         seq = generate(GeneratorSpec("block_sweep", 40, seed=2,
                                      params={"width": 3, "passes": 4}), space)
         for seed in range(10):
-            rec = run_shell(dec, 3, default_initial(3), seq, seed)
+            rec = run_shell(NodePlan(dec), 3, default_initial(3), seq, seed)
             assert all(r.passed for r in check_lower_bound_demand(rec))
 
     def test_empty_run(self):
         space = build_hst([2, 2], 2)
         dec = decompose(space, 0)
-        rec = run_shell(dec, 2, {0, 1}, [], seed=0)
+        rec = run_shell(NodePlan(dec), 2, {0, 1}, [], seed=0)
         reports = check_lower_bound_demand(rec)
         assert len(reports) == 1
         assert reports[0].passed  # 0 >= Delta * (0 - k)
 
 
 class TestLowerBoundMp:
+    def test_alone_solves_the_whole_sequence(self):
+        rec = traced_record(extra=[0, 1, 3])
+        rep = check_lower_bound_mp(rec)
+        assert rep.lhs == opt_cost(rec.dec.metric, 2, rec.sequence).cost
+
+    def test_suite_solves_the_whole_sequence_once_per_instance(self, monkeypatch):
+        import ksim.verify
+        inst = desk_instances()[0]
+        whole = inst.sequence()
+        solved = []
+
+        def counting_opt_cost(metric, k, sequence, *args, **kwargs):
+            solved.append(list(sequence) == whole)
+            return opt_cost(metric, k, sequence, *args, **kwargs)
+
+        monkeypatch.setattr(ksim.verify, "opt_cost", counting_opt_cost)
+        _, passed = run_lower_bound_suite([inst], runs_per_instance=5)
+        assert passed
+        assert solved.count(True) == 1
+        assert solved.count(False) > 0  # the phase optima are still solved
+
     def test_single_phase_sum_is_empty(self):
         rec = traced_record()
         rep = check_lower_bound_mp(rec)
@@ -64,11 +87,11 @@ class TestLowerBoundMp:
         seq = generate(GeneratorSpec("block_sweep", 60, seed=5,
                                      params={"width": 3, "passes": 4}), space)
         for seed in range(10):
-            rec = run_shell(dec, 3, default_initial(3), seq, seed)
+            rec = run_shell(NodePlan(dec), 3, default_initial(3), seq, seed)
             rep = check_lower_bound_mp(rec)
             assert rep.passed
         # at least some seed reaches a second completed phase
-        rec = run_shell(dec, 3, default_initial(3), seq, 3)
+        rec = run_shell(NodePlan(dec), 3, default_initial(3), seq, 3)
         assert rec.completed_phases >= 1
 
 
@@ -83,7 +106,7 @@ class TestPhaseCostsDelta:
     def test_single_phase_run_vacuous(self):
         space = build_hst([2, 2], 2)
         dec = decompose(space, 0)
-        rec = run_shell(dec, 2, {0, 2}, [0, 2, 0, 2], seed=1)
+        rec = run_shell(NodePlan(dec), 2, {0, 2}, [0, 2, 0, 2], seed=1)
         assert rec.completed_phases == 0
         assert check_phase_costs_delta(rec) == []
 
@@ -95,7 +118,7 @@ class TestAmaBound:
         if seq is None:
             seq = generate(GeneratorSpec("block_sweep", 60, seed=5,
                                          params={"width": 3, "passes": 3}), space)
-        return [run_shell(dec, 3, default_initial(3), seq, s) for s in range(seeds)]
+        return [run_shell(NodePlan(dec), 3, default_initial(3), seq, s) for s in range(seeds)]
 
     def test_requires_enough_seeds(self):
         records = self.make_records(5)
@@ -121,7 +144,7 @@ class TestAmaBound:
         space = build_hst([2, 2], 2)
         dec = decompose(space, 0)
         seq = [2] + [0, 1] * 3
-        records = [run_shell(dec, 2, {0, 2}, seq, s) for s in range(50)]
+        records = [run_shell(NodePlan(dec), 2, {0, 2}, seq, s) for s in range(50)]
         assert all(rec.completed_phases >= 1 for rec in records)
         assert all(rec.phase_jump_counts[0] == 0 for rec in records)
         reports = check_ama_bound(records, 2, min_seeds=50)
@@ -184,7 +207,7 @@ class TestReporting:
         seq = generate(GeneratorSpec("block_sweep", 60, seed=12,
                                      params={"width": 3, "passes": 4}), space)
         dec = decompose(space, 0)
-        rec = run_shell(dec, 3, default_initial(3), seq, seed=5)
+        rec = run_shell(NodePlan(dec), 3, default_initial(3), seq, seed=5)
         phases = len(rec.phase_logs)
         assert phases >= 4
         calls = []
