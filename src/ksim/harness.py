@@ -70,8 +70,8 @@ def default_initial(k: int) -> frozenset:
     return frozenset(range(k))
 
 
-def solver_guard_ok(n: int, k: int, length: int, guard: int = OPT_STATE_GUARD) -> bool:
-    return math.comb(n, k) * max(1, length) * max(1, k) <= guard
+def solver_guard_ok(n: int, k: int, length: int) -> bool:
+    return math.comb(n, k) * max(1, length) * max(1, k) <= OPT_STATE_GUARD
 
 
 def run_shell(plan: NodePlan, k: int, initial: Iterable[PointId],
@@ -108,7 +108,6 @@ def _ratio(total: Fraction, opt) -> object:
 def run_trials(space: HstSpace, k: int, algo: str, gen_spec: GeneratorSpec,
                trials: int, base_seed: int,
                initial: Optional[Iterable[PointId]] = None,
-               opt_guard: int = OPT_STATE_GUARD,
                event_sink: Optional[Callable[[str], None]] = None) -> list[TrialReport]:
     """Seeded batch of runs of one algorithm over one generated sequence.
 
@@ -133,7 +132,7 @@ def run_trials(space: HstSpace, k: int, algo: str, gen_spec: GeneratorSpec,
     sequence = generate(gen_spec, space)
     metric = space.leaf_metric
 
-    if solver_guard_ok(metric.n, k, len(sequence), opt_guard):
+    if solver_guard_ok(metric.n, k, len(sequence)):
         opt = opt_cost(metric, k, sequence, initial=init).cost
     else:
         opt = None  # guard tripped: costs still reported, ratios unavailable
@@ -241,6 +240,8 @@ def probe_demand_monotonicity(metric: FiniteMetric, Delta,
     if sequences is None:
         if max_len is None:
             raise ValueError("need sequences or max_len")
+        if max_len < 1:
+            raise ValueError(f"max_len must be >= 1, got {max_len}")
         pts = list(metric.points())
         sequences = (seq for length in range(1, max_len + 1)
                      for seq in product(pts, repeat=length))

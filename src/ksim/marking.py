@@ -51,11 +51,9 @@ class Universe:
         self.point_set = frozenset(self.points)
         for p in self.points:
             metric.check_point(p)
-        self.d = 0
-        if len(self.points) >= 2:
-            self.d = metric.uniform_cost(self.points)
-            if self.d is None:
-                raise ValueError("marking requires a uniform space")
+        self.d = metric.uniform_cost(self.points)
+        if self.d is None:
+            raise ValueError("marking requires a uniform space")
 
 
 class Marking:

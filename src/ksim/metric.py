@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import cached_property
 from itertools import combinations
 from operator import sub
 from typing import Iterable, Optional, Sequence
@@ -107,37 +106,19 @@ class FiniteMetric:
                                   default=0))
 
     def uniform_cost(self, points: Optional[Iterable[PointId]] = None) -> Optional[int]:
-        """The common pairwise distance over `points` in the table's unit, or
-        None if the points are not equidistant (also for a single point,
-        which has no pair to read a distance from)."""
+        """The common pairwise distance over `points` in the table's unit, the
+        unit of every cost inside ksim; 0 for fewer than two points (no move
+        between them costs anything), None if the points are not equidistant."""
         pts = list(points) if points is not None else list(range(self.n))
         costs = {self.dist[a][b] for a, b in combinations(pts, 2)}
-        return costs.pop() if len(costs) == 1 else None
+        if len(costs) > 1:
+            return None
+        return costs.pop() if costs else 0
 
     def uniform_distance(self, points: Optional[Iterable[PointId]] = None) -> Optional[Fraction]:
         """`uniform_cost` as a distance."""
         d = self.uniform_cost(points)
         return None if d is None else self._fraction(d)
-
-
-class ScaledCosts:
-    """Integer view of a metric together with further rationals (a block
-    separation cost): scale = lcm of all their denominators, dist[p][q] =
-    scale * distance, and extra[i] = scale * the i-th rational.  The demand
-    trackers price servers in it; when the extras' denominators divide the
-    metric's scale, the table is the metric's own.
-    """
-
-    def __init__(self, metric: FiniteMetric, extra: Iterable = ()):  # extra: rationals to scale
-        extras = [as_fraction(x) for x in extra]
-        self.scale = math.lcm(metric.scale, *[x.denominator for x in extras])
-        self.metric = metric
-        factor = self.scale // metric.scale
-        if factor == 1:
-            self.dist = metric.dist
-        else:
-            self.dist = tuple(tuple(v * factor for v in row) for row in metric.dist)
-        self.extra = [x.numerator * (self.scale // x.denominator) for x in extras]
 
 
 def build_uniform(n: int, d) -> FiniteMetric:
@@ -291,9 +272,13 @@ class Decomposition:
     blocks[s] lists the PointIds of block s.  `delta` bounds every block
     diameter, `Delta` is the exact distance between points of different
     blocks, and `mu_eff` = Delta/delta is the separation the shell algorithm
-    checks against min(k, t).  When every block is a single point, block
-    diameters are 0 and delta is fixed at 1 (the leaf-edge scale), keeping
-    mu_eff finite; singleton blocks have no intra-block movement to bound.
+    checks against min(k, t).  `price` is Delta in the metric table's unit,
+    the price per server the demand trackers charge: an int whenever there
+    are two or more blocks, since validation pins every cross-block distance
+    to it.
+    When every block is a single point, block diameters are 0 and delta is
+    fixed at 1 (the leaf-edge scale), keeping mu_eff finite; singleton blocks
+    have no intra-block movement to bound.
     """
 
     def __init__(self, metric: FiniteMetric, blocks: Sequence[Sequence[PointId]],
@@ -304,6 +289,8 @@ class Decomposition:
         self.delta = as_fraction(delta)
         self.t = len(self.blocks)
         self.mu_eff = self.Delta / self.delta
+        price = self.Delta * metric.scale
+        self.price = price.numerator if price.denominator == 1 else price
         self.block_of: dict[PointId, int] = {}
         for s, blk in enumerate(self.blocks):
             for p in blk:
@@ -320,12 +307,10 @@ class Decomposition:
             raise ValueError("need at least one block")
         for p in self.points:
             self.metric.check_point(p)
-        dist, scale = self.metric.dist, self.metric.scale
+        dist, price = self.metric.dist, self.price
         # in the table's unit a distance exceeds delta exactly when it exceeds
-        # the floor of delta, and equals Delta only if Delta scales to an integer
-        delta = math.floor(self.delta * scale)
-        Delta = self.Delta * scale
-        Delta = Delta.numerator if Delta.denominator == 1 else None
+        # the floor of delta
+        delta = math.floor(self.delta * self.metric.scale)
         for s, blk in enumerate(self.blocks):
             for a, b in combinations(blk, 2):
                 if dist[a][b] > delta:
@@ -334,24 +319,11 @@ class Decomposition:
             for a in self.blocks[s1]:
                 row = dist[a]
                 for b in self.blocks[s2]:
-                    if row[b] != Delta:
+                    if row[b] != price:
                         raise ValueError(
                             f"cross-block distance d({a},{b}) = "
                             f"{self.metric.distance(a, b)} != Delta = {self.Delta}"
                         )
-
-    @cached_property
-    def uniform_blocks(self) -> tuple[bool, ...]:
-        """Per block, whether its points are pairwise equidistant (a single
-        point counts as uniform)."""
-        return tuple(len(blk) == 1 or self.metric.uniform_cost(blk) is not None
-                     for blk in self.blocks)
-
-    @cached_property
-    def demand_costs(self) -> ScaledCosts:
-        """The demand trackers' unit: the metric table and Delta, scaled
-        together.  Built once and shared by every shell on this decomposition."""
-        return ScaledCosts(self.metric, extra=[self.Delta])
 
 
 def decompose(space: HstSpace, node: int) -> Decomposition:

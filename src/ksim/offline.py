@@ -22,7 +22,7 @@ from fractions import Fraction
 from itertools import combinations, permutations
 from typing import Iterable, Optional, Sequence
 
-from .metric import FiniteMetric, PointId, ScaledCosts, as_fraction
+from .metric import FiniteMetric, PointId, as_fraction
 
 INF = float("inf")
 
@@ -240,7 +240,10 @@ class DemandTracker:
 
     Feeds the per-request demand queries of the shell algorithm: after each
     push, opt(ell) is available for every ell and demand() returns the least
-    server count minimizing opt(ell) + ell * Delta.
+    server count minimizing opt(ell) + ell * Delta.  Costs are in the
+    metric's integer unit, and `price` is Delta in that unit: an int on a
+    decomposition (`Decomposition.price`), a Fraction only for a Delta off
+    the metric's grid.
 
     The DP for ell servers keeps, per configuration over the points seen so
     far, the cheapest lazy schedule ending there.  When a new point first
@@ -249,9 +252,9 @@ class DemandTracker:
     (ell-1)-server schedule over the old points.
     """
 
-    def __init__(self, costs: ScaledCosts, delta_cost: int):
-        self._costs = costs
-        self._delta = delta_cost  # scaled integer price per server
+    def __init__(self, metric: FiniteMetric, price):
+        self._metric = metric
+        self._price = price
         self._seen: list[PointId] = []
         self._seen_set: set[PointId] = set()
         self._pushes = 0
@@ -262,8 +265,7 @@ class DemandTracker:
         Delta = as_fraction(Delta)
         if Delta <= 0:
             raise ValueError("Delta must be positive")
-        costs = ScaledCosts(metric, extra=[Delta])
-        return cls(costs, costs.extra[0])
+        return cls(metric, Delta * metric.scale)
 
     @property
     def length(self) -> int:
@@ -274,8 +276,8 @@ class DemandTracker:
         return len(self._seen)
 
     def push(self, r: PointId) -> None:
-        self._costs.metric.check_point(r)
-        dist = self._costs.dist
+        self._metric.check_point(r)
+        dist = self._metric.dist
         if r not in self._seen_set:
             bit = 1 << r
             self._dp.append({})
@@ -299,7 +301,7 @@ class DemandTracker:
         self._pushes += 1
 
     def _opt_scaled(self, ell: int) -> Optional[int]:
-        """Scaled integer optimum, or None for +inf."""
+        """Optimum in the metric's integer unit, or None for +inf."""
         if ell == 0:
             return 0 if self._pushes == 0 else None
         if ell >= len(self._seen):
@@ -310,19 +312,21 @@ class DemandTracker:
         v = self._opt_scaled(ell)
         if v is None:
             return INF
-        return Fraction(v, self._costs.scale)
+        return Fraction(v, self._metric.scale)
 
     def demand(self) -> int:
         """Least server count minimizing opt(ell) + ell * Delta; 0 when empty."""
         if self._pushes == 0:
             return 0
+        # exact for a rational price num/den: compare den * (opt + ell * price)
+        num, den = self._price.numerator, self._price.denominator
         best_val = None
         best_ell = 0
         for ell in range(0, len(self._seen) + 1):
             v = self._opt_scaled(ell)
             if v is None:
                 continue
-            val = v + ell * self._delta
+            val = v * den + ell * num
             if best_val is None or val < best_val:
                 best_val = val
                 best_ell = ell
@@ -330,8 +334,9 @@ class DemandTracker:
 
 
 class UniformDemandTracker(DemandTracker):
-    """`DemandTracker` for a block whose points are pairwise at one scaled
-    distance `d`, in O(distinct^2) per push instead of the configuration DP.
+    """`DemandTracker` for a block whose points are pairwise at one distance
+    `d` in the metric's integer unit, in O(distinct^2) per push instead of
+    the configuration DP.
 
     On a uniform block a lazy schedule pays d per miss, so opt(ell) is d
     times the fewest misses.  A request to r at time t whose previous request
@@ -352,9 +357,9 @@ class UniformDemandTracker(DemandTracker):
     path for non-uniform blocks); the two agree on opt(ell) and demand().
     """
 
-    def __init__(self, costs: ScaledCosts, delta_cost: int, d: int):
-        super().__init__(costs, delta_cost)
-        self._d = d  # scaled integer distance inside the block
+    def __init__(self, metric: FiniteMetric, price, d: int):
+        super().__init__(metric, price)
+        self._d = d
         self._last: dict[PointId, int] = {}  # time of each seen point's last request
         self._empty_hits = 0  # empty intervals: hits at every ell >= 1
         # index ell-1, for ell = 1..max(seen, 1): the sorted right ends of the
@@ -363,7 +368,7 @@ class UniformDemandTracker(DemandTracker):
         self._kept: list[int] = [0]
 
     def push(self, r: PointId) -> None:
-        self._costs.metric.check_point(r)
+        self._metric.check_point(r)
         t = self._pushes + 1
         a = self._last.get(r)
         if a is None:

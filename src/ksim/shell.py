@@ -83,7 +83,7 @@ class PhaseStats:
 class NodePlan:
     """What every shell at one tree node shares, fixed once built: the
     decomposition, its blocks as sets, the distance inside each uniform block
-    in the demand trackers' unit (None elsewhere), each block's subroutine
+    in the metric's integer unit (None elsewhere), each block's subroutine
     plan (a marking `Universe` or the child's `NodePlan`) and the competitive
     function `f`.  `NodePlan(dec)` runs marking on every block."""
 
@@ -93,10 +93,8 @@ class NodePlan:
                  subs: Optional[tuple[Union["NodePlan", Universe], ...]] = None):
         self.dec = dec
         self.block_sets = tuple(frozenset(b) for b in dec.blocks)
-        # read off any pair: a uniform block's demand needs no configuration DP
-        dist = dec.demand_costs.dist
-        self.uniform_d = tuple(dist[blk[0]][blk[-1]] if uniform else None
-                               for blk, uniform in zip(dec.blocks, dec.uniform_blocks))
+        # a uniform block's demand needs no configuration DP
+        self.uniform_d = tuple(dec.metric.uniform_cost(blk) for blk in dec.blocks)
         if subs is None:
             subs = tuple(Universe(dec.metric, blk) for blk in dec.blocks)
         self.subs = subs
@@ -157,9 +155,6 @@ class BlockShell(PhaseLogs):
         self.draws = 0
         self._event_sink = event_sink
 
-        self._costs = dec.demand_costs
-        self._delta_int = self._costs.extra[0]
-
         self._subs: list[Subroutine] = [start_subroutine(sub, self.rng.getrandbits(64))
                                         for sub in plan.subs]
         for s in range(self.t):
@@ -199,8 +194,8 @@ class BlockShell(PhaseLogs):
     def _new_tracker(self, s: int) -> DemandTracker:
         d = self._uniform_d[s]
         if d is None:
-            return DemandTracker(self._costs, self._delta_int)
-        return UniformDemandTracker(self._costs, self._delta_int, d)
+            return DemandTracker(self.metric, self.dec.price)
+        return UniformDemandTracker(self.metric, self.dec.price, d)
 
     def _choice(self, seq):
         self.draws += 1

@@ -23,7 +23,7 @@ from .harness import RunRecord, default_initial, run_shell
 from .marking import Marking, marking_f
 from .metric import FiniteMetric, HstSpace, build_hst, build_uniform, decompose
 from .offline import DemandTracker, opt_cost
-from .shell import NodePlan, build_hst_algorithm, compose_f
+from .shell import NodePlan, check_hst_admissible, compose_f, start_subroutine, tree_plan
 
 
 @dataclass
@@ -95,13 +95,12 @@ def check_lower_bound_demand(record: RunRecord) -> list[CheckReport]:
     path) gives both the block's demand and its optimum there.
     """
     dec = record.dec
-    costs = dec.demand_costs
     out = []
     for p in range(1, len(record.phase_logs) + 1):
         plus = p <= record.completed_phases
         seq = record.phase_sequence(p, plus)
         lhs = _phase_opt(record, p)
-        trackers = [DemandTracker(costs, costs.extra[0]) for _ in range(dec.t)]
+        trackers = [DemandTracker(dec.metric, dec.price) for _ in range(dec.t)]
         for r in seq:
             trackers[dec.block_of[r]].push(r)
         rhs = Fraction(0)
@@ -288,6 +287,8 @@ def run_lower_bound_suite(instances: Optional[Sequence[DeskInstance]] = None,
     Also records, per run, whether any phase exceeded k jumps (an open
     empirical question, reported rather than asserted).
     """
+    if runs_per_instance < 1:
+        raise ValueError(f"need at least one run per instance, got {runs_per_instance}")
     if instances is None:
         instances = desk_instances(length)
     reports: list[CheckReport] = []
@@ -319,6 +320,8 @@ def run_ama_suite(ks: Sequence[int] = (3, 4), seeds: int = 2000,
                   base_seed: int = 99, length: int = 60
                   ) -> tuple[list[CheckReport], bool]:
     """Jump-cost bound on block-sweep instances, one batch per k."""
+    if seeds < 1:
+        raise ValueError(f"need at least one seed, got {seeds}")
     reports: list[CheckReport] = []
     ok = True
     for k in ks:
@@ -349,6 +352,10 @@ def run_contract_suite(ks: Sequence[int] = (3, 4), seeds: int = 2000,
                        ) -> tuple[list[CheckReport], bool]:
     """Expected-cost guarantee for marking on its adversarial cycle, plus the
     same check for a composed two-level algorithm on a small tree."""
+    if seeds < 1:
+        raise ValueError(f"need at least one seed, got {seeds}")
+    if include_composed and composed_seeds < 1:
+        raise ValueError(f"need at least one composed seed, got {composed_seeds}")
     reports: list[CheckReport] = []
     for k in ks:
         metric = build_uniform(k + 1, 1)
@@ -372,9 +379,13 @@ def run_contract_suite(ks: Sequence[int] = (3, 4), seeds: int = 2000,
         initial = default_initial(k)
         gen = GeneratorSpec("block_sweep", 40, seed=21, params={"width": 3, "passes": 3})
         seq = generate(gen, space)
+        check_hst_admissible(space, k)
+        plan = tree_plan(space)  # one plan; each seed starts its own instance
 
-        def make_composed(seed, _s=space, _init=initial, _k=k):
-            return build_hst_algorithm(_s, _k, _init, seed)
+        def make_composed(seed):
+            algo = start_subroutine(plan, seed)
+            algo.reset(initial)
+            return algo
 
         rep = check_subroutine_contract(
             make_composed, space.leaf_metric, k, seq,

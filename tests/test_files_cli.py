@@ -121,6 +121,15 @@ class TestCli:
         assert rc == 0
         assert "demand 2" in capsys.readouterr().out
 
+    def test_demand_at_a_delta_off_the_metric_grid(self, workdir, capsys):
+        # opt(ell) + ell/3 over ell = 1, 2, 3: 3 + 1/3, 1 + 2/3 and 0 + 1
+        reqs = workdir / "cycle.txt"
+        reqs.write_text("0 1 2 0\n")
+        rc = main(["demand", "--metric", str(workdir / "uniform3.txt"),
+                   "--delta", "1/3", "--requests", str(reqs)])
+        assert rc == 0
+        assert capsys.readouterr().out == "demand 3\n"
+
     @pytest.mark.parametrize("delta", ["1.5", "2e0", "1/0"])
     def test_demand_rejects_inexact_delta(self, workdir, capsys, delta):
         rc = main(["demand", "--metric", str(workdir / "uniform3.txt"),
@@ -278,6 +287,24 @@ class TestCli:
                             lambda **kw: ([failing], False))
         rc = main(["verify", "--suite", "lower", "--runs", "1"])
         assert rc == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--suite", "ama", "--seeds", "0"],
+        ["verify", "--suite", "contract", "--seeds", "0"],
+        ["verify", "--suite", "lower", "--runs", "0"],
+        ["verify", "--suite", "lower", "--runs", "-1"],
+        ["probe-demand", "--delta", "2", "--max-len", "-1"],
+    ])
+    def test_empty_verification_runs_are_usage_errors(self, capsys, argv):
+        assert main(argv) == 1
+        out, err = capsys.readouterr()
+        assert err.startswith("error: ")
+        assert "passed" not in out and "sequences" not in out
+
+    def test_verify_csv_matches_golden(self, tmp_path, capsys):
+        out = tmp_path / "checks.csv"
+        assert main(["verify", "--suite", "all", "--seeds", "200", "--out", str(out)]) == 0
+        assert out.read_bytes() == (GOLDEN / "verify_all_seeds200.csv").read_bytes()
 
     def test_verify_lower_passes(self, workdir, tmp_path, capsys):
         out = tmp_path / "checks.csv"

@@ -6,7 +6,7 @@ import pytest
 
 from ksim.generators import GeneratorSpec, generate, parse_generator
 from ksim.harness import (CSV_HEADER, default_initial, probe_demand_monotonicity,
-                          reports_to_csv, run_shell, run_trials)
+                          reports_to_csv, run_shell, run_trials, solver_guard_ok)
 from ksim.marking import Marking
 from ksim.metric import build_hst, build_uniform, decompose
 from ksim.offline import INF
@@ -191,9 +191,11 @@ class TestRunTrials:
         assert render_rational(Fraction(7, 2)) == "7/2"
 
     def test_solver_guard_omits_opt(self):
-        space = build_hst([3, 3], 3)
+        # C(64, 8) configurations: far beyond OPT_STATE_GUARD
+        space = build_hst([8, 8], 8)
         spec = GeneratorSpec("uniform_random", 12, seed=4)
-        reports = run_trials(space, 3, "algox", spec, 2, base_seed=0, opt_guard=1)
+        assert not solver_guard_ok(space.n_leaves, 8, 12)
+        reports = run_trials(space, 8, "algox", spec, 2, base_seed=0)
         assert all(r.opt is None and r.ratio is None for r in reports)
         csv_text = reports_to_csv(reports)
         assert ",na," in csv_text

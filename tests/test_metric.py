@@ -67,6 +67,8 @@ class TestFiniteMetric:
         path = FiniteMetric([[0, 1, 2], [1, 0, 1], [2, 1, 0]])
         assert path.uniform_distance() is None
         assert path.uniform_distance([0, 1]) == 1
+        # fewer than two points: no move between them costs anything
+        assert path.uniform_cost([2]) == path.uniform_cost([]) == 0
 
     def test_from_upper_triangle(self):
         m = FiniteMetric.from_upper_triangle(3, [1, 2, 1])
@@ -151,6 +153,15 @@ class TestDecompose:
         assert dec.Delta == 2 * (1 + 3)
         assert dec.delta == 2
         assert set(dec.points) == set(s.subtree_leaf_points(child))
+
+    def test_price_is_delta_in_the_table_unit(self):
+        s = build_hst([2, 2, 2], Fraction(7, 2))  # distances 2, 9, 67/2: scale 2
+        dec = decompose(s, 0)
+        assert (dec.Delta, dec.price) == (Fraction(67, 2), 67)
+        assert type(dec.price) is int
+        # off the table's grid only on a hand-built one-block decomposition
+        one = Decomposition(build_uniform(2, 1), [(0, 1)], Delta=Fraction(1, 3), delta=1)
+        assert one.price == Fraction(1, 3)
 
     def test_rejects_leaf(self):
         s = build_hst([2, 2], 3)

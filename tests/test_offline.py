@@ -7,8 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 from ksim.generators import GeneratorSpec, generate
 from ksim.metric import FiniteMetric, build_hst, build_uniform, decompose
-from ksim.offline import (INF, DemandTracker, ScaledCosts, UniformDemandTracker,
-                          demand, max_demand_trace, opt_cost, opt_cost_exhaustive)
+from ksim.offline import (INF, DemandTracker, UniformDemandTracker, demand,
+                          max_demand_trace, opt_cost, opt_cost_exhaustive)
 
 PATH3 = FiniteMetric([[0, 1, 2], [1, 0, 1], [2, 1, 0]])
 
@@ -226,12 +226,13 @@ class TestUniformDemandTracker:
     @given(n=st.integers(1, 7), offset=st.integers(0, 4), d=rationals,
            other=rationals, Delta=rationals, data=st.data())
     def test_matches_dp_after_every_push(self, n, offset, d, other, Delta, data):
-        costs = ScaledCosts(clustered_metric(offset, n, d, other), extra=[Delta])
+        m = clustered_metric(offset, n, d, other)
+        price = Delta * m.scale  # a Fraction whenever Delta is off the table's grid
         block = list(range(offset, offset + n))
         used = data.draw(st.lists(st.sampled_from(block), min_size=1, unique=True))
         rho = data.draw(st.lists(st.sampled_from(used), max_size=30))
-        dp = DemandTracker(costs, costs.extra[0])
-        greedy = UniformDemandTracker(costs, costs.extra[0], costs.dist[block[0]][block[-1]])
+        dp = DemandTracker(m, price)
+        greedy = UniformDemandTracker(m, price, m.uniform_cost(block))
         assert greedy.demand() == dp.demand() == 0
         for r in rho:
             dp.push(r)
@@ -242,9 +243,8 @@ class TestUniformDemandTracker:
             assert (greedy.length, greedy.distinct) == (dp.length, dp.distinct)
 
     def test_checks_points(self):
-        costs = ScaledCosts(build_uniform(3, 1), extra=[2])
         with pytest.raises(ValueError, match="out of range"):
-            UniformDemandTracker(costs, costs.extra[0], 1).push(3)
+            UniformDemandTracker(build_uniform(3, 1), 2, 1).push(3)
 
 
 class TestMonotonicity:

@@ -63,7 +63,7 @@ class TestTrackerChoice:
 
     def test_single_point_blocks_count_as_uniform(self):
         dec = decompose(build_hst([2, 1], 2), 0)
-        assert dec.uniform_blocks == (True, True)
+        assert NodePlan(dec).uniform_d == (0, 0)
         sh = BlockShell(NodePlan(dec), 1, {0}, seed=0)
         assert all(type(sh._new_tracker(s)) is UniformDemandTracker for s in range(2))
 

@@ -12,7 +12,7 @@ from ksim.verify import (CheckReport, check_ama_bound, check_lower_bound_demand,
                          check_lower_bound_mp, check_phase_costs_delta,
                          check_subroutine_contract, checks_to_csv,
                          deterministic_checks, desk_instances,
-                         run_lower_bound_suite)
+                         run_contract_suite, run_lower_bound_suite)
 
 
 def traced_record(extra=()):
@@ -224,3 +224,23 @@ class TestReporting:
         for r in shared:
             phase_seq = rec.phase_sequence(r.phase, r.phase <= rec.completed_phases)
             assert r.lhs == opt_cost(dec.metric, 3, phase_seq).cost
+
+
+class TestContractSuite:
+    def test_composed_contract_plans_the_tree_once(self, monkeypatch):
+        import ksim.shell
+        import ksim.verify
+        plan = ksim.shell.tree_plan
+        calls = []
+
+        def counted(space):
+            calls.append(space)
+            return plan(space)
+
+        # both names: the suite may reach the builder through either module
+        monkeypatch.setattr(ksim.shell, "tree_plan", counted)
+        monkeypatch.setattr(ksim.verify, "tree_plan", counted, raising=False)
+        reports, _ = run_contract_suite(ks=(), seeds=1, composed_seeds=5)
+        assert [r.name for r in reports] == ["composed_contract"]
+        assert reports[0].context["seeds"] == 5
+        assert len(calls) == 1
