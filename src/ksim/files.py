@@ -96,11 +96,16 @@ def load_hst(path: str) -> HstSpace:
         fields = text.split()
         key = fields[0]
         if key == "mu":
+            if mu is not None:
+                raise ParseError(path, lineno, f"repeated mu line (first at line {mu_line})")
             if len(fields) != 2:
                 raise ParseError(path, lineno, "mu line needs exactly one value")
             mu = _parse_rational(path, lineno, fields[1], "mu")
             mu_line = lineno
         elif key == "branching":
+            if branching is not None:
+                raise ParseError(path, lineno,
+                                 f"repeated branching line (first at line {branching_line})")
             if len(fields) < 2:
                 raise ParseError(path, lineno, "branching line needs at least one count")
             try:
@@ -121,7 +126,8 @@ def load_hst(path: str) -> HstSpace:
     return build_hst(branching, mu)
 
 
-def load_requests(path: str, n: int) -> list[int]:
+def _point_ids(path: str, n: int) -> list[tuple[int, int]]:
+    """Point ids with the line of each."""
     out = []
     for lineno, tok in _tokens_with_lines(path):
         try:
@@ -130,13 +136,19 @@ def load_requests(path: str, n: int) -> list[int]:
             raise ParseError(path, lineno, f"bad point id {tok!r}") from None
         if not (0 <= r < n):
             raise ParseError(path, lineno, f"point id {r} out of range [0, {n})")
-        out.append(r)
+        out.append((lineno, r))
     return out
 
 
+def load_requests(path: str, n: int) -> list[int]:
+    return [r for _, r in _point_ids(path, n)]
+
+
 def load_configuration(path: str, n: int) -> frozenset:
-    ids = load_requests(path, n)
-    cfg = frozenset(ids)
-    if len(cfg) != len(ids):
-        raise ParseError(path, 1, "configuration points must be distinct")
-    return cfg
+    seen: set[int] = set()
+    for lineno, r in _point_ids(path, n):
+        if r in seen:
+            raise ParseError(path, lineno, f"configuration points must be distinct, "
+                                           f"point {r} repeats")
+        seen.add(r)
+    return frozenset(seen)

@@ -57,12 +57,15 @@ class RunRecord(PhaseLogs):
     phase_stats: list
     total_inner: Fraction
     total_jump: Fraction
-    # phase -> optimum of the phase, filled by the verification checks on
-    # first use, so that the checks reading it solve it once per run
-    phase_optima: dict = field(default_factory=dict, init=False, repr=False,
-                               compare=False)
-    # optimum of the whole sequence, filled alike or handed over by the caller
-    optimum: object = field(default=None, init=False, repr=False, compare=False)
+    # The verification checks' tables, keyed by tuple(sequence) and filled on
+    # first use, so each distinct sequence is solved once.  A value depends
+    # on `dec` and `k` too: records may share the tables (the lower-bound
+    # suite hands one pair to every run of an instance) only when both agree.
+    # optima: the k-server free-start optimum of a phase or of the whole run
+    optima: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # demand_bounds: the right-hand side of the per-phase demand bound
+    demand_bounds: dict = field(default_factory=dict, init=False, repr=False,
+                                compare=False)
 
 
 def default_initial(k: int) -> frozenset:

@@ -315,22 +315,26 @@ class DemandTracker:
         return Fraction(v, self._metric.scale)
 
     def demand(self) -> int:
-        """Least server count minimizing opt(ell) + ell * Delta; 0 when empty."""
+        """Least server count minimizing opt(ell) + ell * Delta; 0 when empty.
+
+        A free-start opt(ell) is convex in ell: it is the value of a min-cost
+        flow of ell units (Chrobak, Karloff, Payne & Vishwanathan 1991).  So
+        opt(ell) + ell * Delta falls strictly up to its least argmin and never
+        falls after it, and the scan stops at the first ell >= 1 whose next
+        server saves at most Delta.  opt(0) is +inf on a nonempty sequence,
+        and opt(distinct) is 0.
+        """
         if self._pushes == 0:
             return 0
-        # exact for a rational price num/den: compare den * (opt + ell * price)
+        # exact for a rational price num/den: compare den * saving with num
         num, den = self._price.numerator, self._price.denominator
-        best_val = None
-        best_ell = 0
-        for ell in range(0, len(self._seen) + 1):
-            v = self._opt_scaled(ell)
-            if v is None:
-                continue
-            val = v * den + ell * num
-            if best_val is None or val < best_val:
-                best_val = val
-                best_ell = ell
-        return best_ell
+        cur = self._opt_scaled(1)
+        for ell in range(1, len(self._seen)):
+            nxt = self._opt_scaled(ell + 1)
+            if (cur - nxt) * den <= num:
+                return ell
+            cur = nxt
+        return len(self._seen)
 
 
 class UniformDemandTracker(DemandTracker):

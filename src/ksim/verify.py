@@ -75,14 +75,38 @@ def _mean_stderr(values: Sequence[float]) -> tuple[float, float]:
 # -- deterministic lower bounds ---------------------------------------------
 
 
-def _phase_opt(record: RunRecord, p: int) -> Fraction:
-    """Free-start optimum with k servers of phase p, with the follow-up
-    request appended when the phase is completed; solved once per record."""
-    cost = record.phase_optima.get(p)
+def _opt(record: RunRecord, seq: Sequence[int]) -> Fraction:
+    """Free-start optimum with k servers of `seq`, solved once per table."""
+    key = tuple(seq)
+    cost = record.optima.get(key)
     if cost is None:
-        seq = record.phase_sequence(p, p <= record.completed_phases)
-        cost = record.phase_optima[p] = opt_cost(record.dec.metric, record.k, seq).cost
+        cost = record.optima[key] = opt_cost(record.dec.metric, record.k, key).cost
     return cost
+
+
+def _demand_bound(record: RunRecord, seq: Sequence[int]) -> Fraction:
+    """Sum of the block optima at their demands plus Delta per server
+    beyond k, solved once per table.
+
+    One demand tracker per block (the configuration DP, not the shell's
+    uniform fast path) gives both the block's demand and its optimum there.
+    """
+    key = tuple(seq)
+    bound = record.demand_bounds.get(key)
+    if bound is None:
+        dec = record.dec
+        trackers = [DemandTracker(dec.metric, dec.price) for _ in range(dec.t)]
+        for r in key:
+            trackers[dec.block_of[r]].push(r)
+        bound = Fraction(0)
+        demand_sum = 0
+        for tracker in trackers:
+            d_s = tracker.demand()
+            demand_sum += d_s
+            bound += tracker.opt(d_s)
+        bound += dec.Delta * (demand_sum - record.k)
+        record.demand_bounds[key] = bound
+    return bound
 
 
 def check_lower_bound_demand(record: RunRecord) -> list[CheckReport]:
@@ -90,26 +114,13 @@ def check_lower_bound_demand(record: RunRecord) -> list[CheckReport]:
     block optima at their demands plus Delta per server beyond k.
 
     Evaluated with the follow-up request appended for completed phases and
-    on the bare log for the final one; both sides are exact.  One demand
-    tracker per block (the configuration DP, not the shell's uniform fast
-    path) gives both the block's demand and its optimum there.
+    on the bare log for the final one; both sides are exact.
     """
-    dec = record.dec
     out = []
     for p in range(1, len(record.phase_logs) + 1):
-        plus = p <= record.completed_phases
-        seq = record.phase_sequence(p, plus)
-        lhs = _phase_opt(record, p)
-        trackers = [DemandTracker(dec.metric, dec.price) for _ in range(dec.t)]
-        for r in seq:
-            trackers[dec.block_of[r]].push(r)
-        rhs = Fraction(0)
-        demand_sum = 0
-        for tracker in trackers:
-            d_s = tracker.demand()
-            demand_sum += d_s
-            rhs += tracker.opt(d_s)
-        rhs += dec.Delta * (demand_sum - record.k)
+        seq = record.phase_sequence(p, p <= record.completed_phases)
+        lhs = _opt(record, seq)
+        rhs = _demand_bound(record, seq)
         out.append(CheckReport(
             name="lower_bound_demand", phase=p, lhs=lhs, rhs=rhs,
             passed=bool(lhs >= rhs),
@@ -121,12 +132,9 @@ def check_lower_bound_demand(record: RunRecord) -> list[CheckReport]:
 def check_lower_bound_mp(record: RunRecord) -> CheckReport:
     """Whole-run optimum is at least Delta/6 times the settled-server sum
     over phases after the first."""
-    dec = record.dec
-    if record.optimum is None:
-        record.optimum = opt_cost(dec.metric, record.k, record.sequence).cost
-    lhs = record.optimum
+    lhs = _opt(record, record.sequence)
     tail_gain = sum(s.gain for s in record.phase_stats if s.phase > 1)
-    rhs = Fraction(1, 6) * dec.Delta * tail_gain
+    rhs = Fraction(1, 6) * record.dec.Delta * tail_gain
     return CheckReport(
         name="lower_bound_mp", phase=None, lhs=lhs, rhs=rhs,
         passed=bool(lhs >= rhs),
@@ -140,7 +148,7 @@ def check_phase_costs_delta(record: RunRecord) -> list[CheckReport]:
     dec = record.dec
     out = []
     for p in range(1, record.completed_phases + 1):
-        lhs = _phase_opt(record, p)
+        lhs = _opt(record, record.phase_sequence(p, True))
         out.append(CheckReport(
             name="phase_cost_delta", phase=p, lhs=lhs, rhs=dec.Delta,
             passed=bool(lhs >= dec.Delta),
@@ -150,8 +158,8 @@ def check_phase_costs_delta(record: RunRecord) -> list[CheckReport]:
 
 
 def deterministic_checks(record: RunRecord) -> list[CheckReport]:
-    """All three lower-bound checks; the first and the third share each
-    phase's optimum through the record."""
+    """All three lower-bound checks; they share each optimum through the
+    record's `optima` table."""
     out = check_lower_bound_demand(record)
     out.append(check_lower_bound_mp(record))
     out.extend(check_phase_costs_delta(record))
@@ -296,12 +304,14 @@ def run_lower_bound_suite(instances: Optional[Sequence[DeskInstance]] = None,
         plan = NodePlan(decompose(inst.space, 0))
         seq = inst.sequence()
         initial = default_initial(inst.k)
-        # every run serves the same sequence, so all share its optimum
-        optimum = opt_cost(plan.dec.metric, inst.k, seq).cost
+        # every run serves the same sequence with the same dec and k, so all
+        # share one pair of tables, seeded with the whole run's optimum
+        optima = {tuple(seq): opt_cost(plan.dec.metric, inst.k, seq).cost}
+        demand_bounds: dict = {}
         for i in range(runs_per_instance):
             seed = base_seed ^ (i * 7919) ^ (idx << 16)
             rec = run_shell(plan, inst.k, initial, seq, seed)
-            rec.optimum = optimum
+            rec.optima, rec.demand_bounds = optima, demand_bounds
             for rep in deterministic_checks(rec):
                 rep.context["instance"] = inst.name
                 reports.append(rep)

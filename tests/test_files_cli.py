@@ -99,6 +99,22 @@ class TestParsers:
         with pytest.raises(ParseError, match="distinct"):
             load_configuration(str(p), 3)
 
+    def test_configuration_repeat_names_its_line(self, tmp_path):
+        p = tmp_path / "cfg.txt"
+        p.write_text("0\n1\n0\n")
+        with pytest.raises(ParseError, match=r"cfg\.txt:3: .*distinct.*point 0"):
+            load_configuration(str(p), 3)
+
+    @pytest.mark.parametrize("text, line, field", [
+        ("mu 3\nbranching 2 2\nmu 5\nbranching 3\n", 3, "mu"),
+        ("branching 2 2\nmu 3\n# note\nbranching 3\n", 4, "branching"),
+    ])
+    def test_hst_rejects_repeated_field(self, tmp_path, text, line, field):
+        p = tmp_path / "t.txt"
+        p.write_text(text)
+        with pytest.raises(ParseError, match=rf"t\.txt:{line}: repeated {field} line"):
+            load_hst(str(p))
+
 
 class TestCli:
     def test_opt(self, workdir, capsys):

@@ -262,6 +262,56 @@ class TestMonotonicity:
         prefix_costs = [opt_cost(m, ell, rho[:i]).cost for i in range(len(rho) + 1)]
         assert all(a <= b for a, b in zip(prefix_costs, prefix_costs[1:]))
 
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_free_start_opt_convex_in_servers(self, data):
+        # opt(ell) is a min-cost flow value of ell units, so its savings per
+        # added server never grow; DemandTracker.demand stops early on this
+        n = data.draw(st.integers(2, 6))
+        weights = data.draw(st.lists(rationals, min_size=n * (n - 1) // 2,
+                                     max_size=n * (n - 1) // 2))
+        m = metric_closure(n, weights)
+        rho = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=10))
+        costs = [opt_cost(m, ell, rho).cost for ell in range(1, n + 1)]
+        savings = [a - b for a, b in zip(costs, costs[1:])]
+        assert all(a >= b for a, b in zip(savings, savings[1:]))
+
+
+def full_scan_demand(tracker, Delta) -> int:
+    """Least argmin of opt(ell) + ell * Delta over every ell up to distinct."""
+    if tracker.length == 0:
+        return 0
+    values = [tracker.opt(ell) + ell * Delta for ell in range(tracker.distinct + 1)]
+    return values.index(min(values))
+
+
+class TestDemandEarlyStop:
+    """demand() stops at the first server not worth Delta; it must pick what
+    a scan over every server count picks, on every prefix."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), Delta=rationals)
+    def test_dp_tracker_matches_full_scan(self, data, Delta):
+        n = data.draw(st.integers(1, 6))
+        weights = data.draw(st.lists(rationals, min_size=n * (n - 1) // 2,
+                                     max_size=n * (n - 1) // 2))
+        m = metric_closure(n, weights)
+        tracker = DemandTracker.for_metric(m, Delta)
+        for r in data.draw(st.lists(st.integers(0, n - 1), max_size=12)):
+            tracker.push(r)
+            assert tracker.demand() == full_scan_demand(tracker, Delta)
+
+    @settings(max_examples=300, deadline=None)
+    @given(n=st.integers(1, 7), offset=st.integers(0, 3), d=rationals,
+           other=rationals, Delta=rationals, data=st.data())
+    def test_uniform_tracker_matches_full_scan(self, n, offset, d, other, Delta, data):
+        m = clustered_metric(offset, n, d, other)
+        block = list(range(offset, offset + n))
+        tracker = UniformDemandTracker(m, Delta * m.scale, m.uniform_cost(block))
+        for r in data.draw(st.lists(st.sampled_from(block), max_size=30)):
+            tracker.push(r)
+            assert tracker.demand() == full_scan_demand(tracker, Delta)
+
 
 GOLDEN_CONFIGS = Path(__file__).parent / "golden" / "opt_cost_configs.txt"
 

@@ -212,18 +212,48 @@ class TestReporting:
         assert phases >= 4
         calls = []
 
-        def counted(*args, **kwargs):
-            calls.append(args)
-            return opt_cost(*args, **kwargs)
+        def counted(metric, k, sequence, *args, **kwargs):
+            calls.append(tuple(sequence))
+            return opt_cost(metric, k, sequence, *args, **kwargs)
         monkeypatch.setattr("ksim.verify.opt_cost", counted)
         reports = deterministic_checks(rec)
-        # one solve per phase, shared by two checks, and one for the whole run
-        assert len(calls) == phases + 1
+        # one solve per distinct sequence: the phase sequences (shared by
+        # two checks) and the whole run; this sweep repeats a phase sequence
+        distinct = {tuple(rec.phase_sequence(p, p <= rec.completed_phases))
+                    for p in range(1, phases + 1)} | {tuple(seq)}
+        assert len(distinct) < phases + 1
+        assert sorted(calls) == sorted(distinct)
         shared = [r for r in reports if r.name in ("lower_bound_demand", "phase_cost_delta")]
         assert len(shared) == 2 * phases - 1
         for r in shared:
             phase_seq = rec.phase_sequence(r.phase, r.phase <= rec.completed_phases)
             assert r.lhs == opt_cost(dec.metric, 3, phase_seq).cost
+
+    def test_suite_solves_each_sequence_once_per_instance(self, monkeypatch):
+        import ksim.verify
+        instances = desk_instances()
+        calls = []
+
+        def counted(metric, k, sequence, *args, **kwargs):
+            calls.append((id(metric), k, tuple(sequence)))
+            return opt_cost(metric, k, sequence, *args, **kwargs)
+
+        monkeypatch.setattr(ksim.verify, "opt_cost", counted)
+        reports, passed = run_lower_bound_suite(instances, runs_per_instance=4)
+        monkeypatch.undo()
+        assert passed
+        assert len(calls) == len(set(calls))
+        # the same rows from records that each start with empty tables
+        by_name = {inst.name: inst for inst in instances}
+        fresh = []
+        for run in (r for r in reports if r.name == "jumps_at_most_k"):
+            inst = by_name[run.context["instance"]]
+            rec = run_shell(NodePlan(decompose(inst.space, 0)), inst.k,
+                            default_initial(inst.k), inst.sequence(), run.context["seed"])
+            fresh.extend(deterministic_checks(rec))
+        shared = [r for r in reports if r.name != "jumps_at_most_k"]
+        assert len(shared) == len(fresh) > len(calls)
+        assert checks_to_csv(shared) == checks_to_csv(fresh)
 
 
 class TestContractSuite:
