@@ -121,9 +121,12 @@ def _apply_config(parser: _Parser, argv: list[str]) -> argparse.Namespace:
         raise CliError("config file must hold a JSON object")
     explicit = {a.lstrip("-").split("=")[0].replace("-", "_") for a in argv
                 if a.startswith("--")}
+    # the namespace holds the subcommand's options plus the top-level
+    # `command` and `config`, which a config file must not set
+    options = set(vars(args)) - {"command", "config"}
     for key, value in defaults.items():
         attr = key.replace("-", "_")
-        if hasattr(args, attr) and attr not in explicit:
+        if attr in options and attr not in explicit:
             setattr(args, attr, value)
     return args
 

@@ -82,7 +82,13 @@ def load_metric(path: str) -> FiniteMetric:
         where = rest[-1][0] if rest else lineno
         raise ParseError(path, where,
                          f"expected {expected} distances for n={n}, got {len(rest)}")
-    values = [_parse_rational(path, ln, tk, "distance") for ln, tk in rest]
+    values = []
+    pairs = ((i, j) for i in range(n) for j in range(i + 1, n))
+    for (ln, tk), (i, j) in zip(rest, pairs):
+        d = _parse_rational(path, ln, tk, "distance")
+        if d <= 0:
+            raise ParseError(path, ln, f"dist({i},{j}) = {d}, must be positive")
+        values.append(d)
     try:
         return FiniteMetric.from_upper_triangle(n, values)
     except (ValueError, TypeError) as exc:

@@ -54,7 +54,6 @@ class RunRecord(PhaseLogs):
     triggers: list         # first request of phases 2..P+1
     dhat: list             # dhat[0] = initial counts, dhat[p] = end of phase p
     phase_jump_counts: list
-    phase_stats: list
     total_inner: Fraction
     total_jump: Fraction
     # The verification checks' tables, keyed by tuple(sequence) and filled on
@@ -92,7 +91,6 @@ def run_shell(plan: NodePlan, k: int, initial: Iterable[PointId],
         triggers=shell.triggers,
         dhat=shell.dhat,
         phase_jump_counts=shell.phase_jump_counts,
-        phase_stats=shell.mp_trace(),
         total_inner=Fraction(shell.total_inner, scale),
         total_jump=Fraction(shell.total_jump, scale),
     )
@@ -159,7 +157,7 @@ def run_trials(space: HstSpace, k: int, algo: str, gen_spec: GeneratorSpec,
             rec = run_shell(plan, k, init, sequence, seed, event_sink=event_sink)
             inner, jump = rec.total_inner, rec.total_jump
             phases = len(rec.phase_logs)
-            m_sum = sum(s.gain for s in rec.phase_stats)
+            m_sum = sum(rec.phase_gains())
         else:
             alg = Marking.on(plan, seed)
             alg.reset(init)

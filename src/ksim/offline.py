@@ -37,10 +37,6 @@ class OptResult:
     cost: object  # Fraction, or float('inf')
     config: Optional[frozenset]
 
-    @property
-    def finite(self) -> bool:
-        return self.cost != INF
-
 
 def _ordered_distinct(rho: Sequence[PointId]) -> list[PointId]:
     seen = set()

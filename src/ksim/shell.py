@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable, Optional, Protocol, Union
 
@@ -47,37 +46,6 @@ class Subroutine(Protocol):
 
     @property
     def config(self) -> frozenset: ...
-
-
-@dataclass(frozen=True)
-class Jump:
-    phase: int
-    from_block: int
-    to_block: int
-    src: PointId
-    dst: PointId
-
-
-@dataclass
-class StepReport:
-    block: int
-    inner_cost: int = 0  # costs in the metric's integer unit
-    jump_cost: int = 0
-    jumps: list = field(default_factory=list)
-    phase_ended: bool = False
-
-    @property
-    def total(self) -> int:
-        return self.inner_cost + self.jump_cost
-
-
-@dataclass(frozen=True)
-class PhaseStats:
-    """Per completed phase: servers newly settled (sum of positive end-count
-    changes) and the number of jumps performed."""
-    phase: int
-    gain: int
-    jumps: int
 
 
 class NodePlan:
@@ -102,14 +70,20 @@ class NodePlan:
 
 
 class PhaseLogs:
-    """Per-phase request records, read alike from a live shell and from a
-    finished run: `phase_logs` holds the requests of every started phase (the
-    last one still running), `triggers` the first request of each later
-    phase."""
+    """Per-phase records, read alike from a live shell and from a finished
+    run: `phase_logs` holds the requests of every started phase (the last one
+    still running), `triggers` the first request of each later phase, `dhat`
+    the block server counts at the start and at each phase end."""
 
     @property
     def completed_phases(self) -> int:
         return len(self.triggers)
+
+    def phase_gains(self) -> list[int]:
+        """Servers newly settled in each completed phase: the sum of the
+        positive changes of the block counts across it."""
+        return [sum(max(0, c - b) for b, c in zip(before, after))
+                for before, after in zip(self.dhat, self.dhat[1:])]
 
     def phase_sequence(self, p: int, plus: bool) -> list[PointId]:
         """Requests of phase p (1-based); with `plus`, the first request of
@@ -164,7 +138,6 @@ class BlockShell(PhaseLogs):
         self._marked = [c == 0 for c in self._counts]
         self._trackers: list[Optional[DemandTracker]] = [None] * self.t
         self._peak_demand = [0] * self.t
-        self._last_push: Optional[tuple[int, int]] = None  # (block, peak before push)
 
         # records for verification
         self.phase_logs: list[list[PointId]] = [[]]   # [-1] is the running phase
@@ -229,20 +202,17 @@ class BlockShell(PhaseLogs):
 
     # -- serving ------------------------------------------------------------
 
-    def serve(self, r: PointId) -> StepReport:
+    def serve(self, r: PointId) -> int:
         self.metric.check_point(r)
         if r not in self.dec.block_of:
             raise ValueError(f"request {r} outside this decomposition")
-        s = self.dec.block_of[r]
-        rep = StepReport(block=s)
-        self._serve_once(r, s, rep, replay=False)
+        before = self.total_inner + self.total_jump
+        self._serve_once(r, self.dec.block_of[r], replay=False)
         if sum(self._counts) != self.k:
             raise ShellInvariantError("server count not conserved")
-        self.total_inner += rep.inner_cost
-        self.total_jump += rep.jump_cost
-        return rep
+        return self.total_inner + self.total_jump - before
 
-    def _serve_once(self, r: PointId, s: int, rep: StepReport, replay: bool) -> None:
+    def _serve_once(self, r: PointId, s: int, replay: bool) -> None:
         self.phase_logs[-1].append(r)
         prev_peak = self._peak_demand[s]
         tracker = self._trackers[s]
@@ -254,12 +224,11 @@ class BlockShell(PhaseLogs):
         tracker.push(r)
         peak = max(prev_peak, tracker.demand())
         self._peak_demand[s] = peak
-        self._last_push = (s, prev_peak)
 
         count = self._counts[s]
         if peak <= count:
             cost = self._sub_serve(s, r)
-            rep.inner_cost += cost
+            self.total_inner += cost
             self._emit("serve", block=s, point=r, cost=cost)
             if peak == count:
                 self._mark(s)
@@ -272,9 +241,8 @@ class BlockShell(PhaseLogs):
             if not donors:
                 if replay:
                     raise ShellInvariantError("phase ended twice for a single request")
-                self._end_phase(r, s)
-                rep.phase_ended = True
-                self._serve_once(r, self.dec.block_of[r], rep, replay=True)
+                self._end_phase(r, s, prev_peak)
+                self._serve_once(r, s, replay=True)
                 return
             b = self._choice(donors)
             src = self._choice(sorted(self.positions & self._block_sets[b]))
@@ -289,12 +257,10 @@ class BlockShell(PhaseLogs):
             self.positions.add(dst)
             self._counts[b] -= 1
             self._counts[s] += 1
-            jump = Jump(self.phase, b, s, src, dst)
             self._current_phase_jumps += 1
-            rep.jumps.append(jump)
             # a cross-block distance, which the decomposition pins to Delta
             cost = self.metric.dist[src][dst]
-            rep.jump_cost += cost
+            self.total_jump += cost
             self._emit("jump", from_block=b, to_block=s, src=src, dst=dst, cost=cost)
             if self._counts[b] == self._peak_demand[b]:
                 self._mark(b)
@@ -303,12 +269,12 @@ class BlockShell(PhaseLogs):
 
     # -- phase boundary -----------------------------------------------------
 
-    def _end_phase(self, trigger: PointId, s: int) -> None:
-        # the triggering request belongs to the next phase
+    def _end_phase(self, trigger: PointId, s: int, prev_peak: int) -> None:
+        """End the phase on `trigger`, a request to block s whose peak demand
+        was `prev_peak` before it; the request belongs to the next phase."""
         self.phase_logs[-1].pop()
-        assert self._last_push is not None and self._last_push[0] == s
         peak_without = list(self._peak_demand)
-        peak_without[s] = self._last_push[1]
+        peak_without[s] = prev_peak
         peak_plus = list(self._peak_demand)
         self._check_sandwich(peak_without, peak_plus)
 
@@ -323,7 +289,6 @@ class BlockShell(PhaseLogs):
         self._marked = [c == 0 for c in self._counts]
         self._trackers = [None] * self.t
         self._peak_demand = [0] * self.t
-        self._last_push = None
         for b in range(self.t):
             self._reset_sub(b)
             if self._marked[b]:
@@ -346,16 +311,6 @@ class BlockShell(PhaseLogs):
             raise ShellInvariantError(
                 f"phase {self.phase}: {exceptions} blocks broke the count/demand equality"
             )
-
-    # -- reporting ----------------------------------------------------------
-
-    def mp_trace(self) -> list[PhaseStats]:
-        """Gain and jump count for every completed phase."""
-        out = []
-        for p in range(1, len(self.dhat)):
-            gain = sum(max(0, self.dhat[p][s] - self.dhat[p - 1][s]) for s in range(self.t))
-            out.append(PhaseStats(phase=p, gain=gain, jumps=self.phase_jump_counts[p - 1]))
-        return out
 
 
 # -- recursive construction over separation trees ---------------------------
@@ -398,7 +353,7 @@ class ShellSubroutine:
     def serve(self, r: PointId) -> int:
         if self.shell is None:
             raise RuntimeError("subtree holds no servers; caller must jump one in first")
-        return self.shell.serve(r).total
+        return self.shell.serve(r)
 
     @property
     def config(self) -> frozenset:

@@ -133,7 +133,7 @@ def check_lower_bound_mp(record: RunRecord) -> CheckReport:
     """Whole-run optimum is at least Delta/6 times the settled-server sum
     over phases after the first."""
     lhs = _opt(record, record.sequence)
-    tail_gain = sum(s.gain for s in record.phase_stats if s.phase > 1)
+    tail_gain = sum(record.phase_gains()[1:])
     rhs = Fraction(1, 6) * record.dec.Delta * tail_gain
     return CheckReport(
         name="lower_bound_mp", phase=None, lhs=lhs, rhs=rhs,
@@ -188,10 +188,11 @@ def check_ama_bound(records: Sequence[RunRecord], k: int,
     dec = records[0].dec
     delta = float(dec.Delta)
     aligned = min(rec.completed_phases for rec in records)
+    gains_by_record = [rec.phase_gains() for rec in records]
     out = []
     for p in range(1, aligned + 1):
         jump_costs = [delta * rec.phase_jump_counts[p - 1] for rec in records]
-        gains = [next(s.gain for s in rec.phase_stats if s.phase == p) for rec in records]
+        gains = [g[p - 1] for g in gains_by_record]
         mean_cost, stderr = _mean_stderr(jump_costs)
         mean_gain = sum(gains) / len(gains)
         bound = math.log(k) * delta * mean_gain

@@ -105,6 +105,16 @@ class TestParsers:
         with pytest.raises(ParseError, match=r"cfg\.txt:3: .*distinct.*point 0"):
             load_configuration(str(p), 3)
 
+    @pytest.mark.parametrize("text, line, message", [
+        ("3\n1 0\n1\n", 2, r"dist\(0,2\) = 0, must be positive"),
+        ("3\n1 1\n# note\n-1\n", 4, r"dist\(1,2\) = -1, must be positive"),
+    ])
+    def test_metric_nonpositive_distance_names_its_line(self, tmp_path, text, line, message):
+        p = tmp_path / "m.txt"
+        p.write_text(text)
+        with pytest.raises(ParseError, match=rf"m\.txt:{line}: {message}"):
+            load_metric(str(p))
+
     @pytest.mark.parametrize("text, line, field", [
         ("mu 3\nbranching 2 2\nmu 5\nbranching 3\n", 3, "mu"),
         ("branching 2 2\nmu 3\n# note\nbranching 3\n", 4, "branching"),
@@ -360,6 +370,19 @@ class TestCli:
                    "--requests", str(workdir / "reqs.txt")])
         assert rc == 0
         assert "cost 3" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("config", [{"command": "verify"}, {"command": "nope"},
+                                        {"config": "x.json", "__class__": 1}])
+    def test_config_keys_outside_the_subcommand_change_nothing(self, workdir, capsys,
+                                                               config):
+        args = ["run", "--hst", str(workdir / "tree.txt"), "--k", "2",
+                "--gen", "uniform_random", "--length", "20"]
+        rc = main(args)
+        plain = capsys.readouterr().out
+        cfg = workdir / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        assert main(["--config", str(cfg)] + args) == rc == 0
+        assert capsys.readouterr().out == plain
 
     def test_config_integer_error_names_the_flag(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

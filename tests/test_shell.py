@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from ksim.generators import GeneratorSpec, generate
+from ksim.harness import default_initial, reports_to_csv, run_shell, run_trials
 from ksim.marking import Marking, marking_f
 from ksim.metric import Decomposition, FiniteMetric, build_hst, decompose
 from ksim.offline import DemandTracker, UniformDemandTracker
@@ -19,6 +20,12 @@ def two_block_shell(seed=42, events=None):
     dec = decompose(space, 0)
     sink = events.append if events is not None else None
     return BlockShell(NodePlan(dec), 2, {0, 1}, seed=seed, event_sink=sink)
+
+
+def event_fields(lines, kind):
+    """The fields of every event line of one kind, as strings."""
+    return [dict(f.split("=", 1) for f in line.split("\t")[1:])
+            for line in lines if line.split("\t", 1)[0] == kind]
 
 
 class TestConstruction:
@@ -72,21 +79,24 @@ class TestTracedTwoBlockRun:
     """Hand-traced run on two blocks with Delta=6, servers starting in block 0."""
 
     def test_first_request_into_empty_block_jumps(self):
-        sh = two_block_shell()
-        rep = sh.serve(2)
-        assert rep.jump_cost == 6
-        assert rep.inner_cost == 0
-        assert len(rep.jumps) == 1
-        assert rep.jumps[0].to_block == 1
-        assert rep.jumps[0].dst == 2
+        events = []
+        sh = two_block_shell(events=events)
+        assert sh.serve(2) == 6
+        assert sh.total_jump == 6
+        assert sh.total_inner == 0
+        jumps = event_fields(events, "jump")
+        assert len(jumps) == 1
+        assert jumps[0]["to_block"] == "1"
+        assert jumps[0]["dst"] == "2"
         assert sh.server_count(0) == 1 and sh.server_count(1) == 1
 
     def test_donor_server_is_uniform(self):
         counts = Counter()
         for seed in range(2000):
             sh = two_block_shell(seed=seed)
-            rep = sh.serve(2)
-            counts[rep.jumps[0].src] += 1
+            sh.serve(2)
+            (src,) = {0, 1} - sh.positions  # the one server that jumped out
+            counts[src] += 1
         assert set(counts) == {0, 1}
         assert 800 < counts[0] < 1200
 
@@ -97,18 +107,15 @@ class TestTracedTwoBlockRun:
         sh.serve(survivor)           # demand 1 == count 1: marks block 0
         assert sh.is_marked(0) and sh.is_marked(1)
         for r in [3, 2, 3]:
-            rep = sh.serve(r)
-            assert not rep.phase_ended
+            sh.serve(r)
+            assert sh.phase == 1 and sh.triggers == []
         # fifth block-1 request pushes its demand to 2 with no donor left
-        rep = sh.serve(2)
-        assert rep.phase_ended
+        sh.serve(2)
         assert sh.phase == 2
         assert sh.triggers == [2]
         assert sh.dhat == [[2, 0], [1, 1]]
-        trace = sh.mp_trace()
-        assert len(trace) == 1
-        assert trace[0].gain == 1
-        assert trace[0].jumps == 1
+        assert sh.phase_gains() == [1]
+        assert sh.phase_jump_counts == [1]
         # the trigger replays as the first request of phase 2
         assert sh.phase_logs[1] == [2]
 
@@ -132,11 +139,18 @@ class TestInvariants:
         gen = GeneratorSpec("block_sweep", 50, seed=3, params={"width": 3, "passes": 3})
         seq = generate(gen, space)
         for seed in range(30):
-            sh = BlockShell(NodePlan(dec), 3, {0, 1, 2}, seed=seed)
+            events = []
+            sh = BlockShell(NodePlan(dec), 3, {0, 1, 2}, seed=seed, event_sink=events.append)
             for r in seq:
-                rep = sh.serve(r)
+                inner, jump = sh.total_inner, sh.total_jump
+                events.clear()
+                cost = sh.serve(r)
                 assert sum(sh.server_count(b) for b in range(dec.t)) == 3
-                assert rep.jump_cost == dec.Delta * len(rep.jumps)
+                assert cost == sh.total_inner - inner + sh.total_jump - jump
+                jumps = event_fields(events, "jump")
+                assert all(Fraction(j["cost"]) * dec.metric.scale == dec.price
+                           for j in jumps)
+                assert sh.total_jump - jump == dec.price * len(jumps)
                 assert len(sh.positions) == 3
 
     def test_empty_blocks_are_marked_throughout(self):
@@ -313,3 +327,60 @@ class TestHstAlgorithm:
             algo = build_hst_algorithm(space, 2, {0, 1}, seed=seed)
             streams.add(tuple(algo.serve(r) for r in seq))
         assert len(streams) > 1
+
+
+class TestServeContract:
+    """A shell serves like any subroutine: `serve` returns that request's
+    cost as an int in the metric's unit, the sum of its event costs."""
+
+    # the inputs of the pinned `ksim run --k 3 --gen uniform_random
+    # --length 80 --seed 7` runs whose event logs are in tests/golden
+    k, seed = 3, 7
+
+    def pinned(self, branching):
+        space = build_hst(branching, 3)
+        return space, GeneratorSpec("uniform_random", 80, seed=self.seed ^ 0x5EED)
+
+    @pytest.mark.parametrize("branching", [[2, 2, 3], [3, 3, 3]])
+    def test_serve_returns_the_cost_of_its_events(self, branching):
+        space, spec = self.pinned(branching)
+        k, seed = self.k, self.seed
+        seq = generate(spec, space)
+        init = default_initial(k)
+        events = []
+        algo = build_hst_algorithm(space, k, init, seed, event_sink=events.append)
+        twin = build_hst_algorithm(space, k, init, seed)  # the same random stream
+        scale = space.leaf_metric.scale
+        for r in seq:
+            events.clear()
+            cost = twin.shell.serve(r)
+            assert type(cost) is int
+            assert algo.serve(r) == cost
+            logged = [Fraction(f["cost"]) for kind in ("serve", "jump")
+                      for f in event_fields(events, kind)]
+            assert Fraction(cost, scale) == sum(logged)
+
+    @pytest.mark.parametrize("branching", [[2, 2, 3], [3, 3, 3]])
+    def test_phase_gains_sum_to_the_csv_m_sum(self, branching):
+        space, spec = self.pinned(branching)
+        k, seed = self.k, self.seed
+        events = []
+        rec = run_shell(tree_plan(space), k, default_initial(k), generate(spec, space),
+                        seed, event_sink=events.append)
+        csv = reports_to_csv(run_trials(space, k, "algox", spec, 1, seed))
+        assert csv.split("\n")[1].split(",")[-1] == str(sum(rec.phase_gains()))
+        # the gains again, from the block counts the jump lines move
+        start = list(rec.dhat[0])
+        counts = list(start)
+        gains = []
+        for line in events:
+            kind = line.split("\t", 1)[0]
+            if kind == "jump":
+                (fields,) = event_fields([line], kind)
+                counts[int(fields["from_block"])] -= 1
+                counts[int(fields["to_block"])] += 1
+            elif kind == "phase_end":
+                gains.append(sum(max(0, c - b) for b, c in zip(start, counts)))
+                start = list(counts)
+        assert gains == rec.phase_gains()
+        assert len(gains) == rec.completed_phases > 0
