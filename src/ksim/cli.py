@@ -1,9 +1,12 @@
 """Command-line front end.
 
 Subcommands: opt, demand, run, bench, verify, probe-demand.  A JSON config
-file may supply any long-option value under its flag name (dashes or
-underscores); explicit flags win.  Exit codes: 0 all good, 2 a verification
-check failed, 1 usage or file errors.
+file may supply any long-option value of the chosen subcommand under its
+flag name (dashes or underscores).  Each value becomes that flag's text (a
+JSON string as it is, anything else as its JSON text, `null` as absent) and
+is parsed ahead of the command line's own flags, so it passes the same type
+and choice checks and explicit flags win.  Exit codes: 0 all good, 2 a
+verification check failed, 1 usage or file errors.
 """
 
 from __future__ import annotations
@@ -11,13 +14,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 
 from . import __version__
 from .files import (ParseError, load_configuration, load_hst, load_metric, load_requests,
                     parse_rational)
 from .generators import parse_generator
-from .harness import probe_demand_monotonicity, render_rational, reports_to_csv, run_trials
+from .harness import (OPT_STATE_GUARD, probe_demand_monotonicity, render_rational,
+                      reports_to_csv, run_trials, solver_guard_ok)
 from .metric import build_uniform
 from .offline import demand as demand_op, opt_cost
 from .verify import checks_to_csv, run_ama_suite, run_contract_suite, run_lower_bound_suite
@@ -43,7 +46,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 # options a command cannot run without; enforced after the config file is
-# merged, so the config may supply them and explicit flags still win
+# merged, so the config may supply them
 _REQUIRED = {
     "opt": ("metric", "servers", "requests"),
     "demand": ("metric", "delta", "requests"),
@@ -54,6 +57,20 @@ _REQUIRED = {
 }
 
 
+def _integer(text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text}") from None
+
+
+def _rational(text: str):
+    try:
+        return parse_rational(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="ksim")
     parser.add_argument("--version", action="version", version=f"ksim {__version__}")
@@ -62,53 +79,53 @@ def _build_parser() -> _Parser:
 
     p_opt = sub.add_parser("opt", help="offline optimum for a request file")
     p_opt.add_argument("--metric")
-    p_opt.add_argument("--servers", type=int)
+    p_opt.add_argument("--servers", type=_integer)
     p_opt.add_argument("--requests")
     p_opt.add_argument("--initial", help="file with the fixed starting configuration")
 
     p_dem = sub.add_parser("demand", help="block demand of a request file")
     p_dem.add_argument("--metric")
-    p_dem.add_argument("--delta", help="separation cost, integer or p/q")
+    p_dem.add_argument("--delta", type=_rational, help="separation cost, integer or p/q")
     p_dem.add_argument("--requests")
 
     p_run = sub.add_parser("run", help="one seeded online run")
     p_run.add_argument("--hst")
-    p_run.add_argument("--k", type=int)
+    p_run.add_argument("--k", type=_integer)
     p_run.add_argument("--algo", choices=["marking", "algox"], default="algox")
     p_run.add_argument("--gen", help="kind[:key=value,...]")
-    p_run.add_argument("--seed", type=int, default=0)
-    p_run.add_argument("--length", type=int, default=50)
+    p_run.add_argument("--seed", type=_integer, default=0)
+    p_run.add_argument("--length", type=_integer, default=50)
     p_run.add_argument("--events", help="write the event log here (algox only)")
 
     p_bench = sub.add_parser("bench", help="seeded trial batch, CSV out")
     p_bench.add_argument("--hst")
-    p_bench.add_argument("--k", type=int)
+    p_bench.add_argument("--k", type=_integer)
     p_bench.add_argument("--algo", choices=["marking", "algox"], default="algox")
     p_bench.add_argument("--gen", default="uniform_random")
-    p_bench.add_argument("--trials", type=int)
-    p_bench.add_argument("--seed", type=int, default=0)
-    p_bench.add_argument("--length", type=int, default=50)
+    p_bench.add_argument("--trials", type=_integer)
+    p_bench.add_argument("--seed", type=_integer, default=0)
+    p_bench.add_argument("--length", type=_integer, default=50)
     p_bench.add_argument("--out")
 
     p_ver = sub.add_parser("verify", help="run a verification suite")
     p_ver.add_argument("--suite", choices=["all", "ama", "lower", "contract"],
                        default="all")
-    p_ver.add_argument("--runs", type=int, default=20,
+    p_ver.add_argument("--runs", type=_integer, default=20,
                        help="runs per desk instance for the lower-bound suite")
-    p_ver.add_argument("--seeds", type=int, default=2000,
+    p_ver.add_argument("--seeds", type=_integer, default=2000,
                        help="seed count for the expectation suites")
-    p_ver.add_argument("--seed", type=int, default=0)
+    p_ver.add_argument("--seed", type=_integer, default=0)
     p_ver.add_argument("--out", help="write check reports as CSV here")
 
     p_probe = sub.add_parser("probe-demand", help="prefix-demand step behaviour")
-    p_probe.add_argument("--points", type=int, default=3)
-    p_probe.add_argument("--d", default="1", help="uniform block distance")
-    p_probe.add_argument("--delta")
-    p_probe.add_argument("--max-len", type=int, default=6)
+    p_probe.add_argument("--points", type=_integer, default=3)
+    p_probe.add_argument("--d", type=_rational, default="1", help="uniform block distance")
+    p_probe.add_argument("--delta", type=_rational)
+    p_probe.add_argument("--max-len", type=_integer, default=6)
     return parser
 
 
-def _apply_config(parser: _Parser, argv: list[str]) -> argparse.Namespace:
+def _parse_args(parser: _Parser, argv: list[str]) -> argparse.Namespace:
     args = parser.parse_args(argv)
     if not args.config:
         return args
@@ -119,16 +136,21 @@ def _apply_config(parser: _Parser, argv: list[str]) -> argparse.Namespace:
         raise CliError(f"config file: {exc}")
     if not isinstance(defaults, dict):
         raise CliError("config file must hold a JSON object")
-    explicit = {a.lstrip("-").split("=")[0].replace("-", "_") for a in argv
-                if a.startswith("--")}
     # the namespace holds the subcommand's options plus the top-level
     # `command` and `config`, which a config file must not set
     options = set(vars(args)) - {"command", "config"}
+    tokens = []
     for key, value in defaults.items():
         attr = key.replace("-", "_")
-        if attr in options and attr not in explicit:
-            setattr(args, attr, value)
-    return args
+        if attr in options and value is not None:
+            text = value if isinstance(value, str) else json.dumps(value)
+            tokens.append(f"--{attr.replace('_', '-')}={text}")
+    # before the subcommand stand only --config options, each one token
+    # (--config=FILE) or two; the flags after it are parsed later, so they win
+    i = 0
+    while argv[i] != args.command:
+        i += 1 if "=" in argv[i] else 2
+    return parser.parse_args(argv[:i + 1] + tokens + argv[i + 1:])
 
 
 def _check_required(args) -> None:
@@ -139,34 +161,16 @@ def _check_required(args) -> None:
                        + ", ".join(f"--{m}" for m in missing))
 
 
-def _rational_option(args, name: str) -> Fraction:
-    # str(): a config file may give the value as a JSON number
-    try:
-        return parse_rational(str(getattr(args, name)))
-    except ValueError as exc:
-        raise CliError(f"--{name}: {exc}") from None
-
-
-def _int_option(args, name: str) -> int:
-    # a config file gives JSON scalars; int() alone would truncate 1.9 and
-    # read true as 1
-    value = getattr(args, name)
-    if isinstance(value, str):
-        try:
-            return int(value)
-        except ValueError:
-            pass
-    elif isinstance(value, int) and not isinstance(value, bool):
-        return value
-    raise CliError(f"--{name.replace('_', '-')}: expected an integer, got {json.dumps(value)}")
-
-
 def _cmd_opt(args) -> int:
     metric = load_metric(args.metric)
     rho = load_requests(args.requests, metric.n)
     initial = None
     if args.initial:
         initial = load_configuration(args.initial, metric.n)
+    # a negative count is left to opt_cost's own range error
+    if args.servers >= 0 and not solver_guard_ok(metric.n, args.servers, len(rho)):
+        raise CliError(f"opt: {metric.n} points, {args.servers} servers and {len(rho)} "
+                       f"requests are beyond the solver's size limit")
     result = opt_cost(metric, args.servers, rho, initial=initial)
     print(f"cost {render_rational(result.cost)}")
     if result.config is not None:
@@ -177,8 +181,11 @@ def _cmd_opt(args) -> int:
 def _cmd_demand(args) -> int:
     metric = load_metric(args.metric)
     rho = load_requests(args.requests, metric.n)
-    delta = _rational_option(args, "delta")
-    print(f"demand {demand_op(metric, delta, rho)}")
+    distinct = len(set(rho))
+    if 2 ** distinct * len(rho) > OPT_STATE_GUARD:
+        raise CliError(f"demand: {distinct} distinct points and {len(rho)} requests are "
+                       f"beyond the solver's size limit")
+    print(f"demand {demand_op(metric, args.delta, rho)}")
     return 0
 
 
@@ -255,15 +262,14 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_probe(args) -> int:
-    metric = build_uniform(args.points, _rational_option(args, "d"))
+    metric = build_uniform(args.points, args.d)
     pushes = 0
     for length in range(1, args.max_len + 1):
         pushes += length * args.points ** length
         if pushes > PROBE_MAX_PUSHES:
             raise CliError(f"--max-len {args.max_len} over {args.points} points pushes "
                            f"more than {PROBE_MAX_PUSHES} prefixes; lower --max-len")
-    summary = probe_demand_monotonicity(metric, _rational_option(args, "delta"),
-                                        max_len=args.max_len)
+    summary = probe_demand_monotonicity(metric, args.delta, max_len=args.max_len)
     print(f"sequences {summary.sequences}")
     print(f"prefixes {summary.prefixes}")
     print(f"decreases {summary.decreases}")
@@ -286,17 +292,10 @@ def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = _build_parser()
     try:
-        args = _apply_config(parser, argv)
+        args = _parse_args(parser, argv)
         _check_required(args)
-        for attr in ("servers", "k", "trials", "seed", "length", "runs",
-                     "seeds", "points", "max_len"):
-            if getattr(args, attr, None) is not None:
-                setattr(args, attr, _int_option(args, attr))
         return _COMMANDS[args.command](args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
-    except (ParseError, OSError, ValueError, TypeError) as exc:
+    except (CliError, ParseError, OSError, ValueError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
 

@@ -47,7 +47,6 @@ class RunRecord(PhaseLogs):
     """Everything a verification check needs to replay one shell run."""
     dec: Decomposition
     k: int
-    initial: frozenset
     sequence: list
     seed: int
     phase_logs: list       # per phase, global request order (last = unfinished)
@@ -80,13 +79,12 @@ def run_shell(plan: NodePlan, k: int, initial: Iterable[PointId],
               sequence: Sequence[PointId], seed: int,
               event_sink: Optional[Callable[[str], None]] = None) -> RunRecord:
     """One seeded shell run over a fixed sequence, with verification records."""
-    init = frozenset(initial)
-    shell = BlockShell(plan, k, init, seed=seed, event_sink=event_sink)
+    shell = BlockShell(plan, k, initial, seed=seed, event_sink=event_sink)
     for r in sequence:
         shell.serve(r)
     scale = plan.dec.metric.scale
     return RunRecord(
-        dec=plan.dec, k=k, initial=init, sequence=list(sequence), seed=seed,
+        dec=plan.dec, k=k, sequence=list(sequence), seed=seed,
         phase_logs=shell.phase_logs,
         triggers=shell.triggers,
         dhat=shell.dhat,

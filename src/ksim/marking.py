@@ -69,12 +69,8 @@ class Marking:
 
     def __init__(self, metric: FiniteMetric, initial: Iterable[PointId], seed: int,
                  points: Optional[Sequence[PointId]] = None):
-        universe = Universe(metric, points)
-        init = frozenset(initial)
-        if not init <= universe.point_set:
-            raise ValueError("initial configuration must lie inside the space")
-        self._start(universe, seed)
-        self.reset(init)
+        self._start(Universe(metric, points), seed)
+        self.reset(initial)
 
     @classmethod
     def on(cls, universe: Universe, seed: int) -> "Marking":

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -7,12 +8,47 @@ from pathlib import Path
 import pytest
 
 import ksim
+from ksim import cli
 from ksim.cli import main
 from ksim.files import (ParseError, load_configuration, load_hst, load_metric,
                         load_requests)
 from ksim.verify import CheckReport
 
 GOLDEN = Path(__file__).parent / "golden"
+
+
+def _ksim(cwd, *args):
+    src = Path(ksim.__file__).resolve().parents[1]
+    return subprocess.run([sys.executable, "-m", "ksim.cli", *args], cwd=cwd,
+                          capture_output=True, text=True, timeout=60,
+                          env={**os.environ, "PYTHONPATH": str(src)})
+
+
+def _uniform_metric(path, n):
+    path.write_text(f"{n}\n" + "".join(" ".join(["1"] * (n - 1 - i)) + "\n"
+                                       for i in range(n - 1)))
+    return str(path)
+
+
+def _long_options():
+    """(subcommand, long option action) for every option but --help."""
+    [sub] = [a for a in cli._build_parser()._actions
+             if isinstance(a, argparse._SubParsersAction)]
+    return [(name, action) for name, parser in sub.choices.items()
+            for action in parser._actions
+            if action.option_strings and not isinstance(action, argparse._HelpAction)]
+
+
+def _sample(action):
+    """A valid value other than the default: (flag text, JSON config value)."""
+    if action.choices:
+        value = next(c for c in action.choices if c != action.default)
+        return value, value
+    if action.type is cli._integer:
+        return "7", 7
+    if action.type is cli._rational:
+        return "5/2", "5/2"
+    return "x.txt", "x.txt"
 
 
 @pytest.fixture
@@ -390,3 +426,82 @@ class TestCli:
         rc = main(["--config", str(cfg), "probe-demand", "--delta", "2"])
         assert rc == 1
         assert "--max-len: expected an integer, got 2.5" in capsys.readouterr().err
+
+    RUN = ["run", "--hst", "tree.txt", "--k", "2", "--gen", "uniform_random", "--length", "20"]
+
+    # a config value passes its flag's choice check (suite), loses to an
+    # abbreviated flag (max-len), is text even when a JSON number (gen, out)
+    # and is absent when null; `expected` None means the stdout of the same
+    # run without the config file
+    @pytest.mark.parametrize("config, argv, rc, expected, written", [
+        ({"suite": "nope"}, ["verify", "--runs", "1", "--seeds", "1"], 1, "", []),
+        ({"max-len": 1}, ["probe-demand", "--delta", "2", "--max", "3"], 0,
+         "sequences 39\nprefixes 102\ndecreases 0\nmax_step 1\n"
+         "no decrease and max step 1 at this scale\n", []),
+        ({"gen": 5}, ["run", "--hst", "tree.txt", "--k", "2"], 1, "", []),
+        ({"out": 1}, ["bench", "--hst", "tree.txt", "--k", "2", "--trials", "2"], 0,
+         "wrote 2 trials to 1\n", ["1"]),
+        ({"seed": None}, RUN, 0, None, []),
+        ({"events": None}, RUN, 0, None, []),
+    ], ids=["suite", "abbreviated-flag", "gen", "out", "seed-null", "events-null"])
+    def test_config_values_parse_like_flags(self, tmp_path, config, argv, rc, expected,
+                                           written):
+        (tmp_path / "tree.txt").write_text("mu 3\nbranching 3 4\n")
+        (tmp_path / "cfg.json").write_text(json.dumps(config))
+        proc = _ksim(tmp_path, "--config", "cfg.json", *argv)
+        assert proc.returncode == rc
+        assert "Traceback" not in proc.stderr
+        if rc:
+            assert proc.stderr.splitlines()[-1].startswith("error: ")
+        if expected is None:
+            expected = _ksim(tmp_path, *argv).stdout
+        assert proc.stdout == expected
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+            ["cfg.json", "tree.txt"] + written)
+        if written:
+            assert (tmp_path / "1").read_text().startswith("seed,total,")
+
+    @pytest.mark.parametrize("command, action", _long_options(),
+                             ids=lambda x: x if isinstance(x, str) else x.option_strings[0])
+    def test_config_key_parses_like_its_flag(self, tmp_path, command, action):
+        parser = cli._build_parser()
+        flag = action.option_strings[0]
+        text, value = _sample(action)
+        by_flag = vars(cli._parse_args(parser, [command, flag, text]))
+        assert by_flag.pop("config") is None
+        assert by_flag[action.dest] != action.default
+        for key in (flag[2:], flag[2:].replace("-", "_")):
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({key: value}))
+            by_config = vars(cli._parse_args(parser, ["--config", str(cfg), command]))
+            assert by_config.pop("config") == str(cfg)
+            assert by_config == by_flag
+
+    def test_solvers_refuse_oversized_inputs(self, workdir, capsys, monkeypatch):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solver started")
+        monkeypatch.setattr("ksim.cli.opt_cost", no_solve)
+        monkeypatch.setattr("ksim.cli.demand_op", no_solve)
+        reqs = workdir / "r.txt"
+        # C(22, 7) * 44 * 7 is about 10.5 times the guard
+        reqs.write_text(" ".join(str(i % 22) for i in range(44)))
+        rc = main(["opt", "--metric", _uniform_metric(workdir / "u22.txt", 22),
+                   "--servers", "7", "--requests", str(reqs)])
+        assert rc == 1
+        assert "22 points, 7 servers and 44 requests" in capsys.readouterr().err
+        # 2**18 * 36 is about 1.9 times the guard
+        reqs.write_text(" ".join(str(i % 18) for i in range(36)))
+        rc = main(["demand", "--metric", _uniform_metric(workdir / "u18.txt", 18),
+                   "--delta", "1", "--requests", str(reqs)])
+        assert rc == 1
+        assert "18 distinct points and 36 requests" in capsys.readouterr().err
+        # 2**17 * 38 is just within it: the solver is reached
+        monkeypatch.setattr("ksim.cli.demand_op", lambda *args: 5)
+        reqs.write_text(" ".join(str(i % 17) for i in range(38)))
+        assert main(["demand", "--metric", str(workdir / "u18.txt"), "--delta", "1",
+                     "--requests", str(reqs)]) == 0
+        assert capsys.readouterr().out == "demand 5\n"
+        monkeypatch.undo()
+        for argv in (["opt", "--servers", "1"], ["demand", "--delta", "2"]):
+            assert main(argv + ["--metric", str(workdir / "uniform3.txt"),
+                                "--requests", str(workdir / "reqs.txt")]) == 0
