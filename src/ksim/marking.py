@@ -84,7 +84,10 @@ class Marking:
         self.universe = universe
         self._point_set = universe.point_set
         self.d = universe.d
-        self.rng = random.Random(seed)
+        # most instances on a nested tree never evict, so the stream is
+        # seeded on the first eviction; the draws are the same either way
+        self._seed = seed
+        self._rng: Optional[random.Random] = None
 
     @property
     def config(self) -> frozenset:
@@ -112,7 +115,10 @@ class Marking:
             self.marked = set()
             self.phase_count += 1
         pool = sorted(self.positions - self.marked)
-        victim = self.rng.choice(pool)
+        rng = self._rng
+        if rng is None:
+            rng = self._rng = random.Random(self._seed)
+        victim = rng.choice(pool)
         self.positions.discard(victim)
         self.positions.add(r)
         self.marked.add(r)

@@ -31,10 +31,13 @@ class FiniteMetric:
 
     `dist[p][q]` is `scale` times the distance from p to q, an integer, with
     `scale` the lcm of the distance denominators; `Fraction(v, scale)` turns
-    a value in this unit back into a distance.  Construction validates the
-    metric axioms on the table, including the triangle inequality over all
-    triples (intended for desk-scale spaces, n <= 200).  Instances are
-    immutable after construction and safe to share.
+    a value in this unit back into a distance.  `FiniteMetric(rows)`
+    validates the metric axioms on the table, including the triangle
+    inequality over all triples (O(n^3)); it is the constructor for tables
+    that come from outside, such as files.  `_trusted(dist, scale)` skips the
+    checks and serves only builders whose tables are metrics by construction
+    (`build_uniform`, `build_hst`).  Instances are immutable after
+    construction and safe to share.
     """
 
     __slots__ = ("n", "scale", "dist")
@@ -69,6 +72,19 @@ class FiniteMetric:
                         f"triangle inequality fails on ({i},{j},{k}): "
                         f"{frac(ti[k])} > {frac(ti[j])} + {frac(tj[k])}"
                     )
+
+    @classmethod
+    def _trusted(cls, dist: tuple[tuple[int, ...], ...], scale: int) -> "FiniteMetric":
+        """A metric on a finished table, unchecked.  The caller guarantees what
+        `__init__` would check and compute: `dist` is a square tuple of int
+        tuples satisfying the metric axioms, and `scale` is the lcm of the
+        denominators of the distances it stands for, so that the table and the
+        scale equal those of `FiniteMetric` on the same distances."""
+        self = cls.__new__(cls)
+        self.n = len(dist)
+        self.scale = scale
+        self.dist = dist
+        return self
 
     def _fraction(self, value: int) -> Fraction:
         return Fraction(value, self.scale)
@@ -128,8 +144,14 @@ def build_uniform(n: int, d) -> FiniteMetric:
     d = as_fraction(d)
     if d <= 0:
         raise ValueError("d must be positive")
-    rows = [[0 if i == j else d for j in range(n)] for i in range(n)]
-    return FiniteMetric(rows)
+    # a single point has no distance but 0, so its scale is 1
+    scale = d.denominator if n > 1 else 1
+    rows = []
+    for i in range(n):
+        row = [d.numerator] * n
+        row[i] = 0
+        rows.append(tuple(row))
+    return FiniteMetric._trusted(tuple(rows), scale)
 
 
 class HstSpace:
@@ -221,8 +243,29 @@ class HstSpace:
         return self._lca_distance[self._lca_depth(self.leaf_nodes[p], self.leaf_nodes[q])]
 
     def _build_leaf_metric(self) -> FiniteMetric:
+        # Leaves are numbered breadth-first, so the leaves under a depth-j node
+        # form one index range of prod(branching[j:]) entries, all at the
+        # distance of LCA depth j from each other unless a deeper node holds
+        # them too.  Only depths with two or more children are the LCA of a
+        # leaf pair; they alone enter the table and its scale.
         n = self.n_leaves
-        return FiniteMetric([[self.leaf_distance(p, q) for q in range(n)] for p in range(n)])
+        depths = [j for j, b in enumerate(self.branching) if b > 1]
+        scale = math.lcm(*(self._lca_distance[j].denominator for j in depths))
+        fills = []
+        for j in depths:
+            size = math.prod(self.branching[j:])
+            value = self._lca_distance[j] * scale
+            assert value.denominator == 1
+            fills.append((size, [value.numerator] * size))
+        rows = []
+        for p in range(n):
+            row = [0] * n
+            for size, fill in fills:
+                lo = p - p % size
+                row[lo:lo + size] = fill
+            row[p] = 0
+            rows.append(tuple(row))
+        return FiniteMetric._trusted(tuple(rows), scale)
 
 
 def build_hst(branching: Sequence[int], mu) -> HstSpace:

@@ -1,3 +1,4 @@
+import random
 from collections import Counter
 from fractions import Fraction
 
@@ -56,6 +57,25 @@ class TestServe:
             counts[evicted] += 1
         assert set(counts) == {0, 1}
         assert 800 < counts[0] < 1200
+
+    def test_stream_is_seeded_on_first_eviction(self, monkeypatch):
+        made = []
+
+        class CountingRandom(random.Random):
+            def __init__(self, seed=None):
+                made.append(seed)
+                super().__init__(seed)
+
+        monkeypatch.setattr(random, "Random", CountingRandom)
+        st = Marking(build_uniform(4, 1), {0, 1, 2}, seed=7)
+        for r in (0, 1, 2, 1):
+            assert st.serve(r) == 0
+        assert made == []
+        # a new phase, then the first draw of the seed's own stream
+        assert st.serve(3) == 1
+        assert made == [7]
+        evicted = ({0, 1, 2} - st.positions).pop()
+        assert evicted == random.Random(7).choice([0, 1, 2])
 
     def test_cost_is_zero_or_d(self):
         st = Marking(build_uniform(4, 3), {0, 1}, seed=7)

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -119,6 +120,68 @@ class TestBuildHst:
             return
         space = build_hst(branching, mu)
         validate_hst(space)
+
+
+def _validated_leaf_metric(space):
+    """The leaf table through the checked constructor, from the per-pair
+    oracle `leaf_distance`."""
+    n = space.n_leaves
+    return FiniteMetric([[space.leaf_distance(p, q) for q in range(n)] for p in range(n)])
+
+
+def _validated_uniform(n, d):
+    return FiniteMetric([[0 if i == j else d for j in range(n)] for i in range(n)])
+
+
+class TestTrustedTables:
+    """`build_hst` and `build_uniform` skip the O(n^3) check; their tables and
+    scales must equal what the checked constructor makes of the same
+    distances."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(branching=st.lists(st.integers(1, 4), min_size=1, max_size=3)
+           .filter(lambda b: math.prod(b) <= 64),
+           mu_excess=st.fractions(min_value=Fraction(1, 6), max_value=8, max_denominator=6))
+    def test_hst_table_equals_validated(self, branching, mu_excess):
+        space = build_hst(branching, 1 + mu_excess)
+        ref = _validated_leaf_metric(space)
+        assert space.leaf_metric.dist == ref.dist
+        assert space.leaf_metric.scale == ref.scale
+        validate_hst(space)
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(1, 12),
+           d=st.fractions(min_value=Fraction(1, 9), max_value=20, max_denominator=9)
+           .filter(lambda d: d > 0))
+    def test_uniform_table_equals_validated(self, n, d):
+        m, ref = build_uniform(n, d), _validated_uniform(n, d)
+        assert (m.dist, m.scale) == (ref.dist, ref.scale)
+
+    def test_scale_ignores_depths_without_leaf_pairs(self):
+        # the root has one child, so no leaf pair has its LCA there: the
+        # distance 2 * (1 + 5/2 + 25/4) never occurs and leaves scale at 1
+        space = build_hst([1, 2, 2], Fraction(5, 2))
+        ref = _validated_leaf_metric(space)
+        assert (space.leaf_metric.dist, space.leaf_metric.scale) == (ref.dist, ref.scale)
+        assert space.leaf_metric.scale == 1
+        validate_hst(space)
+
+    def test_single_point_scale_is_one(self):
+        m = build_uniform(1, Fraction(3, 2))
+        assert (m.dist, m.scale) == (((0,),), 1)
+        ref = _validated_uniform(1, Fraction(3, 2))
+        assert (m.dist, m.scale) == (ref.dist, ref.scale)
+
+    def test_builders_skip_the_cubic_check(self, monkeypatch):
+        def refuse(self, rows):
+            raise AssertionError("FiniteMetric.__init__ called")
+        monkeypatch.setattr(FiniteMetric, "__init__", refuse)
+        space = build_hst([12, 12, 12], 12)
+        assert space.leaf_metric.n == 1728
+        assert space.leaf_metric.distance(0, 1727) == 2 * (1 + 12 + 144)
+        assert space.leaf_metric.distance(13, 14) == 2
+        uniform = build_uniform(800, 1)
+        assert uniform.n == 800 and uniform.distance(0, 799) == 1
 
 
 class TestDecompose:
