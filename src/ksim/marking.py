@@ -95,11 +95,11 @@ class Marking:
 
     def reset(self, config: Iterable[PointId]) -> None:
         """Restart from the given configuration: marks cleared, k = |config|."""
-        cfg = frozenset(config)
-        if not cfg <= self._point_set:
+        positions = set(config)
+        if not positions <= self._point_set:
             raise ValueError("configuration must lie inside the space")
-        self.positions = set(cfg)
-        self.k = len(cfg)
+        self.positions = positions
+        self.k = len(positions)
         self.marked = set()
         self.phase_count = 1
 

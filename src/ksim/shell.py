@@ -2,8 +2,9 @@
 
 The shell owns k servers on a decomposition with exact cross-block distance
 Delta.  Each nonempty block runs its own subroutine instance (marking, or a
-nested shell for deeper trees).  Per request it recomputes the target
-block's demand and peak demand for the current phase and then:
+nested shell for deeper trees).  Per request it reads the target block's
+demand for the current phase from the node plan's memo (computing it on a
+miss), updates the block's peak demand and then:
 
   * peak < servers in the block: forward to the block subroutine;
   * peak = servers: forward, then mark the block;
@@ -49,13 +50,23 @@ class Subroutine(Protocol):
 
 
 class NodePlan:
-    """What every shell at one tree node shares, fixed once built: the
-    decomposition, its blocks as sets, the distance inside each uniform block
-    in the metric's integer unit (None elsewhere), each block's subroutine
-    plan (a marking `Universe` or the child's `NodePlan`) and the competitive
-    function `f`.  `NodePlan(dec)` runs marking on every block."""
+    """What every shell at one tree node shares: the decomposition, its
+    blocks as sets, the distance inside each uniform block in the metric's
+    integer unit (None elsewhere), each block's subroutine plan (a marking
+    `Universe` or the child's `NodePlan`) and the competitive function `f`,
+    all fixed once built; and a memo of block demands, which grows as the
+    shells on the plan serve.  `NodePlan(dec)` runs marking on every block.
 
-    __slots__ = ("dec", "block_sets", "uniform_d", "subs", "f")
+    The memo is a trie per block over the block's requests in one phase.
+    Node ids 0..t-1 are the empty prefixes of blocks 0..t-1; the child of
+    node `v` on request `r` is `memo_child[v * metric.n + r]`;
+    `memo_demand[v]` is the demand of the prefix that ends at `v` and
+    `memo_depth[v]` its length.  A demand depends on the decomposition and
+    that prefix alone, so every shell on the plan may read it, and a shell
+    adds at most one node per request it serves."""
+
+    __slots__ = ("dec", "block_sets", "uniform_d", "subs", "f",
+                 "memo_child", "memo_demand", "memo_depth")
 
     def __init__(self, dec: Decomposition,
                  subs: Optional[tuple[Union["NodePlan", Universe], ...]] = None):
@@ -67,6 +78,10 @@ class NodePlan:
             subs = tuple(Universe(dec.metric, blk) for blk in dec.blocks)
         self.subs = subs
         self.f = compose_f(subs[0].f)
+        # plain ints only, so that the memo adds no object per entry
+        self.memo_child: dict[int, int] = {}
+        self.memo_demand = [0] * dec.t
+        self.memo_depth = [0] * dec.t
 
 
 class PhaseLogs:
@@ -121,14 +136,19 @@ class BlockShell(PhaseLogs):
         self.metric = dec.metric
         self.k = k
         self.t = dec.t
+        self._plan = plan
+        self._n = dec.metric.n
         self._block_sets = plan.block_sets
         self._uniform_d = plan.uniform_d
-        self.positions: set[PointId] = set(init)
+        # None while an inner serve has moved servers since the last read
+        self._pos: Optional[set[PointId]] = set(init)
         self._counts = [len(init & bs) for bs in self._block_sets]
         self.rng = random.Random(seed)
         self.draws = 0
         self._event_sink = event_sink
 
+        # a nested shell checks its own server count on every serve
+        self._nested = isinstance(plan.subs[0], NodePlan)
         self._subs: list[Subroutine] = [start_subroutine(sub, self.rng.getrandbits(64))
                                         for sub in plan.subs]
         for s in range(self.t):
@@ -136,6 +156,7 @@ class BlockShell(PhaseLogs):
 
         self.phase = 1
         self._marked = [c == 0 for c in self._counts]
+        self._node = list(range(self.t))  # each block's phase prefix in the memo
         self._trackers: list[Optional[DemandTracker]] = [None] * self.t
         self._peak_demand = [0] * self.t
 
@@ -188,17 +209,47 @@ class BlockShell(PhaseLogs):
             self._marked[s] = True
             self._emit("mark", block=s)
 
+    @property
+    def positions(self) -> set[PointId]:
+        """The servers' points.  After an inner serve they are derived again
+        from the block subroutines' configurations, on the next read."""
+        pos = self._pos
+        if pos is None:
+            pos = self._pos = set().union(*[sub.config for sub in self._subs])
+        return pos
+
     def _reset_sub(self, s: int) -> None:
         self._subs[s].reset(self.positions & self._block_sets[s])
 
     def _sub_serve(self, s: int, r: PointId) -> int:
         sub = self._subs[s]
         cost = sub.serve(r)
-        new_cfg = sub.config
-        self.positions = (self.positions - self._block_sets[s]) | new_cfg
-        if len(new_cfg) != self._counts[s]:
+        self._pos = None
+        if not self._nested and len(sub.positions) != self._counts[s]:
             raise ShellInvariantError("subroutine changed its server count")
         return cost
+
+    def _memo_miss(self, s: int, r: PointId, key: int) -> int:
+        """Memo node of block s's phase prefix ending in r, a prefix not in
+        the memo yet.  The block's own tracker, built on its first miss of
+        the phase, first pushes the block's requests that were served from
+        the memo since its last push."""
+        plan = self._plan
+        depth = plan.memo_depth[self._node[s]] + 1
+        tracker = self._trackers[s]
+        if tracker is None:
+            tracker = self._trackers[s] = self._new_tracker(s)
+        if tracker.length < depth - 1:
+            block = self._block_sets[s]
+            seen = [q for q in self.phase_logs[-1] if q in block]
+            for q in seen[tracker.length:depth - 1]:
+                tracker.push(q)
+        tracker.push(r)
+        node = len(plan.memo_demand)
+        plan.memo_child[key] = node
+        plan.memo_demand.append(tracker.demand())
+        plan.memo_depth.append(depth)
+        return node
 
     # -- serving ------------------------------------------------------------
 
@@ -215,21 +266,23 @@ class BlockShell(PhaseLogs):
     def _serve_once(self, r: PointId, s: int, replay: bool) -> None:
         self.phase_logs[-1].append(r)
         prev_peak = self._peak_demand[s]
-        tracker = self._trackers[s]
-        if tracker is None:
-            # built on the block's first request of the phase: on random
-            # [3,3,3] runs about 40% of the blocks see none before the next
-            # phase or rebuild
-            tracker = self._trackers[s] = self._new_tracker(s)
-        tracker.push(r)
-        peak = max(prev_peak, tracker.demand())
+        # the demand of a phase prefix that some shell on this plan has
+        # served is read from the memo, with no tracker built or pushed
+        plan = self._plan
+        key = self._node[s] * self._n + r
+        node = plan.memo_child.get(key)
+        if node is None:
+            node = self._memo_miss(s, r, key)
+        self._node[s] = node
+        peak = max(prev_peak, plan.memo_demand[node])
         self._peak_demand[s] = peak
 
         count = self._counts[s]
         if peak <= count:
             cost = self._sub_serve(s, r)
             self.total_inner += cost
-            self._emit("serve", block=s, point=r, cost=cost)
+            if self._event_sink is not None:
+                self._emit("serve", block=s, point=r, cost=cost)
             if peak == count:
                 self._mark(s)
             return
@@ -245,16 +298,17 @@ class BlockShell(PhaseLogs):
                 self._serve_once(r, s, replay=True)
                 return
             b = self._choice(donors)
-            src = self._choice(sorted(self.positions & self._block_sets[b]))
-            if r not in self.positions:
+            positions = self.positions
+            src = self._choice(sorted(positions & self._block_sets[b]))
+            if r not in positions:
                 dst = r
             else:
-                free = sorted(self._block_sets[s] - self.positions)
+                free = sorted(self._block_sets[s] - positions)
                 if not free:
                     raise ShellInvariantError("no unoccupied point in the demanding block")
                 dst = self._choice(free)
-            self.positions.discard(src)
-            self.positions.add(dst)
+            positions.discard(src)
+            positions.add(dst)
             self._counts[b] -= 1
             self._counts[s] += 1
             self._current_phase_jumps += 1
@@ -287,6 +341,7 @@ class BlockShell(PhaseLogs):
         self._current_phase_jumps = 0
         self.phase_logs.append([])
         self._marked = [c == 0 for c in self._counts]
+        self._node = list(range(self.t))
         self._trackers = [None] * self.t
         self._peak_demand = [0] * self.t
         for b in range(self.t):

@@ -4,6 +4,7 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ksim.generators import GeneratorSpec, generate
 from ksim.harness import default_initial, reports_to_csv, run_shell, run_trials
@@ -384,3 +385,137 @@ class TestServeContract:
                 start = list(counts)
         assert gains == rec.phase_gains()
         assert len(gains) == rec.completed_phases > 0
+
+
+def live_shells(shell):
+    """A shell and every nested shell now holding servers below it."""
+    yield shell
+    for sub in shell._subs:
+        if isinstance(sub, ShellSubroutine) and sub.shell is not None:
+            yield from live_shells(sub.shell)
+
+
+def fresh_peak(shell, b):
+    """Running maximum of a fresh tracker's demand over block b's requests
+    in the running phase: the greedy on a uniform block, the DP elsewhere."""
+    dec = shell.dec
+    d = dec.metric.uniform_cost(dec.blocks[b])
+    tracker = (DemandTracker(dec.metric, dec.price) if d is None
+               else UniformDemandTracker(dec.metric, dec.price, d))
+    block = set(dec.blocks[b])
+    peak = 0
+    for q in shell.phase_logs[-1]:
+        if q in block:
+            tracker.push(q)
+            peak = max(peak, tracker.demand())
+    return peak
+
+
+class TestDemandMemo:
+    """Every shell on a node plan reads block demands from the plan's memo."""
+
+    SHAPES = [([2, 3], 4), ([3, 3], 3), ([3, 3, 3], 3)]
+
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_shells_sharing_a_plan_match_fresh_trackers(self, data):
+        branching, mu = data.draw(st.sampled_from(self.SHAPES), label="shape")
+        space = build_hst(branching, mu)
+        plan = tree_plan(space)
+        point = st.integers(0, space.n_leaves - 1)
+        base = data.draw(st.lists(point, min_size=1, max_size=30), label="base")
+        cut = data.draw(st.integers(0, len(base)), label="cut")
+        tail = data.draw(st.lists(point, min_size=1, max_size=10), label="tail")
+        k = data.draw(st.integers(1, 4), label="k")
+        seed = data.draw(st.integers(0, 2 ** 16), label="seed")
+        # the first two runs agree up to `cut`, so the second reads the
+        # first's demands from the memo there and then has to catch up
+        runs = [(k, seed, base), (k, seed, base[:cut] + tail)]
+        for _ in range(2):
+            k2 = data.draw(st.integers(1, 4), label="other k")
+            seed2 = data.draw(st.integers(0, 2 ** 16), label="other seed")
+            runs.append((k2, seed2, data.draw(st.lists(point, max_size=30),
+                                               label="other sequence")))
+        shells = [BlockShell(plan, k, default_initial(k), seed) for k, seed, _ in runs]
+        for i in range(max(len(seq) for _, _, seq in runs)):
+            for sh, (_, _, seq) in zip(shells, runs):  # interleaved serves
+                if i >= len(seq):
+                    continue
+                sh.serve(seq[i])
+                for live in live_shells(sh):
+                    for b in range(live.t):
+                        assert live.peak_demand(b) == fresh_peak(live, b)
+
+    def test_a_shell_catches_up_after_memo_hits(self):
+        space = build_hst([3, 3, 3], 3)
+        plan = tree_plan(space)
+        seq = generate(GeneratorSpec("uniform_random", 60, seed=4), space)
+        first = BlockShell(plan, 3, default_initial(3), seed=9)
+        for r in seq:
+            first.serve(r)
+        caught_up = 0
+        for cut in range(1, len(seq)):
+            twin = BlockShell(plan, 3, default_initial(3), seed=9)
+            for r in seq[:cut]:
+                twin.serve(r)
+            assert twin._trackers == [None] * twin.t  # every demand was a hit
+            # a request the first run never made after this prefix
+            s = twin.dec.block_of[seq[cut]]
+            block = twin.dec.blocks[s]
+            new = next(p for p in block if p != seq[cut])
+            phase = twin.phase
+            twin.serve(new)
+            assert twin.peak_demand(s) == fresh_peak(twin, s)
+            tracker = twin._trackers[s]
+            if tracker is None:
+                continue  # some earlier phase had this prefix too
+            pushed = [q for q in twin.phase_logs[-1] if q in block]
+            assert tracker.length == len(pushed)
+            if twin.phase == phase and len(pushed) >= 3:
+                caught_up += 1
+        assert caught_up >= 20
+
+    def test_trials_share_the_demands(self, monkeypatch):
+        pushes = Counter()
+        for cls in (DemandTracker, UniformDemandTracker):
+            def counted(self, r, _push=cls.__dict__["push"]):
+                pushes["all"] += 1
+                return _push(self, r)
+            monkeypatch.setattr(cls, "push", counted)
+        space = build_hst([3, 3, 3], 3)
+        spec = GeneratorSpec("uniform_random", 200, seed=5)
+        counts = []
+        for trials in (1, 8):
+            pushes.clear()
+            run_trials(space, 3, "algox", spec, trials, base_seed=0)
+            counts.append(pushes["all"])
+        # each trial pushing its own would make 8 times as many
+        assert 0 < counts[1] <= 2 * counts[0]
+
+
+class TestServerCount:
+    def test_subroutine_losing_a_server_is_caught(self):
+        class DropsAServer(Marking):
+            def serve(self, r):
+                cost = super().serve(r)
+                self.positions.discard(r)
+                return cost
+
+        sh = two_block_shell()
+        plan = NodePlan(sh.dec)
+        sh._subs[0] = DropsAServer.on(plan.subs[0], seed=0)
+        sh._reset_sub(0)
+        with pytest.raises(ShellInvariantError, match="server count"):
+            sh.serve(0)
+
+    def test_positions_are_the_subroutines_configurations(self):
+        space = build_hst([3, 3, 3], 3)
+        plan = tree_plan(space)
+        for seed in range(6):
+            seq = generate(GeneratorSpec("uniform_random", 80, seed=seed), space)
+            sh = BlockShell(plan, 3, default_initial(3), seed=seed)
+            for r in seq:
+                sh.serve(r)
+                configs = [sub.config for sub in sh._subs]
+                assert sh.positions == frozenset().union(*configs)
+                assert len(sh.positions) == 3 == sum(map(len, configs))
