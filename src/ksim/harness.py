@@ -141,7 +141,7 @@ def run_trials(space: HstSpace, k: int, algo: str, gen_spec: GeneratorSpec,
     if use_shell:
         scale = plan.dec.Delta
     else:
-        scale = metric.diameter() if metric.n > 1 else Fraction(1)
+        scale = Fraction(plan.d, metric.scale)  # marking's universe is uniform at d
 
     # additive slack of the competitive guarantee: f(k) * k * scale / log k
     additive = None

@@ -55,6 +55,18 @@ class Universe:
         if self.d is None:
             raise ValueError("marking requires a uniform space")
 
+    @classmethod
+    def _trusted(cls, metric: FiniteMetric, points: tuple[PointId, ...], d: int) -> "Universe":
+        """A universe known to be valid: `points` are sorted points of
+        `metric` whose pairwise distances all equal `d` (0 below two points),
+        as `metric.uniform_cost(points)` would find in O(n^2)."""
+        self = cls.__new__(cls)
+        self.metric = metric
+        self.points = points
+        self.point_set = frozenset(points)
+        self.d = d
+        return self
+
 
 class Marking:
     """Marking state over the uniform restriction of a metric.
@@ -74,8 +86,8 @@ class Marking:
 
     @classmethod
     def on(cls, universe: Universe, seed: int) -> "Marking":
-        """Marking on a validated universe; `reset` must place the servers
-        before it serves."""
+        """Marking on a validated universe, holding no servers; `reset` must
+        place them before it serves."""
         self = cls.__new__(cls)
         self._start(universe, seed)
         return self
@@ -88,6 +100,10 @@ class Marking:
         # seeded on the first eviction; the draws are the same either way
         self._seed = seed
         self._rng: Optional[random.Random] = None
+        self.positions: set[PointId] = set()
+        self.k = 0
+        self.marked: set[PointId] = set()
+        self.phase_count = 1
 
     @property
     def config(self) -> frozenset:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
 from operator import sub
 from typing import Iterable, Optional, Sequence
@@ -267,6 +268,48 @@ class HstSpace:
             rows.append(tuple(row))
         return FiniteMetric._trusted(tuple(rows), scale)
 
+    @cached_property
+    def _depth_values(self) -> list[tuple]:
+        """What `decompose` reads at any depth-j node, per depth j below the
+        height, computed once per tree on first use: the id of the first
+        depth-j node, the leaf count under a depth-j node and under each of
+        its children, and the decomposition's (Delta, delta, mu_eff, price,
+        uniform_d).
+
+        The leaves under a depth-j node have as diameter the LCA distance at
+        the first depth from j down with two or more children (0 if none),
+        and are equidistant when at most one depth from j down has two or
+        more children.  Delta is the node's diameter (the LCA distance at
+        its depth, or with a single child that child's diameter), delta its
+        children's diameter or 1 when they are single leaves, and every
+        child block shares the children's common distance."""
+        branching, scale, height = self.branching, self.leaf_metric.scale, self.height
+        span = [math.prod(branching[j:]) for j in range(height + 1)]
+        diameter = [Fraction(0)] * (height + 1)
+        cost = [0] * (height + 1)  # the diameter in the table's unit
+        uniform: list[Optional[int]] = [0] * (height + 1)
+        below = 0  # depths from j down with two or more children
+        for j in reversed(range(height)):
+            if branching[j] > 1:
+                below += 1
+                diameter[j] = self._lca_distance[j]
+                value = diameter[j] * scale
+                assert value.denominator == 1
+                cost[j] = value.numerator
+            else:
+                diameter[j], cost[j] = diameter[j + 1], cost[j + 1]
+            uniform[j] = cost[j] if below <= 1 else None
+        values = []
+        first = 0
+        for j in range(height):
+            Delta = diameter[j]
+            delta = diameter[j + 1] if span[j + 1] > 1 else Fraction(1)
+            values.append((first, span[j], span[j + 1],
+                           (Delta, delta, Delta / delta, cost[j],
+                            (uniform[j + 1],) * branching[j])))
+            first += math.prod(branching[:j])
+        return values
+
 
 def build_hst(branching: Sequence[int], mu) -> HstSpace:
     """Separation tree with the given per-level child counts and ratio mu > 1."""
@@ -318,10 +361,16 @@ class Decomposition:
     checks against min(k, t).  `price` is Delta in the metric table's unit,
     the price per server the demand trackers charge: an int whenever there
     are two or more blocks, since validation pins every cross-block distance
-    to it.
+    to it.  `uniform_d[s]` is the common distance inside block s in that
+    unit (0 below two points), or None if the block is not uniform.
     When every block is a single point, block diameters are 0 and delta is
     fixed at 1 (the leaf-edge scale), keeping mu_eff finite; singleton blocks
     have no intra-block movement to bound.
+
+    `Decomposition(metric, blocks, Delta, delta)` checks the blocks against
+    the table in O(n^2) and is the constructor for hand-built blocks;
+    `_trusted` skips the scans and serves only `decompose`, whose values
+    come from the tree's structure.
     """
 
     def __init__(self, metric: FiniteMetric, blocks: Sequence[Sequence[PointId]],
@@ -344,6 +393,29 @@ class Decomposition:
         # (a subtree's decomposition keeps the global ids of its leaves)
         self.points = tuple(sorted(self.block_of))
         self.validate()
+        self.uniform_d = tuple(metric.uniform_cost(blk) for blk in self.blocks)
+
+    @classmethod
+    def _trusted(cls, metric: FiniteMetric, blocks: tuple[tuple[PointId, ...], ...],
+                 Delta: Fraction, delta: Fraction, mu_eff: Fraction, price: int,
+                 uniform_d: tuple[Optional[int], ...]) -> "Decomposition":
+        """A decomposition whose checks hold by construction.  The caller
+        guarantees what `__init__` would check and compute: `blocks` are
+        disjoint sorted tuples of points of `metric` that pass `validate`,
+        `mu_eff` and `price` follow from the Fractions, and `uniform_d`
+        equals `uniform_cost` of each block."""
+        self = cls.__new__(cls)
+        self.metric = metric
+        self.blocks = blocks
+        self.Delta = Delta
+        self.delta = delta
+        self.t = len(blocks)
+        self.mu_eff = mu_eff
+        self.price = price
+        self.uniform_d = uniform_d
+        self.block_of = {p: s for s, blk in enumerate(blocks) for p in blk}
+        self.points = tuple(sorted(self.block_of))
+        return self
 
     def validate(self) -> None:
         if self.t < 1:
@@ -370,20 +442,16 @@ class Decomposition:
 
 
 def decompose(space: HstSpace, node: int) -> Decomposition:
-    """Block decomposition at an internal tree node: one block per child subtree."""
+    """Block decomposition at an internal tree node: one block per child
+    subtree, read from the tree's structure in time linear in the node's
+    leaves.  The leaves under a node form one index range, split evenly
+    among its children; Delta, delta and the blocks' common distances are
+    the same at every node of one depth (see `HstSpace._depth_values`)."""
     if not (0 <= node < space.node_count()):
         raise ValueError(f"node {node} out of range")
     if space.is_leaf(node):
         raise ValueError("cannot decompose at a leaf node")
-    blocks = [space.subtree_leaf_points(c) for c in space.children[node]]
-    a = blocks[0][0]
-    if len(blocks) > 1:
-        Delta = space.leaf_metric.distance(a, blocks[1][0])
-    else:
-        # degenerate single-block node; separation is the subtree diameter scale
-        Delta = space.leaf_metric.diameter(blocks[0])
-    if all(len(b) == 1 for b in blocks):
-        delta = Fraction(1)
-    else:
-        delta = max(space.leaf_metric.diameter(b) for b in blocks if len(b) > 1)
-    return Decomposition(space.leaf_metric, blocks, Delta, delta)
+    first, size, span, values = space._depth_values[space.depth[node]]
+    lo = (node - first) * size
+    blocks = tuple(tuple(range(a, a + span)) for a in range(lo, lo + size, span))
+    return Decomposition._trusted(space.leaf_metric, blocks, *values)

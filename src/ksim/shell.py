@@ -52,10 +52,11 @@ class Subroutine(Protocol):
 class NodePlan:
     """What every shell at one tree node shares: the decomposition, its
     blocks as sets, the distance inside each uniform block in the metric's
-    integer unit (None elsewhere), each block's subroutine plan (a marking
-    `Universe` or the child's `NodePlan`) and the competitive function `f`,
-    all fixed once built; and a memo of block demands, which grows as the
-    shells on the plan serve.  `NodePlan(dec)` runs marking on every block.
+    integer unit (None elsewhere, read from the decomposition), each block's
+    subroutine plan (a marking `Universe` or the child's `NodePlan`) and the
+    competitive function `f`, all fixed once built; and a memo of block
+    demands, which grows as the shells on the plan serve.  `NodePlan(dec)`
+    runs marking on every block.
 
     The memo is a trie per block over the block's requests in one phase.
     Node ids 0..t-1 are the empty prefixes of blocks 0..t-1; the child of
@@ -73,9 +74,12 @@ class NodePlan:
         self.dec = dec
         self.block_sets = tuple(frozenset(b) for b in dec.blocks)
         # a uniform block's demand needs no configuration DP
-        self.uniform_d = tuple(dec.metric.uniform_cost(blk) for blk in dec.blocks)
+        self.uniform_d = dec.uniform_d
         if subs is None:
-            subs = tuple(Universe(dec.metric, blk) for blk in dec.blocks)
+            if None in dec.uniform_d:
+                raise ValueError("marking requires a uniform space")
+            subs = tuple(Universe._trusted(dec.metric, blk, d)
+                         for blk, d in zip(dec.blocks, dec.uniform_d))
         self.subs = subs
         self.f = compose_f(subs[0].f)
         # plain ints only, so that the memo adds no object per entry
@@ -149,10 +153,13 @@ class BlockShell(PhaseLogs):
 
         # a nested shell checks its own server count on every serve
         self._nested = isinstance(plan.subs[0], NodePlan)
+        # a started subroutine holds no servers, so only occupied blocks
+        # need a reset
         self._subs: list[Subroutine] = [start_subroutine(sub, self.rng.getrandbits(64))
                                         for sub in plan.subs]
         for s in range(self.t):
-            self._reset_sub(s)
+            if self._counts[s]:
+                self._reset_sub(s)
 
         self.phase = 1
         self._marked = [c == 0 for c in self._counts]
@@ -344,10 +351,12 @@ class BlockShell(PhaseLogs):
         self._node = list(range(self.t))
         self._trackers = [None] * self.t
         self._peak_demand = [0] * self.t
+        # the jump that emptied a block has reset its subroutine already
         for b in range(self.t):
-            self._reset_sub(b)
             if self._marked[b]:
                 self._emit("mark", block=b)
+            else:
+                self._reset_sub(b)
 
     def _check_sandwich(self, peak_without: list[int], peak_plus: list[int]) -> None:
         """End-of-phase counts sit between the peak demands with and without
@@ -389,12 +398,10 @@ class ShellSubroutine:
     def __init__(self, plan: NodePlan, seed: int,
                  event_sink: Optional[Callable[[str], None]] = None):
         self._plan = plan
-        rng = random.Random(seed)
-        # one unused draw per block ahead of the stream's seed, so that nested
-        # seeds replay unchanged
-        for _ in plan.subs:
-            rng.getrandbits(64)
-        self.rng = random.Random(rng.getrandbits(64))
+        # the stream's seed is the 64-bit draw that follows one unused draw
+        # per block, so that nested seeds replay unchanged
+        m = len(plan.subs)
+        self.rng = random.Random(random.Random(seed).getrandbits(64 * (m + 1)) >> (64 * m))
         self._event_sink = event_sink
         self.shell: Optional[BlockShell] = None  # None while holding no servers
 
@@ -445,7 +452,9 @@ def tree_plan(space: HstSpace) -> Union[NodePlan, Universe]:
     for v in sorted(decs, reverse=True):  # a child's id exceeds its parent's
         children = space.children[v]
         if all(space.is_leaf(c) for c in children):
-            plans[v] = Universe(space.leaf_metric, decs[v].points)
+            # the leaves under a parent of leaves sit at its Delta from each
+            # other (a single leaf has Delta 0)
+            plans[v] = Universe._trusted(space.leaf_metric, decs[v].points, decs[v].price)
         else:
             plans[v] = NodePlan(decs[v], tuple(plans[c] for c in children))
     return plans[0]

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from ksim.marking import Marking, harmonic, marking_f
+from ksim.marking import Marking, Universe, harmonic, marking_f
 from ksim.metric import FiniteMetric, build_uniform
 
 import math
@@ -139,6 +139,12 @@ class TestReset:
         st = Marking(build_uniform(3, 1), {0}, seed=5)
         st.reset(())
         assert st.k == 0
+        with pytest.raises(RuntimeError):
+            st.serve(0)
+
+    def test_started_on_a_universe_it_holds_no_servers(self):
+        st = Marking.on(Universe(build_uniform(3, 1)), seed=5)
+        assert (st.config, st.k, st.marked, st.phase_count) == (frozenset(), 0, set(), 1)
         with pytest.raises(RuntimeError):
             st.serve(0)
 

@@ -4,8 +4,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ksim.marking import Universe
 from ksim.metric import (Decomposition, FiniteMetric, build_hst, build_uniform,
                          decompose, validate_hst)
+from ksim.shell import NodePlan, tree_plan
 
 
 class TestBuildUniform:
@@ -254,3 +256,91 @@ class TestDecompose:
         assert dec.mu_eff == Fraction(3, 2)
         with pytest.raises(ValueError):
             Decomposition(m, [(0, 2), (1, 3)], Delta=3, delta=2)
+
+
+def _checked_decomposition(space, node):
+    """The decomposition at `node` from scans of the leaf table, through the
+    checked constructor: blocks from a walk of each child subtree, Delta from
+    a cross-block distance (the block's diameter when there is one block),
+    delta from the largest block diameter."""
+    metric = space.leaf_metric
+    blocks = [space.subtree_leaf_points(c) for c in space.children[node]]
+    if len(blocks) > 1:
+        Delta = space.leaf_distance(blocks[0][0], blocks[1][0])
+    else:
+        Delta = metric.diameter(blocks[0])
+    if all(len(b) == 1 for b in blocks):
+        delta = Fraction(1)
+    else:
+        delta = max(metric.diameter(b) for b in blocks if len(b) > 1)
+    return Decomposition(metric, blocks, Delta, delta)
+
+
+def _leaf_parent_universes(space, plan, node=0):
+    """(node, Universe) for every parent of leaves, read off `tree_plan`."""
+    if isinstance(plan, Universe):
+        return [(node, plan)]
+    return [pair for child, sub in zip(space.children[node], plan.subs)
+            for pair in _leaf_parent_universes(space, sub, child)]
+
+
+class TestStructuralDecompositions:
+    """`decompose` reads blocks, Delta, delta and the blocks' uniformity off
+    the tree's structure; the scans of the leaf table stay as its oracle."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(branching=st.lists(st.integers(1, 4), min_size=1, max_size=4)
+           .filter(lambda b: math.prod(b) <= 64),
+           mu=st.one_of(st.integers(2, 9).map(Fraction),
+                        st.fractions(min_value=Fraction(7, 6), max_value=8,
+                                     max_denominator=6).filter(lambda m: m.denominator > 1)))
+    def test_structure_equals_the_scans(self, branching, mu):
+        space = build_hst(branching, mu)
+        metric = space.leaf_metric
+        for node in space.internal_nodes():
+            dec, ref = decompose(space, node), _checked_decomposition(space, node)
+            assert dec.metric is ref.metric
+            assert (dec.t, dec.blocks, dec.points) == (ref.t, ref.blocks, ref.points)
+            assert dec.block_of == ref.block_of
+            assert (dec.Delta, dec.delta, dec.mu_eff) == (ref.Delta, ref.delta, ref.mu_eff)
+            assert dec.price == ref.price and type(dec.price) is type(ref.price) is int
+            assert dec.uniform_d == ref.uniform_d == tuple(
+                metric.uniform_cost(b) for b in dec.blocks)
+            dec.validate()
+            if None in dec.uniform_d:
+                with pytest.raises(ValueError, match="uniform"):
+                    NodePlan(dec)
+            else:
+                subs = NodePlan(dec).subs
+                for blk, sub in zip(dec.blocks, subs):
+                    checked = Universe(metric, blk)
+                    assert (sub.points, sub.point_set, sub.d) == (
+                        checked.points, checked.point_set, checked.d)
+        universes = _leaf_parent_universes(space, tree_plan(space))
+        assert len(universes) == sum(1 for v in space.internal_nodes()
+                                     if space.depth[v] == space.height - 1)
+        for node, universe in universes:
+            checked = Universe(metric, space.subtree_leaf_points(node))
+            assert universe.metric is metric
+            assert (universe.points, universe.point_set, universe.d) == (
+                checked.points, checked.point_set, checked.d)
+
+    def test_plans_skip_the_scans(self, monkeypatch):
+        def refuse(name):
+            def method(*args, **kwargs):
+                raise AssertionError(f"{name} called")
+            return method
+        monkeypatch.setattr(Decomposition, "validate", refuse("Decomposition.validate"))
+        monkeypatch.setattr(FiniteMetric, "diameter", refuse("FiniteMetric.diameter"))
+        monkeypatch.setattr(FiniteMetric, "uniform_cost", refuse("FiniteMetric.uniform_cost"))
+        deep = tree_plan(build_hst([12, 12, 12], 12))
+        assert (deep.dec.t, len(deep.dec.points), deep.dec.Delta) == (12, 1728, 2 * (1 + 12 + 144))
+        assert deep.uniform_d == (None,) * 12
+        assert deep.subs[0].uniform_d == (2,) * 12
+        assert deep.subs[0].subs[0].d == 2
+        space = build_hst([8, 8], 8)
+        wide = tree_plan(space)
+        assert (wide.dec.t, wide.dec.price, wide.uniform_d) == (8, 18, (2,) * 8)
+        marking_on_blocks = NodePlan(decompose(space, 0))
+        assert [u.d for u in marking_on_blocks.subs] == [2] * 8
+        assert marking_on_blocks.subs[7].points == tuple(range(56, 64))

@@ -493,6 +493,45 @@ class TestDemandMemo:
         assert 0 < counts[1] <= 2 * counts[0]
 
 
+class TestStartsAndResets:
+    @pytest.mark.parametrize("blocks", [1, 2, 3, 8])
+    def test_nested_stream_seed_is_the_draw_after_one_per_block(self, blocks):
+        plan = NodePlan(decompose(build_hst([blocks, 2], 3), 0))
+        for seed in (0, 1, 12345, 2 ** 64 - 1):
+            rng = random.Random(seed)
+            for _ in range(blocks):
+                rng.getrandbits(64)
+            expected = random.Random(rng.getrandbits(64))
+            assert ShellSubroutine(plan, seed).rng.getstate() == expected.getstate()
+
+    def test_only_a_jump_resets_an_empty_block(self, monkeypatch):
+        empty_resets = Counter()
+
+        def reset(self, config, _reset=Marking.reset):
+            config = frozenset(config)
+            empty_resets["all"] += not config
+            return _reset(self, config)
+        monkeypatch.setattr(Marking, "reset", reset)
+        space = build_hst([4, 3], 4)
+        for seed in range(4):
+            events = []
+            seq = generate(GeneratorSpec("uniform_random", 120, seed=seed), space)
+            empty_resets.clear()
+            sh = BlockShell(NodePlan(decompose(space, 0)), 3, {0, 1, 3}, seed=seed,
+                            event_sink=events.append)
+            for r in seq:
+                sh.serve(r)
+            counts = [2, 1, 0, 0]
+            emptied = 0
+            for jump in event_fields(events, "jump"):
+                src, dst = int(jump["from_block"]), int(jump["to_block"])
+                counts[src] -= 1
+                counts[dst] += 1
+                emptied += counts[src] == 0
+            assert sh.completed_phases > 0 and emptied > 0
+            assert empty_resets["all"] == emptied
+
+
 class TestServerCount:
     def test_subroutine_losing_a_server_is_caught(self):
         class DropsAServer(Marking):
