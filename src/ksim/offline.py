@@ -255,6 +255,15 @@ class DemandTracker:
         self._seen_set: set[PointId] = set()
         self._pushes = 0
         self._dp: list[dict[int, int]] = [{}]  # configuration masks; index 0 unused
+        self._checked = True
+
+    @classmethod
+    def _trusted(cls, *args) -> "DemandTracker":
+        """A tracker whose `push` skips `check_point`, for a caller that has
+        just checked every point it pushes."""
+        self = cls(*args)
+        self._checked = False
+        return self
 
     @classmethod
     def for_metric(cls, metric: FiniteMetric, Delta) -> "DemandTracker":
@@ -272,7 +281,8 @@ class DemandTracker:
         return len(self._seen)
 
     def push(self, r: PointId) -> None:
-        self._metric.check_point(r)
+        if self._checked:
+            self._metric.check_point(r)
         dist = self._metric.dist
         if r not in self._seen_set:
             bit = 1 << r
@@ -368,7 +378,8 @@ class UniformDemandTracker(DemandTracker):
         self._kept: list[int] = [0]
 
     def push(self, r: PointId) -> None:
-        self._metric.check_point(r)
+        if self._checked:
+            self._metric.check_point(r)
         t = self._pushes + 1
         a = self._last.get(r)
         if a is None:

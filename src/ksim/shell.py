@@ -151,7 +151,7 @@ class BlockShell(PhaseLogs):
         self.draws = 0
         self._event_sink = event_sink
 
-        # a nested shell checks its own server count on every serve
+        # a nested shell of two or more servers checks its own count
         self._nested = isinstance(plan.subs[0], NodePlan)
         # a started subroutine holds no servers, so only occupied blocks
         # need a reset
@@ -193,10 +193,11 @@ class BlockShell(PhaseLogs):
         self._event_sink("\t".join(parts))
 
     def _new_tracker(self, s: int) -> DemandTracker:
+        # `serve` has checked every point the tracker will get
         d = self._uniform_d[s]
         if d is None:
-            return DemandTracker(self.metric, self.dec.price)
-        return UniformDemandTracker(self.metric, self.dec.price, d)
+            return DemandTracker._trusted(self.metric, self.dec.price)
+        return UniformDemandTracker._trusted(self.metric, self.dec.price, d)
 
     def _choice(self, seq):
         self.draws += 1
@@ -232,7 +233,14 @@ class BlockShell(PhaseLogs):
         sub = self._subs[s]
         cost = sub.serve(r)
         self._pos = None
-        if not self._nested and len(sub.positions) != self._counts[s]:
+        count = self._counts[s]
+        if not self._nested:
+            held = len(sub.positions)
+        elif count == 1:
+            held = len(sub.config)  # one server runs no shell to check it
+        else:
+            held = count  # a nested shell checks its own count
+        if held != count:
             raise ShellInvariantError("subroutine changed its server count")
         return cost
 
@@ -393,32 +401,65 @@ class ShellSubroutine:
     `reset` rebuilds the nested shell from scratch at the new configuration
     (fresh phase, fresh marks), drawing the instance seed from this adapter's
     own stream so the whole tree replays deterministically per seed.
+
+    Without an event sink, a reset to a single point builds no shell: the
+    adapter keeps that point, and `serve(r)` moves it to r at `dist[p][r]`.
+    This is the shell's own outcome, by induction on the height.  With one
+    server each random choice of the shell has one option: the only
+    occupied block donates (after at most one phase end), its one server
+    moves, and r is free.  A request inside the server's block costs
+    `dist`, as one-server marking pays `d` per miss.  The instance seed is
+    still drawn, so every later rebuild gets the same seed; the draws the
+    skipped shell would make come from its private streams, which nothing
+    else reads.  With a sink, every reset builds a shell, so its events are
+    emitted.
     """
 
     def __init__(self, plan: NodePlan, seed: int,
                  event_sink: Optional[Callable[[str], None]] = None):
         self._plan = plan
+        self._block_of = plan.dec.block_of
+        self._dist = plan.dec.metric.dist
         # the stream's seed is the 64-bit draw that follows one unused draw
         # per block, so that nested seeds replay unchanged
         m = len(plan.subs)
         self.rng = random.Random(random.Random(seed).getrandbits(64 * (m + 1)) >> (64 * m))
         self._event_sink = event_sink
-        self.shell: Optional[BlockShell] = None  # None while holding no servers
+        # at most one of these is set; neither while holding no servers
+        self.shell: Optional[BlockShell] = None
+        self.point: Optional[PointId] = None  # the one server, when no shell runs
 
     def reset(self, config: Iterable[PointId]) -> None:
         cfg = frozenset(config)
         self.shell = None
-        if cfg:
-            self.shell = BlockShell(self._plan, len(cfg), cfg, self.rng.getrandbits(64),
-                                    self._event_sink)
+        self.point = None
+        if not cfg:
+            return
+        seed = self.rng.getrandbits(64)
+        if len(cfg) == 1 and self._event_sink is None:
+            (p,) = cfg
+            self._plan.dec.metric.check_point(p)
+            if p not in self._block_of:
+                raise ValueError(f"server at {p}, outside this decomposition")
+            self.point = p
+        else:
+            self.shell = BlockShell(self._plan, len(cfg), cfg, seed, self._event_sink)
 
     def serve(self, r: PointId) -> int:
+        p = self.point
+        if p is not None:
+            if r not in self._block_of:
+                raise ValueError(f"request {r} outside this decomposition")
+            self.point = r
+            return self._dist[p][r]
         if self.shell is None:
             raise RuntimeError("subtree holds no servers; caller must jump one in first")
         return self.shell.serve(r)
 
     @property
     def config(self) -> frozenset:
+        if self.point is not None:
+            return frozenset((self.point,))
         return frozenset() if self.shell is None else frozenset(self.shell.positions)
 
 

@@ -246,6 +246,19 @@ class TestUniformDemandTracker:
         with pytest.raises(ValueError, match="out of range"):
             UniformDemandTracker(build_uniform(3, 1), 2, 1).push(3)
 
+    def test_only_a_trusted_tracker_skips_the_check(self):
+        m = build_uniform(3, 1)
+        for tracker in (DemandTracker(m, 2), UniformDemandTracker(m, 2, 1)):
+            with pytest.raises(ValueError, match="out of range"):
+                tracker.push(-1)
+        checked = DemandTracker(m, 2)
+        trusted = [DemandTracker._trusted(m, 2), UniformDemandTracker._trusted(m, 2, 1)]
+        for r in (0, 1, 0, 2, 1):
+            checked.push(r)
+            for tracker in trusted:
+                tracker.push(r)
+                assert tracker.demand() == checked.demand()
+
 
 class TestMonotonicity:
     @settings(max_examples=60, deadline=None)

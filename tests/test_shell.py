@@ -414,7 +414,9 @@ def fresh_peak(shell, b):
 class TestDemandMemo:
     """Every shell on a node plan reads block demands from the plan's memo."""
 
-    SHAPES = [([2, 3], 4), ([3, 3], 3), ([3, 3, 3], 3)]
+    # a subtree holding one server runs no shell, so the deeper shapes make
+    # sure that nested shells of two or more servers are checked too
+    SHAPES = [([2, 3], 4), ([3, 3], 3), ([3, 3, 3], 3), ([2, 2, 3], 3), ([2, 2, 2, 2], 2)]
 
     @settings(max_examples=25, deadline=None)
     @given(data=st.data())
@@ -437,14 +439,19 @@ class TestDemandMemo:
             runs.append((k2, seed2, data.draw(st.lists(point, max_size=30),
                                                label="other sequence")))
         shells = [BlockShell(plan, k, default_initial(k), seed) for k, seed, _ in runs]
+        nested = 0
         for i in range(max(len(seq) for _, _, seq in runs)):
             for sh, (_, _, seq) in zip(shells, runs):  # interleaved serves
                 if i >= len(seq):
                     continue
                 sh.serve(seq[i])
                 for live in live_shells(sh):
+                    nested += live is not sh
                     for b in range(live.t):
                         assert live.peak_demand(b) == fresh_peak(live, b)
+        if len(branching) >= 3 and k >= 2:
+            # the first k servers start in one subtree, under a nested shell
+            assert nested > 0
 
     def test_a_shell_catches_up_after_memo_hits(self):
         space = build_hst([3, 3, 3], 3)
@@ -558,3 +565,140 @@ class TestServerCount:
                 configs = [sub.config for sub in sh._subs]
                 assert sh.positions == frozenset().union(*configs)
                 assert len(sh.positions) == 3 == sum(map(len, configs))
+
+
+def node_plans(plan):
+    """A plan and every shell plan below it (marking universes excluded)."""
+    if isinstance(plan, NodePlan):
+        yield plan
+        for sub in plan.subs:
+            yield from node_plans(sub)
+
+
+mus = st.one_of(st.integers(2, 5),
+                st.fractions(min_value=Fraction(3, 2), max_value=5, max_denominator=4))
+
+
+class TestOneServerSubtrees:
+    """Without an event sink, a subtree that holds one server runs no shell:
+    its adapter keeps the point and serves r at dist[p][r], which is what
+    `BlockShell(plan, 1, ...)`, the oracle, does."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_one_point_matches_the_one_server_shell(self, data):
+        height = data.draw(st.integers(2, 4), label="height")
+        branching = data.draw(st.lists(st.integers(1, 4), min_size=height, max_size=height)
+                              .filter(lambda b: 2 <= math.prod(b) <= 64), label="branching")
+        space = build_hst(branching, data.draw(mus, label="mu"))
+        plans = [p for p in node_plans(tree_plan(space)) if len(p.dec.points) >= 2]
+        plan = data.draw(st.sampled_from(plans), label="plan")
+        points = st.sampled_from(plan.dec.points)
+        seed = data.draw(st.integers(0, 2 ** 32), label="seed")
+        sub = ShellSubroutine(plan, seed)
+        stream = random.Random()
+        stream.setstate(sub.rng.getstate())
+        # a mix of resets: the stream advances by one 64-bit draw per
+        # nonempty reset, whatever its size
+        two = plan.dec.mu_eff >= min(2, plan.dec.t)
+        for _ in range(data.draw(st.integers(1, 4), label="resets")):
+            size = data.draw(st.integers(0, 2 if two else 1), label="size")
+            config = data.draw(st.sets(points, min_size=size, max_size=size), label="config")
+            sub.reset(config)
+            if config:
+                stream.getrandbits(64)
+            assert sub.rng.getstate() == stream.getstate()
+            assert (sub.point is None) == (len(config) != 1)
+        p = data.draw(points, label="start")
+        sub.reset({p})
+        assert sub.shell is None and sub.point == p
+        oracle = BlockShell(plan, 1, {p}, data.draw(st.integers(0, 2 ** 32), label="oracle seed"))
+        for r in data.draw(st.lists(points, max_size=40), label="requests"):
+            assert sub.serve(r) == oracle.serve(r)
+            assert sub.config == frozenset(oracle.positions) == {r}
+
+    @pytest.mark.parametrize("branching,k", [([3, 1, 1], 2), ([4, 1, 1, 1], 3)])
+    def test_unary_chains_run_as_their_root_blocks(self, branching, k):
+        # a one-leaf subtree (Delta 0) can hold one server only, so it
+        # never builds the shell that its zero separation would refuse
+        space = build_hst(branching, 3)
+        seq = generate(GeneratorSpec("uniform_random", 120, seed=k), space)
+        flat = NodePlan(decompose(space, 0))  # marking on each one-leaf block
+        plan = tree_plan(space)
+        for seed in range(6):
+            got = run_shell(plan, k, default_initial(k), seq, seed)
+            want = run_shell(flat, k, default_initial(k), seq, seed)
+            assert (got.total_inner, got.total_jump, got.phase_logs, got.dhat) == \
+                (want.total_inner, want.total_jump, want.phase_logs, want.dhat)
+        reports = run_trials(space, k, "algox", GeneratorSpec("uniform_random", 60, seed=1),
+                             3, base_seed=0)
+        assert len(reports) == 3 and all(r.total > 0 for r in reports)
+
+    def test_only_subtrees_of_two_or_more_servers_build_shells(self, monkeypatch):
+        built = Counter()
+        init = BlockShell.__init__
+
+        def counted(self, plan, k, *args, **kwargs):
+            built[k >= 2] += 1
+            return init(self, plan, k, *args, **kwargs)
+        monkeypatch.setattr(BlockShell, "__init__", counted)
+        trials = 8
+        run_trials(build_hst([3, 3, 3], 3), 3, "algox",
+                   GeneratorSpec("uniform_random", 200, seed=5), trials, base_seed=0)
+        # a root per trial, and a nested shell only where two or three of
+        # the servers share a subtree; one per one-server reset made 264
+        assert built[False] == 0
+        assert trials < built[True] <= 4 * trials
+
+    def test_a_sink_still_runs_a_shell_for_one_server(self):
+        space = build_hst([3, 3, 3], 3)
+        events = []
+        algo = build_hst_algorithm(space, 1, {0}, seed=3, event_sink=events.append)
+        assert isinstance(algo.shell, BlockShell) and algo.point is None
+        twin = build_hst_algorithm(space, 1, {0}, seed=3)
+        assert twin.shell is None and twin.point == 0
+        for r in generate(GeneratorSpec("uniform_random", 30, seed=2), space):
+            assert algo.serve(r) == twin.serve(r)
+            assert algo.config == twin.config == {r}
+        assert event_fields(events, "jump") and event_fields(events, "serve")
+
+    def test_one_point_rejects_outside_points(self):
+        space = build_hst([2, 2, 2], 3)
+        plan = tree_plan(space).subs[0]  # the first [2,2] subtree, leaves 0..3
+        sub = ShellSubroutine(plan, seed=0)
+        with pytest.raises(ValueError, match="outside"):
+            sub.reset({5})
+        sub.reset({1})
+        with pytest.raises(ValueError, match="outside"):
+            sub.serve(6)
+
+    def test_subroutine_losing_its_one_server_is_caught(self):
+        class DropsItsServer(ShellSubroutine):
+            def serve(self, r):
+                cost = super().serve(r)
+                self.point = None
+                return cost
+
+        plan = tree_plan(build_hst([2, 2, 2], 3))
+        sh = BlockShell(plan, 2, {0, 4}, seed=0)  # one server per subtree
+        sh._subs[0] = DropsItsServer(plan.subs[0], seed=0)
+        sh._reset_sub(0)
+        with pytest.raises(ShellInvariantError, match="server count"):
+            sh.serve(1)
+
+    def test_shell_trackers_skip_the_point_check(self, monkeypatch):
+        checks = Counter()
+        check = FiniteMetric.check_point
+
+        def counted(self, p):
+            checks["all"] += 1
+            return check(self, p)
+        monkeypatch.setattr(FiniteMetric, "check_point", counted)
+        space = build_hst([8, 8], 8)
+        plan = tree_plan(space)
+        seq = generate(GeneratorSpec("uniform_random", 300, seed=3), space)
+        sh = BlockShell(plan, 8, default_initial(8), seed=1)
+        checks.clear()
+        for r in seq:
+            sh.serve(r)
+        assert checks["all"] == len(seq)  # the one check in `serve`
