@@ -246,16 +246,47 @@ class DemandTracker:
     appears, each ell-DP is extended by configurations holding a server
     parked on the new point since the start, whose history is exactly an
     (ell-1)-server schedule over the old points.
+
+    Only the levels ell = 1..L are kept, L starting at `LEVELS`.  Level ell
+    reads level ell-1 alone, so dropping the levels above L changes none of
+    the kept ones.  demand() reads opt(1..D+1) for its answer D, and in the
+    shell D exceeds the shell's server count only on the request that ends
+    the phase, which drops the block's tracker; so the kept ell-DPs, of
+    C(distinct, ell) configurations, stay few.  A read above L grows L by
+    replaying the pushed requests (`_grow`).
     """
+
+    LEVELS = 3
 
     def __init__(self, metric: FiniteMetric, price):
         self._metric = metric
         self._price = price
+        self._checked = True
+        self._restart(self.LEVELS)
+
+    def _restart(self, levels: int) -> None:
+        """Empty the tracker, keeping `levels` levels from now on."""
+        self._levels = levels
+        self._requests: list[PointId] = []
         self._seen: list[PointId] = []
         self._seen_set: set[PointId] = set()
-        self._pushes = 0
-        self._dp: list[dict[int, int]] = [{}]  # configuration masks; index 0 unused
-        self._checked = True
+        # configuration masks of ell = 1..min(distinct, L); index 0 unused
+        self._dp: list[dict[int, int]] = [{}]
+
+    def _grow(self, ell: int) -> None:
+        """Keep level ell, by replaying every pushed request.
+
+        L at least doubles, so that a scan reading level after level, as
+        demand() on a high demand does, replays a few times and not once per
+        level.  Once L reaches half the distinct points, it is their count:
+        the levels above half hold no more configurations than those below."""
+        requests, checked = self._requests, self._checked
+        levels = max(ell, 2 * self._levels)
+        self._restart(levels if 2 * levels < len(self._seen) else len(self._seen))
+        self._checked = False  # each was checked on its first push
+        for r in requests:
+            self.push(r)
+        self._checked = checked
 
     @classmethod
     def _trusted(cls, *args) -> "DemandTracker":
@@ -274,7 +305,7 @@ class DemandTracker:
 
     @property
     def length(self) -> int:
-        return self._pushes
+        return len(self._requests)
 
     @property
     def distinct(self) -> int:
@@ -284,17 +315,22 @@ class DemandTracker:
         if self._checked:
             self._metric.check_point(r)
         dist = self._metric.dist
+        dp = self._dp
         if r not in self._seen_set:
             bit = 1 << r
-            self._dp.append({})
-            for ell in range(len(self._seen) + 1, 0, -1):
+            top = len(self._seen) + 1
+            if top <= self._levels:
+                dp.append({})
+            else:
+                top = self._levels
+            for ell in range(top, 0, -1):
                 if ell - 1 >= 1:
-                    lower = self._dp[ell - 1]
-                elif self._pushes == 0:
+                    lower = dp[ell - 1]
+                elif not self._requests:
                     lower = {0: 0}
                 else:
                     lower = {}
-                target = self._dp[ell]
+                target = dp[ell]
                 for cfg, c in lower.items():
                     cfg2 = cfg | bit
                     prev = target.get(cfg2)
@@ -302,16 +338,18 @@ class DemandTracker:
                         target[cfg2] = c
             self._seen.append(r)
             self._seen_set.add(r)
-        for ell in range(1, len(self._seen) + 1):
-            self._dp[ell] = _lazy_step(self._dp[ell], r, dist)
-        self._pushes += 1
+        for ell in range(1, len(dp)):
+            dp[ell] = _lazy_step(dp[ell], r, dist)
+        self._requests.append(r)
 
     def _opt_scaled(self, ell: int) -> Optional[int]:
         """Optimum in the metric's integer unit, or None for +inf."""
         if ell == 0:
-            return 0 if self._pushes == 0 else None
+            return None if self._requests else 0
         if ell >= len(self._seen):
             return 0
+        if ell > self._levels:
+            self._grow(ell)
         return min(self._dp[ell].values())
 
     def opt(self, ell: int):
@@ -330,7 +368,7 @@ class DemandTracker:
         server saves at most Delta.  opt(0) is +inf on a nonempty sequence,
         and opt(distinct) is 0.
         """
-        if self._pushes == 0:
+        if not self._requests:
             return 0
         # exact for a rational price num/den: compare den * saving with num
         num, den = self._price.numerator, self._price.denominator
@@ -345,7 +383,7 @@ class DemandTracker:
 
 class UniformDemandTracker(DemandTracker):
     """`DemandTracker` for a block whose points are pairwise at one distance
-    `d` in the metric's integer unit, in O(distinct^2) per push instead of
+    `d` in the metric's integer unit, in O(distinct * L) per push instead of
     the configuration DP.
 
     On a uniform block a lazy schedule pays d per miss, so opt(ell) is d
@@ -360,7 +398,9 @@ class UniformDemandTracker(DemandTracker):
     fit; Carlisle & Lloyd 1995).  An empty interval (a = t-1) is always a
     hit.  With seen distinct points, ell = seen keeps every interval, and the
     run for ell = seen+1 is the run for seen plus one idle machine, so a new
-    point extends the table by one copied entry.
+    point extends the table by one copied entry while fewer than L levels
+    exist.  Each level runs on its own, so the levels above L are dropped
+    and grown back by the same replay as the DP's.
 
     Only `push` and the optimum for 1 <= ell < distinct are replaced; the
     other conventions and the queries are the DP's.  The configuration DP stays the oracle (and the
@@ -370,26 +410,30 @@ class UniformDemandTracker(DemandTracker):
     def __init__(self, metric: FiniteMetric, price, d: int):
         super().__init__(metric, price)
         self._d = d
+
+    def _restart(self, levels: int) -> None:
+        super()._restart(levels)
         self._last: dict[PointId, int] = {}  # time of each seen point's last request
         self._empty_hits = 0  # empty intervals: hits at every ell >= 1
-        # index ell-1, for ell = 1..max(seen, 1): the sorted right ends of the
-        # ell-1 machines (0 = idle) and the non-empty intervals kept so far
+        # index ell-1, for ell = 1..max(min(seen, L), 1): the sorted right
+        # ends of the ell-1 machines (0 = idle) and the non-empty intervals
+        # kept so far
         self._ends: list[list[int]] = [[]]
         self._kept: list[int] = [0]
 
     def push(self, r: PointId) -> None:
         if self._checked:
             self._metric.check_point(r)
-        t = self._pushes + 1
+        self._requests.append(r)
+        t = len(self._requests)
         a = self._last.get(r)
         if a is None:
             a = 0
-            if self._seen:
+            if self._seen and len(self._ends) < self._levels:
                 self._ends.append([0] + self._ends[-1])
                 self._kept.append(self._kept[-1])
             self._seen.append(r)
         self._last[r] = t
-        self._pushes = t
         if a == t - 1:
             self._empty_hits += 1
             return
@@ -404,7 +448,9 @@ class UniformDemandTracker(DemandTracker):
 
     def _opt_scaled(self, ell: int) -> Optional[int]:
         if 1 <= ell < len(self._seen):
-            return self._d * (self._pushes - self._empty_hits - self._kept[ell - 1])
+            if ell > self._levels:
+                self._grow(ell)
+            return self._d * (len(self._requests) - self._empty_hits - self._kept[ell - 1])
         return super()._opt_scaled(ell)
 
 

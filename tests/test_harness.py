@@ -4,13 +4,14 @@ from pathlib import Path
 
 import pytest
 
+from ksim import offline
 from ksim.generators import GeneratorSpec, generate, parse_generator
 from ksim.harness import (CSV_HEADER, default_initial, probe_demand_monotonicity,
                           reports_to_csv, run_shell, run_trials, solver_guard_ok)
 from ksim.marking import Marking
 from ksim.metric import build_hst, build_uniform, decompose
 from ksim.offline import INF
-from ksim.shell import NodePlan
+from ksim.shell import NodePlan, tree_plan
 
 
 class TestGenerators:
@@ -231,6 +232,11 @@ PINNED_BATCHES = {
     "h4_block_sweep": ((2, 3, 2, 2), 3, 3,
                        GeneratorSpec("block_sweep", 120, seed=7,
                                      params={"width": 3, "passes": 3}), 4, 9),
+    # a sweep over 16 of a root block's points, rendered while the block's
+    # configuration DP still kept every server count (4.3 s, now 0.02 s)
+    "h3_wide_block_sweep": ((4, 4, 4), 4, 4,
+                            GeneratorSpec("block_sweep", 128, seed=0,
+                                          params={"width": 16, "passes": 1}), 4, 0),
 }
 
 
@@ -240,6 +246,37 @@ def test_pinned_csv_bytes(name):
     reports = run_trials(build_hst(branching, mu), k, "algox", spec, trials, base_seed)
     expected = (GOLDEN / f"{name}.csv").read_bytes()
     assert reports_to_csv(reports).encode() == expected
+
+
+class TestBlockDemandWork:
+    """A non-uniform block's configuration DP keeps only the server counts
+    that its demand scan reads, so sweeps over many of its points stay
+    cheap.  The entries the DP steps are counted, and a run fails as soon as
+    they pass the bound: keeping every server count stepped 262,140 on the
+    first sweep, and the second ran for minutes."""
+
+    @staticmethod
+    def run_counted(monkeypatch, bound, branching, mu, k, spec):
+        stepped = [0]
+
+        def counted(dp, r, dist, _step=offline._lazy_step):
+            stepped[0] += len(dp)
+            assert stepped[0] <= bound
+            return _step(dp, r, dist)
+
+        monkeypatch.setattr(offline, "_lazy_step", counted)
+        space = build_hst(branching, mu)
+        run_shell(tree_plan(space), k, default_initial(k), generate(spec, space), seed=0)
+        return stepped[0]
+
+    def test_sweep_over_16_points_of_a_64_leaf_tree(self, monkeypatch):
+        spec = GeneratorSpec("block_sweep", 64, params={"width": 16, "passes": 1})
+        assert self.run_counted(monkeypatch, 10_000, [4, 4, 4], 4, 4, spec) > 0
+
+    def test_sweep_over_a_24_point_root_block(self, monkeypatch):
+        spec = GeneratorSpec("block_sweep", 42, params={"width": 26, "passes": 2})
+        assert self.run_counted(monkeypatch, 30_000, [2, 2, 3, 4], Fraction(5, 2), 2,
+                                spec) > 0
 
 
 class TestProbe:

@@ -326,6 +326,61 @@ class TestDemandEarlyStop:
             assert tracker.demand() == full_scan_demand(tracker, Delta)
 
 
+# Delta per server; a denominator of 7 is off the grid of every metric drawn
+# from `rationals`, so those prices stay Fractions in the metric's unit
+prices = st.builds(Fraction, st.integers(1, 30), st.sampled_from([1, 2, 7]))
+
+
+class TestLazyLevels:
+    """The trackers keep opt(ell) only for the server counts read so far
+    and grow a level by replaying the pushed requests; reads that need a
+    grown level must match trackers and solvers that never dropped one."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), Delta=prices)
+    def test_dp_demand_alone_matches_fresh_optima(self, data, Delta):
+        n = data.draw(st.integers(1, 7))
+        weights = data.draw(st.lists(rationals, min_size=n * (n - 1) // 2,
+                                     max_size=n * (n - 1) // 2))
+        m = metric_closure(n, weights)
+        tracker = DemandTracker.for_metric(m, Delta)
+        prefix = []
+        for r in data.draw(st.lists(st.integers(0, n - 1), max_size=12)):
+            prefix.append(r)
+            tracker.push(r)
+            values = [opt_cost(m, ell, prefix).cost + ell * Delta
+                      for ell in range(len(set(prefix)) + 1)]
+            assert tracker.demand() == values.index(min(values))
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), Delta=prices)
+    def test_opt_at_random_server_counts_between_pushes(self, data, Delta):
+        n = data.draw(st.integers(1, 7))
+        weights = data.draw(st.lists(rationals, min_size=n * (n - 1) // 2,
+                                     max_size=n * (n - 1) // 2))
+        m = metric_closure(n, weights)
+        tracker = DemandTracker.for_metric(m, Delta)
+        prefix = []
+        for r in data.draw(st.lists(st.integers(0, n - 1), max_size=12)):
+            prefix.append(r)
+            tracker.push(r)
+            for ell in data.draw(st.lists(st.integers(0, n), max_size=2)):
+                assert tracker.opt(ell) == opt_cost(m, ell, prefix).cost
+
+    @settings(max_examples=300, deadline=None)
+    @given(n=st.integers(1, 7), offset=st.integers(0, 3), d=rationals,
+           other=rationals, Delta=prices, data=st.data())
+    def test_uniform_demand_alone_matches_the_dp(self, n, offset, d, other, Delta, data):
+        m = clustered_metric(offset, n, d, other)
+        block = list(range(offset, offset + n))
+        greedy = UniformDemandTracker(m, Delta * m.scale, m.uniform_cost(block))
+        dp = DemandTracker(m, Delta * m.scale)
+        for r in data.draw(st.lists(st.sampled_from(block), max_size=30)):
+            greedy.push(r)
+            dp.push(r)
+            assert greedy.demand() == dp.demand()
+
+
 GOLDEN_CONFIGS = Path(__file__).parent / "golden" / "opt_cost_configs.txt"
 
 

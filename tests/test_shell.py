@@ -418,13 +418,38 @@ class TestDemandMemo:
     # sure that nested shells of two or more servers are checked too
     SHAPES = [([2, 3], 4), ([3, 3], 3), ([3, 3, 3], 3), ([2, 2, 3], 3), ([2, 2, 2, 2], 2)]
 
+    @staticmethod
+    def check_shells_sharing_a_plan(branching, mu, runs):
+        """Serve the runs (k, seed, sequence) interleaved on one plan and
+        compare every live shell's peak demands with fresh trackers.
+
+        The first two runs get a first request to point 0, which the root
+        forwards to the nested shell holding the first k servers: a first
+        request elsewhere can jump a server out of that subtree and leave no
+        nested shell of two or more servers live."""
+        plan = tree_plan(build_hst(branching, mu))
+        runs = [(k, seed, [0] + seq) if i < 2 else (k, seed, seq)
+                for i, (k, seed, seq) in enumerate(runs)]
+        shells = [BlockShell(plan, k, default_initial(k), seed) for k, seed, _ in runs]
+        nested = 0
+        for i in range(max(len(seq) for _, _, seq in runs)):
+            for sh, (_, _, seq) in zip(shells, runs):  # interleaved serves
+                if i >= len(seq):
+                    continue
+                sh.serve(seq[i])
+                for live in live_shells(sh):
+                    nested += live is not sh
+                    for b in range(live.t):
+                        assert live.peak_demand(b) == fresh_peak(live, b)
+        if len(branching) >= 3 and runs[0][0] >= 2:
+            # the first k servers start in one subtree, under a nested shell
+            assert nested > 0
+
     @settings(max_examples=25, deadline=None)
     @given(data=st.data())
     def test_shells_sharing_a_plan_match_fresh_trackers(self, data):
         branching, mu = data.draw(st.sampled_from(self.SHAPES), label="shape")
-        space = build_hst(branching, mu)
-        plan = tree_plan(space)
-        point = st.integers(0, space.n_leaves - 1)
+        point = st.integers(0, math.prod(branching) - 1)
         base = data.draw(st.lists(point, min_size=1, max_size=30), label="base")
         cut = data.draw(st.integers(0, len(base)), label="cut")
         tail = data.draw(st.lists(point, min_size=1, max_size=10), label="tail")
@@ -438,20 +463,14 @@ class TestDemandMemo:
             seed2 = data.draw(st.integers(0, 2 ** 16), label="other seed")
             runs.append((k2, seed2, data.draw(st.lists(point, max_size=30),
                                                label="other sequence")))
-        shells = [BlockShell(plan, k, default_initial(k), seed) for k, seed, _ in runs]
-        nested = 0
-        for i in range(max(len(seq) for _, _, seq in runs)):
-            for sh, (_, _, seq) in zip(shells, runs):  # interleaved serves
-                if i >= len(seq):
-                    continue
-                sh.serve(seq[i])
-                for live in live_shells(sh):
-                    nested += live is not sh
-                    for b in range(live.t):
-                        assert live.peak_demand(b) == fresh_peak(live, b)
-        if len(branching) >= 3 and k >= 2:
-            # the first k servers start in one subtree, under a nested shell
-            assert nested > 0
+        self.check_shells_sharing_a_plan(branching, mu, runs)
+
+    def test_a_first_jump_out_of_the_nested_shell_still_checks_one(self):
+        # without its first request to point 0, this draw's first request
+        # jumps a server out of the first subtree, and no nested shell of
+        # two or more servers is ever live
+        runs = [(2, 0, [6]), (2, 0, [6, 0]), (1, 0, []), (1, 0, [])]
+        self.check_shells_sharing_a_plan([2, 2, 3], 3, runs)
 
     def test_a_shell_catches_up_after_memo_hits(self):
         space = build_hst([3, 3, 3], 3)
@@ -599,8 +618,10 @@ class TestOneServerSubtrees:
         stream = random.Random()
         stream.setstate(sub.rng.getstate())
         # a mix of resets: the stream advances by one 64-bit draw per
-        # nonempty reset, whatever its size
-        two = plan.dec.mu_eff >= min(2, plan.dec.t)
+        # nonempty reset, whatever its size; two servers only where every
+        # shell they can reach below this plan accepts two
+        two = all(q.dec.mu_eff >= min(2, q.dec.t) for q in node_plans(plan)
+                  if len(q.dec.points) >= 2)
         for _ in range(data.draw(st.integers(1, 4), label="resets")):
             size = data.draw(st.integers(0, 2 if two else 1), label="size")
             config = data.draw(st.sets(points, min_size=size, max_size=size), label="config")
