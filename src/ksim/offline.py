@@ -366,19 +366,39 @@ class DemandTracker:
         opt(ell) + ell * Delta falls strictly up to its least argmin and never
         falls after it, and the scan stops at the first ell >= 1 whose next
         server saves at most Delta.  opt(0) is +inf on a nonempty sequence,
-        and opt(distinct) is 0.
+        and opt(distinct) is 0.  The scan reads the kept levels' tables
+        directly (`_scan_kept`) and grows L only for an answer of L or more.
         """
         if not self._requests:
             return 0
         # exact for a rational price num/den: compare den * saving with num
         num, den = self._price.numerator, self._price.denominator
-        cur = self._opt_scaled(1)
-        for ell in range(1, len(self._seen)):
+        ell = self._scan_kept(num, den)
+        seen = len(self._seen)
+        if ell < self._levels or ell == seen:
+            return ell
+        # the answer is L or above: read on, growing the kept levels
+        cur = self._opt_scaled(ell)
+        for ell in range(ell, seen):
             nxt = self._opt_scaled(ell + 1)
             if (cur - nxt) * den <= num:
                 return ell
             cur = nxt
-        return len(self._seen)
+        return seen
+
+    def _scan_kept(self, num: int, den: int) -> int:
+        """demand()'s scan over the kept levels 1..top, top = min(distinct,
+        L): the first ell < top whose next server saves at most num/den, or
+        top when none does.  Level `distinct`, kept while distinct <= L,
+        reads 0, as opt(distinct) is: every point keeps its server."""
+        dp = self._dp
+        cur = min(dp[1].values())
+        for ell in range(1, len(dp) - 1):
+            nxt = min(dp[ell + 1].values())
+            if (cur - nxt) * den <= num:
+                return ell
+            cur = nxt
+        return len(dp) - 1
 
 
 class UniformDemandTracker(DemandTracker):
@@ -402,9 +422,10 @@ class UniformDemandTracker(DemandTracker):
     exist.  Each level runs on its own, so the levels above L are dropped
     and grown back by the same replay as the DP's.
 
-    Only `push` and the optimum for 1 <= ell < distinct are replaced; the
-    other conventions and the queries are the DP's.  The configuration DP stays the oracle (and the
-    path for non-uniform blocks); the two agree on opt(ell) and demand().
+    Only `push`, the optimum for 1 <= ell < distinct and the scan over the
+    kept levels are replaced; the other conventions and the queries are the
+    DP's.  The configuration DP stays the oracle (and the path for
+    non-uniform blocks); the two agree on opt(ell) and demand().
     """
 
     def __init__(self, metric: FiniteMetric, price, d: int):
@@ -445,6 +466,15 @@ class UniformDemandTracker(DemandTracker):
                 del ends[j - 1]
                 ends.append(t - 1)
                 kept[i] += 1
+
+    def _scan_kept(self, num: int, den: int) -> int:
+        # opt(ell) - opt(ell+1) = d * (kept[ell] - kept[ell-1])
+        kept = self._kept
+        price = self._d * den
+        for ell in range(1, len(kept)):
+            if (kept[ell] - kept[ell - 1]) * price <= num:
+                return ell
+        return len(kept)
 
     def _opt_scaled(self, ell: int) -> Optional[int]:
         if 1 <= ell < len(self._seen):

@@ -213,8 +213,9 @@ class BlockShell(PhaseLogs):
         return self._peak_demand[s]
 
     def _mark(self, s: int) -> None:
-        if not self._marked[s]:
-            self._marked[s] = True
+        """Mark block s, which is unmarked."""
+        self._marked[s] = True
+        if self._event_sink is not None:
             self._emit("mark", block=s)
 
     @property
@@ -228,21 +229,6 @@ class BlockShell(PhaseLogs):
 
     def _reset_sub(self, s: int) -> None:
         self._subs[s].reset(self.positions & self._block_sets[s])
-
-    def _sub_serve(self, s: int, r: PointId) -> int:
-        sub = self._subs[s]
-        cost = sub.serve(r)
-        self._pos = None
-        count = self._counts[s]
-        if not self._nested:
-            held = len(sub.positions)
-        elif count == 1:
-            held = len(sub.config)  # one server runs no shell to check it
-        else:
-            held = count  # a nested shell checks its own count
-        if held != count:
-            raise ShellInvariantError("subroutine changed its server count")
-        return cost
 
     def _memo_miss(self, s: int, r: PointId, key: int) -> int:
         """Memo node of block s's phase prefix ending in r, a prefix not in
@@ -269,11 +255,13 @@ class BlockShell(PhaseLogs):
     # -- serving ------------------------------------------------------------
 
     def serve(self, r: PointId) -> int:
+        # first, so that a float such as 1.0 never finds a block by its hash
         self.metric.check_point(r)
-        if r not in self.dec.block_of:
+        s = self.dec.block_of.get(r)
+        if s is None:
             raise ValueError(f"request {r} outside this decomposition")
         before = self.total_inner + self.total_jump
-        self._serve_once(r, self.dec.block_of[r], replay=False)
+        self._serve_once(r, s, replay=False)
         if sum(self._counts) != self.k:
             raise ShellInvariantError("server count not conserved")
         return self.total_inner + self.total_jump - before
@@ -289,21 +277,36 @@ class BlockShell(PhaseLogs):
         if node is None:
             node = self._memo_miss(s, r, key)
         self._node[s] = node
-        peak = max(prev_peak, plan.memo_demand[node])
-        self._peak_demand[s] = peak
+        peak = plan.memo_demand[node]
+        if peak > prev_peak:
+            self._peak_demand[s] = peak
+        else:
+            peak = prev_peak
 
         count = self._counts[s]
         if peak <= count:
-            cost = self._sub_serve(s, r)
+            # the block's subroutine serves r and keeps its server count
+            sub = self._subs[s]
+            cost = sub.serve(r)
+            self._pos = None
+            if not self._nested:
+                held = len(sub.positions)
+            elif count == 1 and sub.point is None:
+                held = len(sub.config)  # one server, run by a shell for a sink
+            else:
+                held = count  # one point, or a nested shell that checks itself
+            if held != count:
+                raise ShellInvariantError("subroutine changed its server count")
             self.total_inner += cost
             if self._event_sink is not None:
                 self._emit("serve", block=s, point=r, cost=cost)
-            if peak == count:
+            if peak == count and not self._marked[s]:
                 self._mark(s)
             return
 
         # peak > count: raise the block's population by jumping servers in
-        self._mark(s)
+        if not self._marked[s]:
+            self._mark(s)
         while self._counts[s] < peak:
             donors = [b for b in range(self.t) if not self._marked[b]]
             if not donors:
@@ -330,7 +333,8 @@ class BlockShell(PhaseLogs):
             # a cross-block distance, which the decomposition pins to Delta
             cost = self.metric.dist[src][dst]
             self.total_jump += cost
-            self._emit("jump", from_block=b, to_block=s, src=src, dst=dst, cost=cost)
+            if self._event_sink is not None:
+                self._emit("jump", from_block=b, to_block=s, src=src, dst=dst, cost=cost)
             if self._counts[b] == self._peak_demand[b]:
                 self._mark(b)
             self._reset_sub(s)

@@ -3,7 +3,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from ksim.generators import GeneratorSpec, generate
 from ksim.metric import FiniteMetric, build_hst, build_uniform, decompose
@@ -324,6 +324,35 @@ class TestDemandEarlyStop:
         for r in data.draw(st.lists(st.sampled_from(block), max_size=30)):
             tracker.push(r)
             assert tracker.demand() == full_scan_demand(tracker, Delta)
+
+
+class TestDirectScan:
+    """demand() reads the kept levels' tables directly and reads on through
+    the grow path from level L; the interval tracker's scan must answer as
+    the DP's and as a full scan of a third tracker's optima, on every
+    prefix, also where the answer reaches and passes `LEVELS`.  A price
+    below d buys a server for every distinct point, so the sequences with
+    more than `LEVELS` of them run the fall-back."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(n=st.integers(2, 10), dist=rationals,
+           ratio=st.fractions(Fraction(1, 4), 3, max_denominator=7),
+           seq=st.lists(st.integers(0, 9), min_size=1, max_size=40))
+    # 15/7 is off the grid of d = 3; six distinct points pass LEVELS
+    @example(n=6, dist=Fraction(3, 2), ratio=Fraction(5, 7), seq=list(range(6)) * 2)
+    def test_uniform_scan_matches_the_dp_past_the_kept_levels(self, n, dist, ratio, seq):
+        m = build_uniform(n, dist)
+        d = m.dist[0][1]
+        price = d * ratio  # a Fraction wherever d * ratio is off the grid
+        greedy = UniformDemandTracker(m, price, d)
+        dp = DemandTracker(m, price)
+        oracle = DemandTracker(m, price)  # its opt() reads grow every level
+        for r in seq:
+            r %= n
+            for tracker in (greedy, dp, oracle):
+                tracker.push(r)
+            assert greedy.demand() == dp.demand() == \
+                full_scan_demand(oracle, price / m.scale)
 
 
 # Delta per server; a denominator of 7 is off the grid of every metric drawn

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 from collections import Counter
 from fractions import Fraction
 
@@ -248,6 +249,28 @@ class TestSubroutineResets:
         outside = [p for p in range(space.n_leaves) if p not in dec.points][0]
         with pytest.raises(ValueError, match="outside"):
             sh.serve(outside)
+
+
+class TestServeRejects:
+    """`serve` checks the point before it looks up its block, whose dict
+    would find point 1's block for 1.0, and changes nothing on a reject."""
+
+    @pytest.mark.parametrize("r", [1.0, -1, 27])
+    def test_root_rejects_what_is_not_a_point(self, r):
+        sh = BlockShell(tree_plan(build_hst([3, 3, 3], 3)), 3, default_initial(3), seed=0)
+        with pytest.raises(ValueError,
+                           match=re.escape(f"point id {r!r} out of range [0, 27)")):
+            sh.serve(r)
+        assert sh.phase_logs == [[]] and sh.total_inner == sh.total_jump == 0
+
+    def test_a_sub_plan_rejects_a_leaf_outside_its_decomposition(self):
+        plan = tree_plan(build_hst([3, 3, 3], 3)).subs[0]  # leaves 0..8
+        sh = BlockShell(plan, 2, {0, 3}, seed=0)
+        with pytest.raises(ValueError, match=re.escape("point id 1.0 out of range")):
+            sh.serve(1.0)
+        with pytest.raises(ValueError, match="request 9 outside this decomposition"):
+            sh.serve(9)
+        assert sh.phase_logs == [[]] and sh.total_inner == sh.total_jump == 0
 
 
 class TestHstAlgorithm:
@@ -517,6 +540,48 @@ class TestDemandMemo:
             counts.append(pushes["all"])
         # each trial pushing its own would make 8 times as many
         assert 0 < counts[1] <= 2 * counts[0]
+
+
+class TestMemoHitPath:
+    """A request whose demand the memo holds and whose block needs no jump
+    is served in one pass: no tracker work, and O(1) count checks."""
+
+    def test_a_warmed_plan_replays_with_no_tracker_call(self, monkeypatch):
+        space = build_hst([3, 3, 3], 3)
+        plan = tree_plan(space)
+        seq = generate(GeneratorSpec("uniform_random", 200, seed=5), space)
+        first = run_shell(plan, 3, default_initial(3), seq, seed=7)
+        calls = Counter()
+        for cls, name in ((DemandTracker, "push"), (UniformDemandTracker, "push"),
+                          (DemandTracker, "demand")):
+            def counted(self, *args, _orig=cls.__dict__[name], _name=name):
+                calls[_name] += 1
+                return _orig(self, *args)
+            monkeypatch.setattr(cls, name, counted)
+        second = run_shell(plan, 3, default_initial(3), seq, seed=7)
+        assert calls == Counter()
+        assert second == first
+        assert first.completed_phases > 0
+
+    def test_config_reads_stay_below_one_per_five_inner_serves(self, monkeypatch):
+        counts = Counter()
+        config = ShellSubroutine.__dict__["config"].fget
+
+        def counted_config(self):
+            counts["config"] += 1
+            return config(self)
+
+        def counted_serve(self, r, _serve=ShellSubroutine.serve):
+            counts["serve"] += 1
+            return _serve(self, r)
+        monkeypatch.setattr(ShellSubroutine, "config", property(counted_config))
+        monkeypatch.setattr(ShellSubroutine, "serve", counted_serve)
+        run_trials(build_hst([3, 3, 3], 3), 3, "algox",
+                   GeneratorSpec("uniform_random", 200, seed=5), 8, base_seed=0)
+        # the count check reads no configuration; positions are derived
+        # again only for a jump or a reset
+        assert counts["serve"] > 1000
+        assert 5 * counts["config"] < counts["serve"]
 
 
 class TestStartsAndResets:
