@@ -80,8 +80,7 @@ def run_shell(plan: NodePlan, k: int, initial: Iterable[PointId],
               event_sink: Optional[Callable[[str], None]] = None) -> RunRecord:
     """One seeded shell run over a fixed sequence, with verification records."""
     shell = BlockShell(plan, k, initial, seed=seed, event_sink=event_sink)
-    for r in sequence:
-        shell.serve(r)
+    shell.serve_all(sequence)
     scale = plan.dec.metric.scale
     return RunRecord(
         dec=plan.dec, k=k, sequence=list(sequence), seed=seed,

@@ -106,7 +106,8 @@ class FiniteMetric:
         return cls(rows)
 
     def check_point(self, p: PointId) -> None:
-        if not isinstance(p, int) or not (0 <= p < self.n):
+        # `type`, not `isinstance`, so that True and False are refused too
+        if type(p) is not int or not (0 <= p < self.n):
             raise ValueError(f"point id {p!r} out of range [0, {self.n})")
 
     def distance(self, p: PointId, q: PointId) -> Fraction:

@@ -16,6 +16,7 @@ when a server sits on point p.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
@@ -25,6 +26,10 @@ from typing import Iterable, Optional, Sequence
 from .metric import FiniteMetric, PointId, as_fraction
 
 INF = float("inf")
+
+# refuse a demand DP level of more configurations, C(distinct, ell), than
+# this: a push steps every kept level, at about 1.5 us per configuration
+DEMAND_LEVEL_GUARD = 20_000
 
 
 @dataclass(frozen=True)
@@ -253,7 +258,10 @@ class DemandTracker:
     shell D exceeds the shell's server count only on the request that ends
     the phase, which drops the block's tracker; so the kept ell-DPs, of
     C(distinct, ell) configurations, stay few.  A read above L grows L by
-    replaying the pushed requests (`_grow`).
+    replaying the pushed requests (`_grow`).  A high demand over many
+    distinct points still needs wide levels: a push or a growth that would
+    keep a level of more than `DEMAND_LEVEL_GUARD` configurations raises
+    ValueError before it does (`_check_width`), instead of running on.
     """
 
     LEVELS = 3
@@ -282,11 +290,26 @@ class DemandTracker:
         the levels above half hold no more configurations than those below."""
         requests, checked = self._requests, self._checked
         levels = max(ell, 2 * self._levels)
-        self._restart(levels if 2 * levels < len(self._seen) else len(self._seen))
+        seen = len(self._seen)
+        levels = levels if 2 * levels < seen else seen
+        self._check_width(seen, levels)
+        self._restart(levels)
         self._checked = False  # each was checked on its first push
         for r in requests:
             self.push(r)
         self._checked = checked
+
+    def _check_width(self, distinct: int, levels: int) -> None:
+        """Refuse to keep levels 1..min(distinct, levels) over `distinct`
+        points when the widest, ell = min(levels, distinct // 2), could hold
+        more than `DEMAND_LEVEL_GUARD` configurations."""
+        ell = min(levels, distinct // 2)
+        width = math.comb(distinct, ell)
+        if width > DEMAND_LEVEL_GUARD:
+            raise ValueError(
+                f"demand DP too large: level {ell} over {distinct} distinct points "
+                f"holds up to C({distinct}, {ell}) = {width} configurations, "
+                f"above {DEMAND_LEVEL_GUARD}")
 
     @classmethod
     def _trusted(cls, *args) -> "DemandTracker":
@@ -317,6 +340,7 @@ class DemandTracker:
         dist = self._metric.dist
         dp = self._dp
         if r not in self._seen_set:
+            self._check_width(len(self._seen) + 1, self._levels)
             bit = 1 << r
             top = len(self._seen) + 1
             if top <= self._levels:
@@ -466,6 +490,9 @@ class UniformDemandTracker(DemandTracker):
                 del ends[j - 1]
                 ends.append(t - 1)
                 kept[i] += 1
+
+    def _check_width(self, distinct: int, levels: int) -> None:
+        pass  # a level keeps at most `levels` machine ends, not configurations
 
     def _scan_kept(self, num: int, den: int) -> int:
         # opt(ell) - opt(ell+1) = d * (kept[ell] - kept[ell-1])

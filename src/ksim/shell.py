@@ -193,7 +193,7 @@ class BlockShell(PhaseLogs):
         self._event_sink("\t".join(parts))
 
     def _new_tracker(self, s: int) -> DemandTracker:
-        # `serve` has checked every point the tracker will get
+        # `serve_all` has checked every point the tracker will get
         d = self._uniform_d[s]
         if d is None:
             return DemandTracker._trusted(self.metric, self.dec.price)
@@ -255,56 +255,98 @@ class BlockShell(PhaseLogs):
     # -- serving ------------------------------------------------------------
 
     def serve(self, r: PointId) -> int:
-        # first, so that a float such as 1.0 never finds a block by its hash
-        self.metric.check_point(r)
-        s = self.dec.block_of.get(r)
-        if s is None:
-            raise ValueError(f"request {r} outside this decomposition")
+        return self.serve_all((r,))
+
+    def serve_all(self, requests: Iterable[PointId]) -> int:
+        """Serve the requests in order and return their total cost.
+
+        `requests` is read one request at a time, and the shell's records
+        are current whenever the next one is read.  A request is checked
+        (`check_point` first, so that 1.0 or True never finds point 1's
+        block by its hash) and makes one memo lookup; a block that needs no
+        jump is served here, a one-server subtree by moving its point.  A
+        jump, and a phase end with its one replay, go to `_jump_in`.  Count
+        conservation is checked after every request."""
+        check = self.metric.check_point
+        block_of = self.dec.block_of.get
+        plan = self._plan
+        memo_get = plan.memo_child.get
+        memo_demand = plan.memo_demand
+        n = self._n
+        dist = self.metric.dist
+        sink = self._event_sink
+        nested = self._nested
+        subs, counts, marked = self._subs, self._counts, self._marked
+        node, peak_demand = self._node, self._peak_demand
+        k = self.k
+        log = self.phase_logs[-1]
         before = self.total_inner + self.total_jump
-        self._serve_once(r, s, replay=False)
-        if sum(self._counts) != self.k:
-            raise ShellInvariantError("server count not conserved")
+        for r in requests:
+            check(r)
+            s = block_of(r)
+            if s is None:
+                raise ValueError(f"request {r} outside this decomposition")
+            replay = False
+            while True:
+                log.append(r)
+                prev_peak = peak_demand[s]
+                # the demand of a phase prefix that some shell on this plan
+                # has served is read from the memo, with no tracker built or
+                # pushed
+                key = node[s] * n + r
+                v = memo_get(key)
+                if v is None:
+                    v = self._memo_miss(s, r, key)
+                node[s] = v
+                peak = memo_demand[v]
+                if peak > prev_peak:
+                    peak_demand[s] = peak
+                else:
+                    peak = prev_peak
+                count = counts[s]
+                if peak > count:
+                    if self._jump_in(r, s, prev_peak, peak, replay):
+                        break
+                    # the phase ended: r opens the next one
+                    replay = True
+                    log = self.phase_logs[-1]
+                    continue
+                # the block's subroutine serves r and keeps its server count
+                sub = subs[s]
+                if not nested:
+                    cost = sub.serve(r)
+                    held = len(sub.positions)
+                else:
+                    p = sub.point
+                    if p is not None:
+                        # a one-server subtree: its shell would move the
+                        # server to r (see ShellSubroutine)
+                        cost = dist[p][r]
+                        sub.point = r
+                        held = count
+                    else:
+                        cost = sub.serve(r)
+                        # one server, run by a shell for a sink; a nested
+                        # shell of two or more servers checks its own count
+                        held = len(sub.config) if count == 1 else count
+                self._pos = None
+                if held != count:
+                    raise ShellInvariantError("subroutine changed its server count")
+                self.total_inner += cost
+                if sink is not None:
+                    self._emit("serve", block=s, point=r, cost=cost)
+                if peak == count and not marked[s]:
+                    self._mark(s)
+                break
+            if sum(counts) != k:
+                raise ShellInvariantError("server count not conserved")
         return self.total_inner + self.total_jump - before
 
-    def _serve_once(self, r: PointId, s: int, replay: bool) -> None:
-        self.phase_logs[-1].append(r)
-        prev_peak = self._peak_demand[s]
-        # the demand of a phase prefix that some shell on this plan has
-        # served is read from the memo, with no tracker built or pushed
-        plan = self._plan
-        key = self._node[s] * self._n + r
-        node = plan.memo_child.get(key)
-        if node is None:
-            node = self._memo_miss(s, r, key)
-        self._node[s] = node
-        peak = plan.memo_demand[node]
-        if peak > prev_peak:
-            self._peak_demand[s] = peak
-        else:
-            peak = prev_peak
-
-        count = self._counts[s]
-        if peak <= count:
-            # the block's subroutine serves r and keeps its server count
-            sub = self._subs[s]
-            cost = sub.serve(r)
-            self._pos = None
-            if not self._nested:
-                held = len(sub.positions)
-            elif count == 1 and sub.point is None:
-                held = len(sub.config)  # one server, run by a shell for a sink
-            else:
-                held = count  # one point, or a nested shell that checks itself
-            if held != count:
-                raise ShellInvariantError("subroutine changed its server count")
-            self.total_inner += cost
-            if self._event_sink is not None:
-                self._emit("serve", block=s, point=r, cost=cost)
-            if peak == count and not self._marked[s]:
-                self._mark(s)
-            return
-
-        # peak > count: raise the block's population by jumping servers in
+    def _jump_in(self, r: PointId, s: int, prev_peak: int, peak: int,
+                 replay: bool) -> bool:
+        """Raise block s's population to `peak` by jumping servers in, for
+        request r.  False when the phase ends first (every block is marked):
+        r then belongs to the next phase, to be served again."""
         if not self._marked[s]:
             self._mark(s)
         while self._counts[s] < peak:
@@ -313,8 +355,7 @@ class BlockShell(PhaseLogs):
                 if replay:
                     raise ShellInvariantError("phase ended twice for a single request")
                 self._end_phase(r, s, prev_peak)
-                self._serve_once(r, s, replay=True)
-                return
+                return False
             b = self._choice(donors)
             positions = self.positions
             src = self._choice(sorted(positions & self._block_sets[b]))
@@ -339,6 +380,7 @@ class BlockShell(PhaseLogs):
                 self._mark(b)
             self._reset_sub(s)
             self._reset_sub(b)
+        return True
 
     # -- phase boundary -----------------------------------------------------
 
@@ -359,10 +401,11 @@ class BlockShell(PhaseLogs):
         self.phase += 1
         self._current_phase_jumps = 0
         self.phase_logs.append([])
-        self._marked = [c == 0 for c in self._counts]
-        self._node = list(range(self.t))
+        # in place, as `serve_all` holds these lists
+        self._marked[:] = [c == 0 for c in self._counts]
+        self._node[:] = range(self.t)
         self._trackers = [None] * self.t
-        self._peak_demand = [0] * self.t
+        self._peak_demand[:] = [0] * self.t
         # the jump that emptied a block has reset its subroutine already
         for b in range(self.t):
             if self._marked[b]:
@@ -415,8 +458,9 @@ class ShellSubroutine:
     `dist`, as one-server marking pays `d` per miss.  The instance seed is
     still drawn, so every later rebuild gets the same seed; the draws the
     skipped shell would make come from its private streams, which nothing
-    else reads.  With a sink, every reset builds a shell, so its events are
-    emitted.
+    else reads.  A parent shell makes the same move on `point` in its own
+    loop (`BlockShell.serve_all`), with no call.  With a sink, every reset
+    builds a shell, so its events are emitted.
     """
 
     def __init__(self, plan: NodePlan, seed: int,
@@ -452,6 +496,9 @@ class ShellSubroutine:
     def serve(self, r: PointId) -> int:
         p = self.point
         if p is not None:
+            # a parent shell moves the point itself; this path serves a
+            # caller that holds the adapter, whose point it has not checked
+            self._plan.dec.metric.check_point(r)
             if r not in self._block_of:
                 raise ValueError(f"request {r} outside this decomposition")
             self.point = r

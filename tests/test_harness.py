@@ -278,6 +278,13 @@ class TestBlockDemandWork:
         assert self.run_counted(monkeypatch, 30_000, [2, 2, 3, 4], Fraction(5, 2), 2,
                                 spec) > 0
 
+    def test_a_sweep_whose_demand_needs_wide_levels_fails_fast(self, monkeypatch):
+        # the passes drive a 36-point root block's demand to k = 6; keeping
+        # the levels up to 6 ran for minutes before `DEMAND_LEVEL_GUARD`
+        spec = GeneratorSpec("block_sweep", 600, seed=3, params={"width": 36, "passes": 8})
+        with pytest.raises(ValueError, match="over 36 distinct points"):
+            self.run_counted(monkeypatch, 200_000, [6, 6, 6], 6, 6, spec)
+
 
 class TestProbe:
     def test_vacuous_cases(self):

@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from ksim import offline
 from ksim.generators import GeneratorSpec, generate
 from ksim.metric import FiniteMetric, build_hst, build_uniform, decompose
 from ksim.offline import (INF, DemandTracker, UniformDemandTracker, demand,
@@ -82,6 +83,14 @@ class TestOptCost:
         m = build_uniform(3, 1)
         res = opt_cost(m, 1, [0, 1])
         assert res.config == frozenset({1})
+
+    def test_rejects_bools(self):
+        # bool is a subclass of int, but True is not point 1
+        m = build_uniform(3, 1)
+        with pytest.raises(ValueError, match="point id True"):
+            opt_cost(m, 1, [True, False])
+        with pytest.raises(ValueError, match="point id False"):
+            opt_cost(m, 1, [0], initial={False})
 
 
 class TestExhaustiveOracle:
@@ -180,6 +189,15 @@ class TestDemandTracker:
                 tracker.push(r)
                 for ell in range(n + 1):
                     assert tracker.opt(ell) == opt_cost(m, ell, prefix).cost
+
+    @pytest.mark.parametrize("r", [True, False])
+    def test_a_checked_push_rejects_bools(self, r):
+        m = build_uniform(3, 1)
+        for tracker in (DemandTracker.for_metric(m, 2),
+                        UniformDemandTracker(m, 2 * m.scale, m.uniform_cost())):
+            with pytest.raises(ValueError, match=f"point id {r}"):
+                tracker.push(r)
+            assert tracker.length == 0
 
     def test_initial_state(self):
         tracker = DemandTracker.for_metric(build_uniform(3, 1), 2)
@@ -408,6 +426,55 @@ class TestLazyLevels:
             greedy.push(r)
             dp.push(r)
             assert greedy.demand() == dp.demand()
+
+
+class TestLevelGuard:
+    """A configuration DP that would keep a level of more than
+    `DEMAND_LEVEL_GUARD` configurations raises before it does.  The entries
+    the DP steps are counted: each run raises after stepping a few tens of
+    thousands (about 1.5 us each), where keeping the level would step
+    millions per push."""
+
+    @staticmethod
+    def counted(monkeypatch):
+        stepped = [0]
+
+        def counted(dp, r, dist, _step=offline._lazy_step):
+            stepped[0] += len(dp)
+            return _step(dp, r, dist)
+        monkeypatch.setattr(offline, "_lazy_step", counted)
+        return stepped
+
+    def test_a_high_demand_over_many_points_raises_before_growing(self, monkeypatch):
+        stepped = self.counted(monkeypatch)
+        # a server is worth more than the distance it saves, so the demand
+        # is every distinct point, and the scan grows the kept levels
+        tracker = DemandTracker.for_metric(build_uniform(30, 1), Fraction(1, 2))
+        for r in range(30):
+            tracker.push(r)
+        with pytest.raises(ValueError, match=r"level 6 over 30 distinct points "
+                                             r"holds up to C\(30, 6\) = 593775"):
+            tracker.demand()
+        assert stepped[0] < 50_000  # the pushes at three levels, no replay
+        assert tracker.length == 30
+
+    def test_a_push_past_the_guard_raises_before_stepping(self, monkeypatch):
+        monkeypatch.setattr(DemandTracker, "LEVELS", 6)
+        stepped = self.counted(monkeypatch)
+        tracker = DemandTracker.for_metric(build_uniform(20, 1), 2)
+        for r in range(18):  # C(18, 6) = 18564 configurations at most
+            tracker.push(r)
+        before = stepped[0]
+        with pytest.raises(ValueError, match=r"level 6 over 19 distinct points"):
+            tracker.push(18)
+        assert stepped[0] == before and tracker.length == 18
+
+    def test_the_greedy_keeps_no_configurations(self):
+        m = build_uniform(60, 1)
+        greedy = UniformDemandTracker(m, Fraction(m.scale, 2), m.uniform_cost())
+        for r in range(60):
+            greedy.push(r)
+        assert greedy.demand() == 60
 
 
 GOLDEN_CONFIGS = Path(__file__).parent / "golden" / "opt_cost_configs.txt"

@@ -253,9 +253,10 @@ class TestSubroutineResets:
 
 class TestServeRejects:
     """`serve` checks the point before it looks up its block, whose dict
-    would find point 1's block for 1.0, and changes nothing on a reject."""
+    would find point 1's block for 1.0 or True, and changes nothing on a
+    reject."""
 
-    @pytest.mark.parametrize("r", [1.0, -1, 27])
+    @pytest.mark.parametrize("r", [1.0, -1, 27, True, False])
     def test_root_rejects_what_is_not_a_point(self, r):
         sh = BlockShell(tree_plan(build_hst([3, 3, 3], 3)), 3, default_initial(3), seed=0)
         with pytest.raises(ValueError,
@@ -564,24 +565,106 @@ class TestMemoHitPath:
         assert first.completed_phases > 0
 
     def test_config_reads_stay_below_one_per_five_inner_serves(self, monkeypatch):
-        counts = Counter()
+        reads = Counter()
         config = ShellSubroutine.__dict__["config"].fget
 
         def counted_config(self):
-            counts["config"] += 1
+            reads["config"] += 1
             return config(self)
-
-        def counted_serve(self, r, _serve=ShellSubroutine.serve):
-            counts["serve"] += 1
-            return _serve(self, r)
         monkeypatch.setattr(ShellSubroutine, "config", property(counted_config))
-        monkeypatch.setattr(ShellSubroutine, "serve", counted_serve)
-        run_trials(build_hst([3, 3, 3], 3), 3, "algox",
-                   GeneratorSpec("uniform_random", 200, seed=5), 8, base_seed=0)
+        space = build_hst([3, 3, 3], 3)
+        plan = tree_plan(space)
+        seq = generate(GeneratorSpec("uniform_random", 200, seed=5), space)
+        # a one-server subtree is served in the root's own loop, with no
+        # call to count, so the inner serves are bounded from the records:
+        # a request that jumps serves nothing inside, and every jump costs
+        # Delta, so requests minus jumps is at most the inner serves
+        serves = 0
+        for seed in range(8):  # the trials of `run_trials` at base seed 0
+            rec = run_shell(plan, 3, default_initial(3), seq, seed)
+            serves += len(seq) - rec.total_jump / plan.dec.Delta
         # the count check reads no configuration; positions are derived
         # again only for a jump or a reset
-        assert counts["serve"] > 1000
-        assert 5 * counts["config"] < counts["serve"]
+        assert serves > 1000
+        assert 5 * reads["config"] < serves
+
+
+def costs_read_between(shell, requests, costs):
+    """Yield the requests, appending to `costs` what each one cost: the
+    shell's totals are current whenever the next request is read."""
+    for r in requests:
+        before = shell.total_inner + shell.total_jump
+        yield r
+        costs.append(shell.total_inner + shell.total_jump - before)
+
+
+class TestServeAll:
+    """One `serve_all` call, `serve_all` on chunks and one `serve` per
+    request are the same run: same costs, records, draws and events."""
+
+    SHAPES = [([2, 2, 3], Fraction(5, 2)), ([3, 3, 3], 3), ([4, 2], 4)]
+
+    @staticmethod
+    def record(shell, events, costs):
+        return (costs, shell.total_inner, shell.total_jump, shell.phase_logs,
+                shell.triggers, shell.dhat, shell.phase_jump_counts, shell.draws, events)
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_three_ways_of_serving_agree(self, data):
+        branching, mu = data.draw(st.sampled_from(self.SHAPES), label="shape")
+        plan = tree_plan(build_hst(branching, mu))
+        dec = plan.dec
+        k = data.draw(st.integers(1, 4), label="k")
+        init = data.draw(st.sets(st.sampled_from(dec.points), min_size=k, max_size=k),
+                         label="initial")
+        seed = data.draw(st.integers(0, 2 ** 32), label="seed")
+        sink = data.draw(st.booleans(), label="sink")
+        base = data.draw(st.lists(st.sampled_from(dec.points), max_size=20), label="base")
+        # k+1 points cycled over the root blocks end phases, and each phase
+        # end replays its trigger
+        hot = data.draw(st.tuples(*[st.sampled_from(dec.blocks[i % dec.t])
+                                    for i in range(k + 1)])
+                        .filter(lambda h: len(set(h)) == k + 1), label="hot")
+        seq = base + list(hot) * 12
+        cuts = sorted(data.draw(st.lists(st.integers(0, len(seq)), max_size=6), label="cuts"))
+
+        def start():
+            events = []
+            shell = BlockShell(plan, k, init, seed, event_sink=events.append if sink else None)
+            return shell, events
+
+        whole, events = start()
+        costs = []
+        total = whole.serve_all(costs_read_between(whole, seq, costs))
+        assert total == sum(costs) == whole.total_inner + whole.total_jump
+        assert whole.completed_phases > 0
+        expected = self.record(whole, events, costs)
+
+        chunked, events = start()
+        costs = []
+        for lo, hi in zip([0] + cuts, cuts + [len(seq)]):
+            done = len(costs)
+            part = chunked.serve_all(costs_read_between(chunked, seq[lo:hi], costs))
+            assert part == sum(costs[done:])
+        assert self.record(chunked, events, costs) == expected
+
+        single, events = start()
+        costs = [single.serve(r) for r in seq]
+        assert self.record(single, events, costs) == expected
+
+    def test_a_reject_keeps_the_requests_served_before_it(self):
+        plan = tree_plan(build_hst([3, 3, 3], 3))
+        seq = [0, 13, 26, 4]
+        whole = BlockShell(plan, 3, default_initial(3), seed=2)
+        with pytest.raises(ValueError, match="point id True"):
+            whole.serve_all(seq + [True, 5])
+        single = BlockShell(plan, 3, default_initial(3), seed=2)
+        for r in seq:
+            single.serve(r)
+        assert whole.phase_logs == single.phase_logs == [seq]
+        assert (whole.total_inner, whole.total_jump, whole.draws) == \
+            (single.total_inner, single.total_jump, single.draws)
 
 
 class TestStartsAndResets:
@@ -758,16 +841,28 @@ class TestOneServerSubtrees:
         with pytest.raises(ValueError, match="outside"):
             sub.serve(6)
 
+    @pytest.mark.parametrize("r", [True, 1.0])
+    def test_one_point_rejects_what_is_not_a_point(self, r):
+        # both would find point 1 in the block's dict by their hash
+        algo = build_hst_algorithm(build_hst([3, 3, 3], 3), 1, {0}, seed=3)
+        assert algo.point == 0
+        with pytest.raises(ValueError, match=re.escape(f"point id {r!r} out of range")):
+            algo.serve(r)
+        assert algo.point == 0 and type(algo.point) is int
+
     def test_subroutine_losing_its_one_server_is_caught(self):
+        # a one-server subtree held as a point is moved by the parent's own
+        # loop, which calls no method of it; one run by a shell, as with an
+        # event sink, serves through `serve` and has its count checked
         class DropsItsServer(ShellSubroutine):
             def serve(self, r):
                 cost = super().serve(r)
-                self.point = None
+                self.shell = None
                 return cost
 
         plan = tree_plan(build_hst([2, 2, 2], 3))
         sh = BlockShell(plan, 2, {0, 4}, seed=0)  # one server per subtree
-        sh._subs[0] = DropsItsServer(plan.subs[0], seed=0)
+        sh._subs[0] = DropsItsServer(plan.subs[0], seed=0, event_sink=[].append)
         sh._reset_sub(0)
         with pytest.raises(ShellInvariantError, match="server count"):
             sh.serve(1)
