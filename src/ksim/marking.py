@@ -112,6 +112,10 @@ class Marking:
     def reset(self, config: Iterable[PointId]) -> None:
         """Restart from the given configuration: marks cleared, k = |config|."""
         positions = set(config)
+        for p in positions:
+            # `type`: True and 1.0 would pass the subset test as point 1
+            if type(p) is not int:
+                raise ValueError(f"point id {p!r} is not an int")
         if not positions <= self._point_set:
             raise ValueError("configuration must lie inside the space")
         self.positions = positions
@@ -120,7 +124,8 @@ class Marking:
         self.phase_count = 1
 
     def serve(self, r: PointId) -> int:
-        if r not in self._point_set:
+        # `type`: True and 1.0 would find point 1 in the set by their hash
+        if type(r) is not int or r not in self._point_set:
             raise ValueError(f"request {r} outside this space")
         if self.k == 0:
             raise RuntimeError("marking state has no servers; caller must move some in first")

@@ -171,7 +171,10 @@ class HstSpace:
         mu = as_fraction(mu)
         if mu <= 1:
             raise ValueError("mu must be > 1")
-        branching = tuple(int(b) for b in branching)
+        branching = tuple(branching)
+        # `type`, so that 2.5 is not truncated and True not taken for 1
+        if any(type(b) is not int for b in branching):
+            raise ValueError(f"branching counts must be ints, got {branching}")
         if len(branching) == 0:
             raise ValueError("branching must have at least one level")
         if any(b < 1 for b in branching):

@@ -391,24 +391,21 @@ class DemandTracker:
         falls after it, and the scan stops at the first ell >= 1 whose next
         server saves at most Delta.  opt(0) is +inf on a nonempty sequence,
         and opt(distinct) is 0.  The scan reads the kept levels' tables
-        directly (`_scan_kept`) and grows L only for an answer of L or more.
+        directly (`_scan_kept`).  Below L+1 distinct points an answer of L
+        grows them (`_grow`) and scans again; at L+1, opt(L+1) = 0 decides.
         """
         if not self._requests:
             return 0
         # exact for a rational price num/den: compare den * saving with num
         num, den = self._price.numerator, self._price.denominator
-        ell = self._scan_kept(num, den)
         seen = len(self._seen)
-        if ell < self._levels or ell == seen:
-            return ell
-        # the answer is L or above: read on, growing the kept levels
-        cur = self._opt_scaled(ell)
-        for ell in range(ell, seen):
-            nxt = self._opt_scaled(ell + 1)
-            if (cur - nxt) * den <= num:
+        while True:
+            ell = self._scan_kept(num, den)
+            if ell < self._levels or ell == seen:
                 return ell
-            cur = nxt
-        return seen
+            if ell + 1 == seen:
+                return ell if self._opt_scaled(ell) * den <= num else seen
+            self._grow(ell + 1)
 
     def _scan_kept(self, num: int, den: int) -> int:
         """demand()'s scan over the kept levels 1..top, top = min(distinct,

@@ -2,9 +2,9 @@
 
 The shell owns k servers on a decomposition with exact cross-block distance
 Delta.  Each nonempty block runs its own subroutine instance (marking, or a
-nested shell for deeper trees).  Per request it reads the target block's
-demand for the current phase from the node plan's memo (computing it on a
-miss), updates the block's peak demand and then:
+nested shell for deeper trees), the one record of the block's servers.  Per
+request it reads the target block's peak demand in the current phase from
+the node plan's memo (computing the demand on a miss) and then:
 
   * peak < servers in the block: forward to the block subroutine;
   * peak = servers: forward, then mark the block;
@@ -55,19 +55,20 @@ class NodePlan:
     integer unit (None elsewhere, read from the decomposition), each block's
     subroutine plan (a marking `Universe` or the child's `NodePlan`) and the
     competitive function `f`, all fixed once built; and a memo of block
-    demands, which grows as the shells on the plan serve.  `NodePlan(dec)`
-    runs marking on every block.
+    peak demands, which grows as the shells on the plan serve.
+    `NodePlan(dec)` runs marking on every block.
 
     The memo is a trie per block over the block's requests in one phase.
     Node ids 0..t-1 are the empty prefixes of blocks 0..t-1; the child of
     node `v` on request `r` is `memo_child[v * metric.n + r]`;
-    `memo_demand[v]` is the demand of the prefix that ends at `v` and
-    `memo_depth[v]` its length.  A demand depends on the decomposition and
-    that prefix alone, so every shell on the plan may read it, and a shell
-    adds at most one node per request it serves."""
+    `memo_peak[v]` is the largest demand of a prefix on the path to `v`
+    (the block's peak demand in the phase) and `memo_depth[v]` the length
+    of `v`'s prefix.  A peak depends on the decomposition and that prefix
+    alone, so every shell on the plan reads it there, and a shell adds at
+    most one node per request it serves."""
 
     __slots__ = ("dec", "block_sets", "uniform_d", "subs", "f",
-                 "memo_child", "memo_demand", "memo_depth")
+                 "memo_child", "memo_peak", "memo_depth")
 
     def __init__(self, dec: Decomposition,
                  subs: Optional[tuple[Union["NodePlan", Universe], ...]] = None):
@@ -84,7 +85,7 @@ class NodePlan:
         self.f = compose_f(subs[0].f)
         # plain ints only, so that the memo adds no object per entry
         self.memo_child: dict[int, int] = {}
-        self.memo_demand = [0] * dec.t
+        self.memo_peak = [0] * dec.t
         self.memo_depth = [0] * dec.t
 
 
@@ -144,8 +145,6 @@ class BlockShell(PhaseLogs):
         self._n = dec.metric.n
         self._block_sets = plan.block_sets
         self._uniform_d = plan.uniform_d
-        # None while an inner serve has moved servers since the last read
-        self._pos: Optional[set[PointId]] = set(init)
         self._counts = [len(init & bs) for bs in self._block_sets]
         self.rng = random.Random(seed)
         self.draws = 0
@@ -159,13 +158,12 @@ class BlockShell(PhaseLogs):
                                         for sub in plan.subs]
         for s in range(self.t):
             if self._counts[s]:
-                self._reset_sub(s)
+                self._subs[s].reset(init & self._block_sets[s])
 
         self.phase = 1
         self._marked = [c == 0 for c in self._counts]
         self._node = list(range(self.t))  # each block's phase prefix in the memo
         self._trackers: list[Optional[DemandTracker]] = [None] * self.t
-        self._peak_demand = [0] * self.t
 
         # records for verification
         self.phase_logs: list[list[PointId]] = [[]]   # [-1] is the running phase
@@ -210,7 +208,7 @@ class BlockShell(PhaseLogs):
         return self._marked[s]
 
     def peak_demand(self, s: int) -> int:
-        return self._peak_demand[s]
+        return self._plan.memo_peak[self._node[s]]
 
     def _mark(self, s: int) -> None:
         """Mark block s, which is unmarked."""
@@ -219,16 +217,10 @@ class BlockShell(PhaseLogs):
             self._emit("mark", block=s)
 
     @property
-    def positions(self) -> set[PointId]:
-        """The servers' points.  After an inner serve they are derived again
-        from the block subroutines' configurations, on the next read."""
-        pos = self._pos
-        if pos is None:
-            pos = self._pos = set().union(*[sub.config for sub in self._subs])
-        return pos
-
-    def _reset_sub(self, s: int) -> None:
-        self._subs[s].reset(self.positions & self._block_sets[s])
+    def positions(self) -> frozenset:
+        """The servers' points: the union of the block subroutines'
+        configurations, derived on each read."""
+        return frozenset().union(*[sub.config for sub in self._subs])
 
     def _memo_miss(self, s: int, r: PointId, key: int) -> int:
         """Memo node of block s's phase prefix ending in r, a prefix not in
@@ -236,7 +228,8 @@ class BlockShell(PhaseLogs):
         the phase, first pushes the block's requests that were served from
         the memo since its last push."""
         plan = self._plan
-        depth = plan.memo_depth[self._node[s]] + 1
+        parent = self._node[s]
+        depth = plan.memo_depth[parent] + 1
         tracker = self._trackers[s]
         if tracker is None:
             tracker = self._trackers[s] = self._new_tracker(s)
@@ -246,9 +239,11 @@ class BlockShell(PhaseLogs):
             for q in seen[tracker.length:depth - 1]:
                 tracker.push(q)
         tracker.push(r)
-        node = len(plan.memo_demand)
+        node = len(plan.memo_peak)
         plan.memo_child[key] = node
-        plan.memo_demand.append(tracker.demand())
+        # a compare, not max(): nearly every request misses on a wide block
+        peak, prev = tracker.demand(), plan.memo_peak[parent]
+        plan.memo_peak.append(peak if peak > prev else prev)
         plan.memo_depth.append(depth)
         return node
 
@@ -271,13 +266,13 @@ class BlockShell(PhaseLogs):
         block_of = self.dec.block_of.get
         plan = self._plan
         memo_get = plan.memo_child.get
-        memo_demand = plan.memo_demand
+        memo_peak = plan.memo_peak
         n = self._n
         dist = self.metric.dist
         sink = self._event_sink
         nested = self._nested
         subs, counts, marked = self._subs, self._counts, self._marked
-        node, peak_demand = self._node, self._peak_demand
+        node = self._node
         k = self.k
         log = self.phase_logs[-1]
         before = self.total_inner + self.total_jump
@@ -289,23 +284,19 @@ class BlockShell(PhaseLogs):
             replay = False
             while True:
                 log.append(r)
-                prev_peak = peak_demand[s]
-                # the demand of a phase prefix that some shell on this plan
+                # the peak of a phase prefix that some shell on this plan
                 # has served is read from the memo, with no tracker built or
                 # pushed
-                key = node[s] * n + r
+                u = node[s]
+                key = u * n + r
                 v = memo_get(key)
                 if v is None:
                     v = self._memo_miss(s, r, key)
                 node[s] = v
-                peak = memo_demand[v]
-                if peak > prev_peak:
-                    peak_demand[s] = peak
-                else:
-                    peak = prev_peak
+                peak = memo_peak[v]
                 count = counts[s]
                 if peak > count:
-                    if self._jump_in(r, s, prev_peak, peak, replay):
+                    if self._jump_in(r, s, memo_peak[u], peak, replay):
                         break
                     # the phase ended: r opens the next one
                     replay = True
@@ -329,7 +320,6 @@ class BlockShell(PhaseLogs):
                         # one server, run by a shell for a sink; a nested
                         # shell of two or more servers checks its own count
                         held = len(sub.config) if count == 1 else count
-                self._pos = None
                 if held != count:
                     raise ShellInvariantError("subroutine changed its server count")
                 self.total_inner += cost
@@ -349,6 +339,7 @@ class BlockShell(PhaseLogs):
         r then belongs to the next phase, to be served again."""
         if not self._marked[s]:
             self._mark(s)
+        memo_peak, sub_s = self._plan.memo_peak, self._subs[s]
         while self._counts[s] < peak:
             donors = [b for b in range(self.t) if not self._marked[b]]
             if not donors:
@@ -357,17 +348,16 @@ class BlockShell(PhaseLogs):
                 self._end_phase(r, s, prev_peak)
                 return False
             b = self._choice(donors)
-            positions = self.positions
-            src = self._choice(sorted(positions & self._block_sets[b]))
-            if r not in positions:
+            sub_b = self._subs[b]
+            cfg_b, cfg_s = sub_b.config, sub_s.config
+            src = self._choice(sorted(cfg_b))
+            if r not in cfg_s:
                 dst = r
             else:
-                free = sorted(self._block_sets[s] - positions)
+                free = sorted(self._block_sets[s] - cfg_s)
                 if not free:
                     raise ShellInvariantError("no unoccupied point in the demanding block")
                 dst = self._choice(free)
-            positions.discard(src)
-            positions.add(dst)
             self._counts[b] -= 1
             self._counts[s] += 1
             self._current_phase_jumps += 1
@@ -376,10 +366,10 @@ class BlockShell(PhaseLogs):
             self.total_jump += cost
             if self._event_sink is not None:
                 self._emit("jump", from_block=b, to_block=s, src=src, dst=dst, cost=cost)
-            if self._counts[b] == self._peak_demand[b]:
+            if self._counts[b] == memo_peak[self._node[b]]:
                 self._mark(b)
-            self._reset_sub(s)
-            self._reset_sub(b)
+            sub_s.reset(cfg_s | {dst})
+            sub_b.reset(cfg_b - {src})
         return True
 
     # -- phase boundary -----------------------------------------------------
@@ -388,9 +378,9 @@ class BlockShell(PhaseLogs):
         """End the phase on `trigger`, a request to block s whose peak demand
         was `prev_peak` before it; the request belongs to the next phase."""
         self.phase_logs[-1].pop()
-        peak_without = list(self._peak_demand)
+        peak_plus = [self._plan.memo_peak[v] for v in self._node]
+        peak_without = list(peak_plus)
         peak_without[s] = prev_peak
-        peak_plus = list(self._peak_demand)
         self._check_sandwich(peak_without, peak_plus)
 
         self.triggers.append(trigger)
@@ -401,17 +391,16 @@ class BlockShell(PhaseLogs):
         self.phase += 1
         self._current_phase_jumps = 0
         self.phase_logs.append([])
-        # in place, as `serve_all` holds these lists
+        # in place, as `serve_all` holds these lists; empty prefixes peak at 0
         self._marked[:] = [c == 0 for c in self._counts]
         self._node[:] = range(self.t)
         self._trackers = [None] * self.t
-        self._peak_demand[:] = [0] * self.t
         # the jump that emptied a block has reset its subroutine already
-        for b in range(self.t):
+        for b, sub in enumerate(self._subs):
             if self._marked[b]:
                 self._emit("mark", block=b)
             else:
-                self._reset_sub(b)
+                sub.reset(sub.config)
 
     def _check_sandwich(self, peak_without: list[int], peak_plus: list[int]) -> None:
         """End-of-phase counts sit between the peak demands with and without
@@ -511,7 +500,7 @@ class ShellSubroutine:
     def config(self) -> frozenset:
         if self.point is not None:
             return frozenset((self.point,))
-        return frozenset() if self.shell is None else frozenset(self.shell.positions)
+        return frozenset() if self.shell is None else self.shell.positions
 
 
 def start_subroutine(plan: Union[NodePlan, Universe], seed: int,

@@ -264,7 +264,7 @@ class TestCli:
 
     # tests/golden/run_events_<branching>.log were written by the three-way
     # construction this one replaced, and must never change
-    @pytest.mark.parametrize("branching", ["2 2 3", "3 3 3"])
+    @pytest.mark.parametrize("branching", ["2 2 3", "3 3 3", "4 4", "8 8"])
     def test_run_event_log_bytes(self, tmp_path, capsys, branching):
         name = "run_events_" + branching.replace(" ", "_") + ".log"
         assert self._event_log(tmp_path, "3", branching) == (GOLDEN / name).read_bytes()

@@ -149,6 +149,32 @@ class TestReset:
             st.serve(0)
 
 
+class TestRefusesWhatIsNotAPoint:
+    """True and 1.0 would find point 1 in a set by their hash; -1 and n are
+    out of range."""
+
+    BAD = [True, 1.0, -1, 3]
+
+    @pytest.mark.parametrize("p", BAD)
+    def test_constructor(self, p):
+        with pytest.raises(ValueError):
+            Marking(build_uniform(3, 1), [p, 0], seed=0)
+
+    @pytest.mark.parametrize("p", BAD)
+    def test_reset(self, p):
+        st = Marking(build_uniform(3, 1), [0, 2], seed=0)
+        with pytest.raises(ValueError):
+            st.reset([p, 0])
+        assert st.positions == {0, 2}
+
+    @pytest.mark.parametrize("p", BAD)
+    def test_serve(self, p):
+        st = Marking(build_uniform(3, 1), [0, 2], seed=0)
+        with pytest.raises(ValueError, match="outside this space"):
+            st.serve(p)
+        assert st.positions == {0, 2} and st.marked == set()
+
+
 class TestCompetitiveFunction:
     def test_values(self):
         assert marking_f(1) == 2

@@ -113,6 +113,12 @@ class TestBuildHst:
         with pytest.raises(TypeError):
             build_hst([2], 2.5)
 
+    @pytest.mark.parametrize("branching", [[2.5, 3], [True, 3], [3, 2.0]])
+    def test_rejects_counts_that_are_not_ints(self, branching):
+        # int() would build [2, 3], [1, 3] and [3, 2] from these
+        with pytest.raises(ValueError, match="branching counts must be ints"):
+            build_hst(branching, 3)
+
     @settings(max_examples=40, deadline=None)
     @given(branching=st.lists(st.integers(1, 3), min_size=1, max_size=3),
            mu_num=st.integers(3, 9), mu_den=st.integers(1, 2))

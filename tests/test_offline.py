@@ -428,6 +428,35 @@ class TestLazyLevels:
             assert greedy.demand() == dp.demand()
 
 
+    @pytest.mark.parametrize("Delta,seq,want,grows", [
+        # a server on the 8-point cycle saves two misses, more than Delta;
+        # one on a point requested once saves one miss, less than Delta
+        (Fraction(3, 2), list(range(8)) * 3 + list(range(8, 13)), 8, [4, 7]),
+        (Fraction(1, 2), list(range(13)) * 2, 13, [4, 7]),
+        # at L+1 distinct points, opt(L+1) is 0 with no level grown
+        (Fraction(1, 2), list(range(4)) * 2, 4, []),
+    ])
+    def test_dp_demand_grows_as_a_read_on_scan_does(self, monkeypatch, Delta, seq, want, grows):
+        # L grows from 3 to 6 and then to every distinct point, once each,
+        # as when the scan read opt(L+1) level by level
+        grown = []
+        grow = DemandTracker._grow
+
+        def counted(self, ell):
+            grown.append(ell)
+            return grow(self, ell)
+        monkeypatch.setattr(DemandTracker, "_grow", counted)
+        tracker = DemandTracker.for_metric(build_uniform(13, 1), Delta)
+        for r in seq:
+            tracker.push(r)
+        assert tracker.demand() == want
+        assert grown == grows
+        oracle = DemandTracker.for_metric(build_uniform(13, 1), Delta)
+        for r in seq:
+            oracle.push(r)
+        assert full_scan_demand(oracle, Delta) == want
+
+
 class TestLevelGuard:
     """A configuration DP that would keep a level of more than
     `DEMAND_LEVEL_GUARD` configurations raises before it does.  The entries

@@ -496,6 +496,20 @@ class TestDemandMemo:
         runs = [(2, 0, [6]), (2, 0, [6, 0]), (1, 0, []), (1, 0, [])]
         self.check_shells_sharing_a_plan([2, 2, 3], 3, runs)
 
+    def test_a_falling_demand_keeps_its_peak(self, monkeypatch):
+        # no prefix demand has been seen to fall, so a stand-in does: 2 on
+        # a block's first request of the phase, 1 after it; the memo keeps
+        # the peak, and a second shell on the plan reads it from there
+        monkeypatch.setattr(DemandTracker, "demand",
+                            lambda self: 2 if self.length == 1 else 1)
+        first = two_block_shell()
+        twin = BlockShell(first._plan, 2, {0, 1}, seed=7)
+        for r in (0, 1, 0):
+            for sh in (first, twin):
+                sh.serve(r)
+                assert sh.peak_demand(0) == fresh_peak(sh, 0) == 2
+        assert twin._trackers == [None, None]  # every peak was a memo hit
+
     def test_a_shell_catches_up_after_memo_hits(self):
         space = build_hst([3, 3, 3], 3)
         plan = tree_plan(space)
@@ -717,9 +731,30 @@ class TestServerCount:
         sh = two_block_shell()
         plan = NodePlan(sh.dec)
         sh._subs[0] = DropsAServer.on(plan.subs[0], seed=0)
-        sh._reset_sub(0)
+        sh._subs[0].reset({0, 1})
         with pytest.raises(ShellInvariantError, match="server count"):
             sh.serve(0)
+
+    def test_a_jump_reads_two_configurations(self, monkeypatch):
+        # the block subroutines are the only record of the servers' points:
+        # a jump reads the donor's and the target's configurations, a phase
+        # end each unmarked block's, and nothing else reads one
+        reads = Counter()
+        config = Marking.config
+
+        def counted(self):
+            reads["all"] += 1
+            return config.fget(self)
+        monkeypatch.setattr(Marking, "config", property(counted))
+        space = build_hst([8, 8], 8)
+        plan = tree_plan(space)
+        for seed in range(5):
+            seq = generate(GeneratorSpec("uniform_random", 500, seed=seed), space)
+            reads.clear()
+            record = run_shell(plan, 8, default_initial(8), seq, seed)
+            jumps = record.total_jump / plan.dec.Delta
+            assert jumps > 0 and record.completed_phases > 0
+            assert reads["all"] <= 2 * jumps + plan.dec.t * record.completed_phases
 
     def test_positions_are_the_subroutines_configurations(self):
         space = build_hst([3, 3, 3], 3)
@@ -863,7 +898,7 @@ class TestOneServerSubtrees:
         plan = tree_plan(build_hst([2, 2, 2], 3))
         sh = BlockShell(plan, 2, {0, 4}, seed=0)  # one server per subtree
         sh._subs[0] = DropsItsServer(plan.subs[0], seed=0, event_sink=[].append)
-        sh._reset_sub(0)
+        sh._subs[0].reset({0})
         with pytest.raises(ShellInvariantError, match="server count"):
             sh.serve(1)
 
