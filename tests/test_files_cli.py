@@ -12,6 +12,10 @@ from ksim import cli
 from ksim.cli import main
 from ksim.files import (ParseError, load_configuration, load_hst, load_metric,
                         load_requests)
+from ksim.generators import generate, parse_generator
+from ksim.harness import default_initial, run_shell
+from ksim.metric import build_hst
+from ksim.shell import tree_plan
 from ksim.verify import CheckReport
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -277,6 +281,27 @@ class TestCli:
         assert b"cost=67/2" in log
         assert log == (GOLDEN / "run_events_3_3_3_mu7_2.log").read_bytes()
 
+    @pytest.mark.parametrize("branching", ["2 2 3", "3 3 3"])
+    def test_event_log_triggers_are_the_recorded_triggers(self, branching):
+        # the run behind the pinned log, replayed through run_shell for its
+        # record; a phase_end line carries the phase end's own trigger
+        space = build_hst([int(b) for b in branching.split()], 3)
+        gen = parse_generator("uniform_random", length=80, seed=7 ^ 0x5EED)
+        events = []
+        rec = run_shell(tree_plan(space), 3, default_initial(3), generate(gen, space), 7,
+                        event_sink=events.append)
+        name = "run_events_" + branching.replace(" ", "_") + ".log"
+        assert "".join(line + "\n" for line in events).encode() == \
+            (GOLDEN / name).read_bytes()
+        logged = [int(field[len("trigger="):]) for line in events
+                  if line.startswith("phase_end\t")
+                  for field in line.split("\t") if field.startswith("trigger=")]
+        assert logged and logged == rec.triggers
+        assert rec.completed_phases == len(logged) == len(rec.phase_logs) - 1
+        for p, trigger in enumerate(logged, start=1):
+            assert rec.phase_sequence(p, True)[-1] == trigger
+            assert rec.phase_logs[p][0] == trigger  # replayed first in phase p+1
+
     def test_bench_reproducible(self, workdir, capsys):
         out1 = workdir / "a.csv"
         out2 = workdir / "b.csv"
@@ -367,6 +392,13 @@ class TestCli:
         out = tmp_path / "checks.csv"
         assert main(["verify", "--suite", "all", "--seeds", "200", "--out", str(out)]) == 0
         assert out.read_bytes() == (GOLDEN / "verify_all_seeds200.csv").read_bytes()
+
+    def test_verify_summary_lines(self, capsys):
+        assert main(["verify", "--suite", "all", "--seeds", "50", "--runs", "2",
+                     "--seed", "3"]) == 0
+        assert capsys.readouterr().out == ("lower: 88/88 checks passed\n"
+                                           "ama: 3/3 checks passed (hard limit ok)\n"
+                                           "contract: 3/3 checks passed\n")
 
     def test_verify_lower_passes(self, workdir, tmp_path, capsys):
         out = tmp_path / "checks.csv"
