@@ -34,7 +34,7 @@ class TrialReport:
     total: Fraction
     inner: Fraction
     jump: Fraction
-    opt: object            # Fraction, INF, or None when the solver guard tripped
+    opt: object            # Fraction, or None when the solver guard tripped
     ratio: object          # Fraction, INF ("flagged non-finite"), or None
     phases: int            # phases started (>= 1)
     m_sum: int
@@ -50,7 +50,6 @@ class RunRecord(PhaseLogs):
     sequence: list
     seed: int
     phase_logs: list       # per phase, global request order (last = unfinished)
-    triggers: list         # first request of phases 2..P+1
     dhat: list             # dhat[0] = initial counts, dhat[p] = end of phase p
     phase_jump_counts: list
     total_inner: Fraction
@@ -67,7 +66,7 @@ class RunRecord(PhaseLogs):
 
 
 def default_initial(k: int) -> frozenset:
-    """Servers start on the first k points unless the caller says otherwise."""
+    """The first k points, where every trial and suite run starts its servers."""
     return frozenset(range(k))
 
 
@@ -85,7 +84,6 @@ def run_shell(plan: NodePlan, k: int, initial: Iterable[PointId],
     return RunRecord(
         dec=plan.dec, k=k, sequence=list(sequence), seed=seed,
         phase_logs=shell.phase_logs,
-        triggers=shell.triggers,
         dhat=shell.dhat,
         phase_jump_counts=shell.phase_jump_counts,
         total_inner=Fraction(shell.total_inner, scale),
@@ -96,8 +94,6 @@ def run_shell(plan: NodePlan, k: int, initial: Iterable[PointId],
 def _ratio(total: Fraction, opt) -> object:
     if opt is None:
         return None
-    if opt == INF:
-        return None
     if opt == 0:
         return Fraction(1) if total == 0 else INF
     return total / opt
@@ -105,7 +101,6 @@ def _ratio(total: Fraction, opt) -> object:
 
 def run_trials(space: HstSpace, k: int, algo: str, gen_spec: GeneratorSpec,
                trials: int, base_seed: int,
-               initial: Optional[Iterable[PointId]] = None,
                event_sink: Optional[Callable[[str], None]] = None) -> list[TrialReport]:
     """Seeded batch of runs of one algorithm over one generated sequence.
 
@@ -120,9 +115,7 @@ def run_trials(space: HstSpace, k: int, algo: str, gen_spec: GeneratorSpec,
         raise ValueError("need at least one server")
     if algo not in ("marking", "algox"):
         raise ValueError(f"unknown algorithm {algo!r}")
-    init = frozenset(initial) if initial is not None else default_initial(k)
-    if len(init) != k:
-        raise ValueError(f"initial configuration has {len(init)} points, expected k={k}")
+    init = default_initial(k)
     if algo == "marking" and space.height > 1:
         raise ValueError("marking as the whole algorithm needs a height-1 (uniform) space")
     if algo == "algox":
@@ -165,7 +158,7 @@ def run_trials(space: HstSpace, k: int, algo: str, gen_spec: GeneratorSpec,
         total = inner + jump
         ratio = _ratio(total, opt)
         adjusted = None
-        if additive is not None and opt is not None and opt not in (0, INF):
+        if additive is not None and opt:
             adjusted = (float(total) - additive) / float(opt)
         reports.append(TrialReport(
             seed=seed, total=total, inner=inner, jump=jump, opt=opt, ratio=ratio,

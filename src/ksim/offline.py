@@ -43,16 +43,6 @@ class OptResult:
     config: Optional[frozenset]
 
 
-def _ordered_distinct(rho: Sequence[PointId]) -> list[PointId]:
-    seen = set()
-    out = []
-    for r in rho:
-        if r not in seen:
-            seen.add(r)
-            out.append(r)
-    return out
-
-
 def _check_inputs(m: FiniteMetric, ell: int, rho: Sequence[PointId],
                   initial: Optional[Iterable[PointId]]) -> Optional[frozenset]:
     if not (0 <= ell <= m.n):
@@ -140,11 +130,11 @@ def opt_cost(m: FiniteMetric, ell: int, rho: Sequence[PointId],
         cfg = init if init is not None else _pad_config([], ell, m.n)
         return OptResult(Fraction(0), cfg)
 
-    distinct = _ordered_distinct(rho)
+    distinct = set(rho)
     if init is None and ell >= len(distinct):
         return OptResult(Fraction(0), _pad_config(distinct, ell, m.n))
 
-    universe = sorted(set(distinct) | (set(init) if init is not None else set()))
+    universe = sorted(distinct | (init if init is not None else set()))
     dist = m.dist
 
     if init is not None:
@@ -276,8 +266,7 @@ class DemandTracker:
         """Empty the tracker, keeping `levels` levels from now on."""
         self._levels = levels
         self._requests: list[PointId] = []
-        self._seen: list[PointId] = []
-        self._seen_set: set[PointId] = set()
+        self._seen: set[PointId] = set()
         # configuration masks of ell = 1..min(distinct, L); index 0 unused
         self._dp: list[dict[int, int]] = [{}]
 
@@ -339,7 +328,7 @@ class DemandTracker:
             self._metric.check_point(r)
         dist = self._metric.dist
         dp = self._dp
-        if r not in self._seen_set:
+        if r not in self._seen:
             self._check_width(len(self._seen) + 1, self._levels)
             bit = 1 << r
             top = len(self._seen) + 1
@@ -360,8 +349,7 @@ class DemandTracker:
                     prev = target.get(cfg2)
                     if prev is None or c < prev:
                         target[cfg2] = c
-            self._seen.append(r)
-            self._seen_set.add(r)
+            self._seen.add(r)
         for ell in range(1, len(dp)):
             dp[ell] = _lazy_step(dp[ell], r, dist)
         self._requests.append(r)
@@ -377,6 +365,8 @@ class DemandTracker:
         return min(self._dp[ell].values())
 
     def opt(self, ell: int):
+        if ell < 0:
+            raise ValueError(f"server count {ell} is negative")
         v = self._opt_scaled(ell)
         if v is None:
             return INF
@@ -474,7 +464,7 @@ class UniformDemandTracker(DemandTracker):
             if self._seen and len(self._ends) < self._levels:
                 self._ends.append([0] + self._ends[-1])
                 self._kept.append(self._kept[-1])
-            self._seen.append(r)
+            self._seen.add(r)
         self._last[r] = t
         if a == t - 1:
             self._empty_hits += 1

@@ -92,12 +92,20 @@ class NodePlan:
 class PhaseLogs:
     """Per-phase records, read alike from a live shell and from a finished
     run: `phase_logs` holds the requests of every started phase (the last one
-    still running), `triggers` the first request of each later phase, `dhat`
-    the block server counts at the start and at each phase end."""
+    still running; a later one opens with the request that ended the one
+    before), `dhat` the block server counts at the start and each phase end."""
+
+    @property
+    def phase(self) -> int:  # the running phase, 1-based
+        return len(self.phase_logs)
 
     @property
     def completed_phases(self) -> int:
-        return len(self.triggers)
+        return len(self.phase_logs) - 1
+
+    @property
+    def triggers(self) -> list[PointId]:  # the requests that ended phases
+        return [log[0] for log in self.phase_logs[1:]]
 
     def phase_gains(self) -> list[int]:
         """Servers newly settled in each completed phase: the sum of the
@@ -112,9 +120,9 @@ class PhaseLogs:
             raise ValueError(f"no phase {p}")
         seq = list(self.phase_logs[p - 1])
         if plus:
-            if p > len(self.triggers):
+            if p > self.completed_phases:
                 raise ValueError(f"phase {p} has not ended; no follow-up request yet")
-            seq.append(self.triggers[p - 1])
+            seq.append(self.phase_logs[p][0])
         return seq
 
 
@@ -160,14 +168,12 @@ class BlockShell(PhaseLogs):
             if self._counts[s]:
                 self._subs[s].reset(init & self._block_sets[s])
 
-        self.phase = 1
         self._marked = [c == 0 for c in self._counts]
         self._node = list(range(self.t))  # each block's phase prefix in the memo
         self._trackers: list[Optional[DemandTracker]] = [None] * self.t
 
         # records for verification
         self.phase_logs: list[list[PointId]] = [[]]   # [-1] is the running phase
-        self.triggers: list[PointId] = []             # first request of each later phase
         self.dhat: list[list[int]] = [list(self._counts)]  # [0] = initial counts
         self.phase_jump_counts: list[int] = []
         self._current_phase_jumps = 0
@@ -383,12 +389,10 @@ class BlockShell(PhaseLogs):
         peak_without[s] = prev_peak
         self._check_sandwich(peak_without, peak_plus)
 
-        self.triggers.append(trigger)
         self.dhat.append(list(self._counts))
         self.phase_jump_counts.append(self._current_phase_jumps)
         self._emit("phase_end", trigger=trigger)
 
-        self.phase += 1
         self._current_phase_jumps = 0
         self.phase_logs.append([])
         # in place, as `serve_all` holds these lists; empty prefixes peak at 0

@@ -21,9 +21,9 @@ from typing import Callable, Iterable, Optional, Sequence
 from .generators import GeneratorSpec, generate
 from .harness import RunRecord, default_initial, run_shell
 from .marking import Marking, marking_f
-from .metric import FiniteMetric, HstSpace, build_hst, build_uniform, decompose
+from .metric import FiniteMetric, HstSpace, build_hst, build_uniform
 from .offline import DemandTracker, opt_cost
-from .shell import NodePlan, check_hst_admissible, compose_f, start_subroutine, tree_plan
+from .shell import check_hst_admissible, compose_f, start_subroutine, tree_plan
 
 
 @dataclass
@@ -38,18 +38,13 @@ class CheckReport:
 
     @property
     def margin(self):
-        try:
-            return self.rhs - self.lhs
-        except TypeError:
-            return None
+        return self.rhs - self.lhs
 
     def csv_row(self) -> str:
         seed = self.context.get("seed", "")
         phase = "" if self.phase is None else str(self.phase)
-        margin = self.margin
         return ",".join([
-            self.name, phase, str(self.lhs), str(self.rhs),
-            "" if margin is None else str(margin),
+            self.name, phase, str(self.lhs), str(self.rhs), str(self.margin),
             "1" if self.passed else "0", str(seed),
         ])
 
@@ -302,7 +297,9 @@ def run_lower_bound_suite(instances: Optional[Sequence[DeskInstance]] = None,
         instances = desk_instances(length)
     reports: list[CheckReport] = []
     for idx, inst in enumerate(instances):
-        plan = NodePlan(decompose(inst.space, 0))
+        if inst.space.height < 2:
+            raise ValueError(f"{inst.name}: a shell needs a tree of height 2 or more")
+        plan = tree_plan(inst.space)
         seq = inst.sequence()
         initial = default_initial(inst.k)
         # every run serves the same sequence with the same dec and k, so all
@@ -337,7 +334,7 @@ def run_ama_suite(ks: Sequence[int] = (3, 4), seeds: int = 2000,
     ok = True
     for k in ks:
         space = build_hst([3, 4], k)
-        plan = NodePlan(decompose(space, 0))
+        plan = tree_plan(space)
         gen = GeneratorSpec("block_sweep", length, seed=5 * k,
                             params={"width": 3, "passes": 3})
         seq = generate(gen, space)

@@ -1,6 +1,7 @@
 import argparse
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -53,6 +54,29 @@ def _sample(action):
     if action.type is cli._rational:
         return "5/2", "5/2"
     return "x.txt", "x.txt"
+
+
+def _readme_synopsis():
+    """Subcommand -> the long options README's command-line block names."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Command line", 1)[1].split("```", 2)[1]
+    names: dict = {}
+    command = None
+    for line in block.splitlines():
+        if line.startswith("ksim "):
+            command = line.split()[1]
+            names[command] = set()
+        if command is not None:
+            names[command] |= set(re.findall(r"--[a-z][a-z-]*", line))
+    return names
+
+
+def test_readme_synopsis_names_every_long_option():
+    defined: dict = {}
+    for command, action in _long_options():
+        defined.setdefault(command, set()).update(
+            o for o in action.option_strings if o.startswith("--"))
+    assert _readme_synopsis() == defined
 
 
 @pytest.fixture

@@ -199,6 +199,15 @@ class TestDemandTracker:
                 tracker.push(r)
             assert tracker.length == 0
 
+    def test_a_negative_server_count_is_refused(self):
+        m = build_uniform(4, 1)
+        for tracker in (DemandTracker.for_metric(m, 2), UniformDemandTracker(m, 2, 1)):
+            for r in [0, 1, 2, 3, 0, 1]:
+                tracker.push(r)
+            assert tracker.opt(1) == 5
+            with pytest.raises(ValueError, match="server count -1"):
+                tracker.opt(-1)
+
     def test_initial_state(self):
         tracker = DemandTracker.for_metric(build_uniform(3, 1), 2)
         assert tracker.demand() == 0

@@ -11,7 +11,7 @@ from ksim.shell import NodePlan
 from ksim.verify import (CheckReport, check_ama_bound, check_lower_bound_demand,
                          check_lower_bound_mp, check_phase_costs_delta,
                          check_subroutine_contract, checks_to_csv,
-                         deterministic_checks, desk_instances,
+                         DeskInstance, deterministic_checks, desk_instances,
                          run_contract_suite, run_lower_bound_suite)
 
 
@@ -196,6 +196,25 @@ class TestReporting:
         assert any(r.name == "lower_bound_demand" for r in reports)
         assert any(r.name == "lower_bound_mp" for r in reports)
         assert any(r.name == "phase_cost_delta" for r in reports)
+
+    def test_lower_bound_suite_runs_on_height_three(self):
+        instances = [
+            DeskInstance("h3_222_random", build_hst([2, 2, 2], 3), 3,
+                         GeneratorSpec("uniform_random", 40, seed=5)),
+            DeskInstance("h3_333_sweep", build_hst([3, 3, 3], 3), 3,
+                         GeneratorSpec("block_sweep", 40, seed=6,
+                                       params={"width": 4, "passes": 3})),
+        ]
+        reports, ok = run_lower_bound_suite(instances, runs_per_instance=5)
+        assert ok
+        assert len(reports) == 70 and all(r.passed for r in reports)
+        assert {r.context["instance"] for r in reports} == {"h3_222_random", "h3_333_sweep"}
+
+    def test_lower_bound_suite_refuses_a_flat_tree(self):
+        flat = DeskInstance("flat", build_hst([4], 2), 2,
+                            GeneratorSpec("uniform_random", 10, seed=1))
+        with pytest.raises(ValueError, match="flat: a shell needs a tree of height 2"):
+            run_lower_bound_suite([flat], runs_per_instance=1)
 
     def test_deterministic_checks_bundle(self):
         rec = traced_record()
