@@ -365,12 +365,19 @@ class DemandTracker:
         return min(self._dp[ell].values())
 
     def opt(self, ell: int):
-        if ell < 0:
-            raise ValueError(f"server count {ell} is negative")
+        if not (0 <= ell <= self._metric.n):
+            raise ValueError(f"server count {ell} out of range [0, {self._metric.n}]")
         v = self._opt_scaled(ell)
         if v is None:
             return INF
         return Fraction(v, self._metric.scale)
+
+    def saving(self, ell: int) -> int:
+        """opt(ell) - opt(ell+1) in the metric's integer unit, for ell >= 1 on
+        a nonempty sequence: what one more server saves.  At the answer of
+        demand() both optima sit in levels the scan has read, so no level
+        grows."""
+        return self._opt_scaled(ell) - self._opt_scaled(ell + 1)
 
     def demand(self) -> int:
         """Least server count minimizing opt(ell) + ell * Delta; 0 when empty.

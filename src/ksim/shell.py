@@ -4,7 +4,8 @@ The shell owns k servers on a decomposition with exact cross-block distance
 Delta.  Each nonempty block runs its own subroutine instance (marking, or a
 nested shell for deeper trees), the one record of the block's servers.  Per
 request it reads the target block's peak demand in the current phase from
-the node plan's memo (computing the demand on a miss) and then:
+the node plan's memo (on a miss, bounding the demand by the memo's slack
+certificate or computing it) and then:
 
   * peak < servers in the block: forward to the block subroutine;
   * peak = servers: forward, then mark the block;
@@ -60,15 +61,19 @@ class NodePlan:
 
     The memo is a trie per block over the block's requests in one phase.
     Node ids 0..t-1 are the empty prefixes of blocks 0..t-1; the child of
-    node `v` on request `r` is `memo_child[v * metric.n + r]`;
-    `memo_peak[v]` is the largest demand of a prefix on the path to `v`
-    (the block's peak demand in the phase) and `memo_depth[v]` the length
-    of `v`'s prefix.  A peak depends on the decomposition and that prefix
-    alone, so every shell on the plan reads it there, and a shell adds at
-    most one node per request it serves."""
+    node `v` on request `r` is `memo_child[v * metric.n + r]`, and
+    `memo_key[v]` is the key that made `v` (unused at the empty prefixes),
+    so `v`'s parent is `memo_key[v] // n` and its last request
+    `memo_key[v] % n`.  `memo_peak[v]` is the largest demand of a prefix on
+    the path to `v` (the block's peak demand in the phase) and
+    `memo_slack[v]` is `num - den * saving(D)` for the price num/den and the
+    demand D last computed on that path (see `BlockShell._memo_miss`).  Both
+    depend on the decomposition and that prefix alone, so every shell on the
+    plan reads them there, and a shell adds at most one node per request it
+    serves."""
 
-    __slots__ = ("dec", "block_sets", "uniform_d", "subs", "f",
-                 "memo_child", "memo_peak", "memo_depth")
+    __slots__ = ("dec", "block_sets", "uniform_d", "subs", "f", "num", "den",
+                 "memo_child", "memo_key", "memo_peak", "memo_slack")
 
     def __init__(self, dec: Decomposition,
                  subs: Optional[tuple[Union["NodePlan", Universe], ...]] = None):
@@ -83,10 +88,12 @@ class NodePlan:
                          for blk, d in zip(dec.blocks, dec.uniform_d))
         self.subs = subs
         self.f = compose_f(subs[0].f)
-        # plain ints only, so that the memo adds no object per entry
+        self.num, self.den = dec.price.numerator, dec.price.denominator
+        # plain ints in lists and one dict: a memo entry is no tuple or object
         self.memo_child: dict[int, int] = {}
+        self.memo_key = [0] * dec.t
         self.memo_peak = [0] * dec.t
-        self.memo_depth = [0] * dec.t
+        self.memo_slack = [0] * dec.t
 
 
 class PhaseLogs:
@@ -171,6 +178,7 @@ class BlockShell(PhaseLogs):
         self._marked = [c == 0 for c in self._counts]
         self._node = list(range(self.t))  # each block's phase prefix in the memo
         self._trackers: list[Optional[DemandTracker]] = [None] * self.t
+        self._tracked = list(range(self.t))  # the prefix each tracker has pushed
 
         # records for verification
         self.phase_logs: list[list[PointId]] = [[]]   # [-1] is the running phase
@@ -230,27 +238,62 @@ class BlockShell(PhaseLogs):
 
     def _memo_miss(self, s: int, r: PointId, key: int) -> int:
         """Memo node of block s's phase prefix ending in r, a prefix not in
-        the memo yet.  The block's own tracker, built on its first miss of
-        the phase, first pushes the block's requests that were served from
-        the memo since its last push."""
+        the memo yet.
+
+        The node's peak is exact without the demand D_t of the new prefix
+        whenever D_t cannot exceed the parent's peak P.  A free-start
+        opt(ell) is convex in ell (see `DemandTracker.demand`), so D_t <= P
+        exactly when saving_t(P) = opt_t(P) - opt_t(P+1) is at most the
+        price num/den.  Let t0 be the prefix where a tracker last answered D
+        on this path.  Three facts bound saving_t(P):
+          * appending requests never lowers a free-start optimum, so
+            opt_t(P+1) >= opt_t0(P+1);
+          * opt_t(P) <= opt_{t-1}(P) + dist(p_{t-1}, p_t): move the server
+            that stands on the last request;
+          * savings do not increase with ell, and P >= D, so
+            saving_t0(P) <= saving_t0(D).
+        So saving_t(P) <= saving_t0(D) + the path length from t0 to t, and
+        the slack `num - den * saving_t0(D)`, less den times each step of
+        that path, certifies D_t <= P while it stays >= 0.  A block's first
+        request has demand 1 and opt(1) = opt(2) = 0, so slack num.
+
+        Only a negative slack consults the block's tracker, built on the
+        block's first consult of the phase.  It first pushes the requests
+        it skipped, read back up the trie from the new node's parent to the
+        prefix it last pushed, then r; its demand gives the peak, and the
+        saving at that demand, from levels the demand read, the new slack."""
         plan = self._plan
         parent = self._node[s]
-        depth = plan.memo_depth[parent] + 1
-        tracker = self._trackers[s]
-        if tracker is None:
-            tracker = self._trackers[s] = self._new_tracker(s)
-        if tracker.length < depth - 1:
-            block = self._block_sets[s]
-            seen = [q for q in self.phase_logs[-1] if q in block]
-            for q in seen[tracker.length:depth - 1]:
-                tracker.push(q)
-        tracker.push(r)
-        node = len(plan.memo_peak)
+        keys, peaks, slacks = plan.memo_key, plan.memo_peak, plan.memo_slack
+        node = len(peaks)
         plan.memo_child[key] = node
-        # a compare, not max(): nearly every request misses on a wide block
-        peak, prev = tracker.demand(), plan.memo_peak[parent]
-        plan.memo_peak.append(peak if peak > prev else prev)
-        plan.memo_depth.append(depth)
+        keys.append(key)
+        if parent < self.t:
+            peaks.append(1)
+            slacks.append(plan.num)
+            return node
+        n = self._n
+        slack = slacks[parent] - plan.den * self.metric.dist[keys[parent] % n][r]
+        peak = peaks[parent]
+        if slack < 0:
+            tracker = self._trackers[s]
+            if tracker is None:
+                tracker = self._trackers[s] = self._new_tracker(s)
+            skipped = []
+            v, pushed = parent, self._tracked[s]
+            while v != pushed:
+                skipped.append(keys[v] % n)
+                v = keys[v] // n
+            for q in reversed(skipped):
+                tracker.push(q)
+            tracker.push(r)
+            self._tracked[s] = node
+            d = tracker.demand()
+            slack = plan.num - plan.den * tracker.saving(d)
+            if d > peak:
+                peak = d
+        peaks.append(peak)
+        slacks.append(slack)
         return node
 
     # -- serving ------------------------------------------------------------
@@ -399,6 +442,7 @@ class BlockShell(PhaseLogs):
         self._marked[:] = [c == 0 for c in self._counts]
         self._node[:] = range(self.t)
         self._trackers = [None] * self.t
+        self._tracked = list(range(self.t))
         # the jump that emptied a block has reset its subroutine already
         for b, sub in enumerate(self._subs):
             if self._marked[b]:

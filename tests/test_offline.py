@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 from pathlib import Path
 
@@ -207,6 +208,21 @@ class TestDemandTracker:
             assert tracker.opt(1) == 5
             with pytest.raises(ValueError, match="server count -1"):
                 tracker.opt(-1)
+
+    @pytest.mark.parametrize("make", [lambda m: DemandTracker.for_metric(m, 2),
+                                      lambda m: UniformDemandTracker(m, 2, 1)],
+                             ids=["dp", "uniform"])
+    def test_a_server_count_above_the_points_is_refused(self, make):
+        # as opt_cost refuses it, rather than read 0
+        m = build_uniform(4, 1)
+        tracker = make(m)
+        for r in [0, 1, 2, 3, 0, 1]:
+            tracker.push(r)
+        assert tracker.opt(4) == 0
+        for ell in (5, 100):
+            with pytest.raises(ValueError,
+                               match=re.escape(f"server count {ell} out of range [0, 4]")):
+                tracker.opt(ell)
 
     def test_initial_state(self):
         tracker = DemandTracker.for_metric(build_uniform(3, 1), 2)
@@ -464,6 +480,64 @@ class TestLazyLevels:
         for r in seq:
             oracle.push(r)
         assert full_scan_demand(oracle, Delta) == want
+
+
+class TestSlackBound:
+    """The shell answers most demand misses with no tracker, by a slack
+    certificate (`BlockShell._memo_miss`) that rests on one bound: for
+    prefixes t0 < t and every P >= D_t0, the demand at t0,
+    saving_t(P) <= saving_t0(D_t0) + the path length from request t0 to
+    request t, where saving(P) = opt(P) - opt(P+1).  The DP tracker's
+    optima are the oracle."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), Delta=prices)
+    def test_a_saving_grows_by_at_most_the_path_walked(self, data, Delta):
+        n = data.draw(st.integers(1, 7))
+        weights = data.draw(st.lists(rationals, min_size=n * (n - 1) // 2,
+                                     max_size=n * (n - 1) // 2))
+        m = metric_closure(n, weights)
+        rho = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=10))
+        tracker = DemandTracker.for_metric(m, Delta)
+        demands, savings = [], []
+        for r in rho:
+            tracker.push(r)
+            d = tracker.demand()
+            levels = tracker._levels
+            scaled = tracker.saving(d)
+            assert tracker._levels == levels  # read from the levels demand() read
+            # savings[P] for P = 1..n; opt(n+1) is opt(n), 0
+            opts = [tracker.opt(ell) for ell in range(n + 1)] + [0]
+            savings.append([None] + [opts[p] - opts[p + 1] for p in range(1, n + 1)])
+            assert scaled == savings[-1][d] * m.scale
+            demands.append(d)
+        # a first request: demand 1, and a second server saves nothing
+        assert demands[0] == 1 and savings[0][1] == 0
+        walked = [Fraction(0)]
+        for a, b in zip(rho, rho[1:]):
+            walked.append(walked[-1] + m.distance(a, b))
+        for t0, d0 in enumerate(demands):
+            for t in range(t0 + 1, len(rho)):
+                bound = savings[t0][d0] + walked[t] - walked[t0]
+                assert all(savings[t][p] <= bound for p in range(d0, n + 1))
+
+    @settings(max_examples=200, deadline=None)
+    @given(n=st.integers(1, 7), offset=st.integers(0, 3), d=rationals,
+           other=rationals, Delta=rationals, data=st.data())
+    def test_the_greedy_saving_at_the_demand_is_the_dps(self, n, offset, d, other,
+                                                        Delta, data):
+        m = clustered_metric(offset, n, d, other)
+        block = list(range(offset, offset + n))
+        price = Delta * m.scale
+        dp = DemandTracker(m, price)
+        greedy = UniformDemandTracker(m, price, m.uniform_cost(block))
+        for r in data.draw(st.lists(st.sampled_from(block), min_size=1, max_size=30)):
+            dp.push(r)
+            greedy.push(r)
+            demand = greedy.demand()
+            levels = greedy._levels
+            assert greedy.saving(demand) == dp.saving(demand)
+            assert greedy._levels == levels
 
 
 class TestLevelGuard:

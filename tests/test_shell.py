@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ksim import harness
 from ksim.generators import GeneratorSpec, generate
 from ksim.harness import default_initial, reports_to_csv, run_shell, run_trials
 from ksim.marking import Marking, marking_f
@@ -497,23 +498,30 @@ class TestDemandMemo:
         self.check_shells_sharing_a_plan([2, 2, 3], 3, runs)
 
     def test_a_falling_demand_keeps_its_peak(self, monkeypatch):
-        # no prefix demand has been seen to fall, so a stand-in does: 2 on
-        # a block's first request of the phase, 1 after it; the memo keeps
-        # the peak, and a second shell on the plan reads it from there
+        # no prefix demand has been seen to fall, so a stand-in does.  Block
+        # 0's points are 2 apart at price 6, so on requests alternating
+        # between them the memo's slack answers the first four and the
+        # tracker is consulted on the fifth and the ninth.  The stand-in
+        # answers 1 before the fifth request, as the true demand is, 2 on
+        # it, and 1 after it; the memo keeps the peak, and a second shell on
+        # the plan reads it from there
         monkeypatch.setattr(DemandTracker, "demand",
-                            lambda self: 2 if self.length == 1 else 1)
+                            lambda self: 2 if self.length == 5 else 1)
         first = two_block_shell()
         twin = BlockShell(first._plan, 2, {0, 1}, seed=7)
-        for r in (0, 1, 0):
+        for i, r in enumerate((0, 1) * 4 + (0,)):
             for sh in (first, twin):
                 sh.serve(r)
-                assert sh.peak_demand(0) == fresh_peak(sh, 0) == 2
+                assert sh.peak_demand(0) == fresh_peak(sh, 0) == (1 if i < 4 else 2)
+        assert first._trackers[0].length == 9  # consulted on the ninth request
         assert twin._trackers == [None, None]  # every peak was a memo hit
 
     def test_a_shell_catches_up_after_memo_hits(self):
         space = build_hst([3, 3, 3], 3)
         plan = tree_plan(space)
-        seq = generate(GeneratorSpec("uniform_random", 60, seed=4), space)
+        # most misses are answered by the memo's slack with no tracker, so
+        # the sequence is long enough for 20 catch-ups
+        seq = generate(GeneratorSpec("uniform_random", 300, seed=4), space)
         first = BlockShell(plan, 3, default_initial(3), seed=9)
         for r in seq:
             first.serve(r)
@@ -532,12 +540,35 @@ class TestDemandMemo:
             assert twin.peak_demand(s) == fresh_peak(twin, s)
             tracker = twin._trackers[s]
             if tracker is None:
-                continue  # some earlier phase had this prefix too
+                continue  # the slack answered, or an earlier phase had this prefix
             pushed = [q for q in twin.phase_logs[-1] if q in block]
             assert tracker.length == len(pushed)
             if twin.phase == phase and len(pushed) >= 3:
                 caught_up += 1
         assert caught_up >= 20
+
+    def test_most_root_misses_consult_no_tracker(self, monkeypatch):
+        # the memo's slack certifies most new prefixes' peaks; only the rest
+        # ask a tracker for the demand
+        plans = []
+        monkeypatch.setattr(harness, "tree_plan",
+                            lambda space: plans.append(tree_plan(space)) or plans[-1])
+        calls = Counter()
+        demand = DemandTracker.demand
+
+        def counted(self):
+            calls[type(self)] += 1
+            return demand(self)
+        monkeypatch.setattr(DemandTracker, "demand", counted)
+        space = build_hst([3, 3, 3], 3)
+        run_trials(space, 3, "algox", GeneratorSpec("uniform_random", 200, seed=5), 8,
+                   base_seed=0)
+        (plan,) = plans
+        # the root's blocks run the DP tracker, the nested shells' the greedy
+        assert plan.uniform_d == (None, None, None)
+        misses = len(plan.memo_peak) - plan.dec.t  # a node per miss
+        assert misses > 100
+        assert 3 * calls[DemandTracker] < misses
 
     def test_trials_share_the_demands(self, monkeypatch):
         pushes = Counter()
