@@ -17,7 +17,6 @@ from itertools import product
 from typing import Callable, Iterable, Optional, Sequence
 
 from .generators import GeneratorSpec, generate
-from .marking import Marking
 from .metric import Decomposition, FiniteMetric, HstSpace, PointId
 from .offline import INF, DemandTracker, opt_cost
 from .shell import BlockShell, NodePlan, PhaseLogs, check_hst_admissible, tree_plan
@@ -149,9 +148,9 @@ def run_trials(space: HstSpace, k: int, algo: str, gen_spec: GeneratorSpec,
             phases = len(rec.phase_logs)
             m_sum = sum(rec.phase_gains())
         else:
-            alg = Marking.on(plan, seed)
+            alg = plan.start(seed)
             alg.reset(init)
-            inner = Fraction(sum(alg.serve(r) for r in sequence), metric.scale)
+            inner = Fraction(alg.serve_all(sequence), metric.scale)
             jump = Fraction(0)
             phases = alg.phase_count
             m_sum = 0

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from .metric import FiniteMetric, PointId
 
@@ -66,6 +66,10 @@ class Universe:
         self.point_set = frozenset(points)
         self.d = d
         return self
+
+    def start(self, seed: int, event_sink: Optional[Callable] = None) -> "Marking":
+        """Marking on this universe, seeded and holding no servers (it emits no events)."""
+        return Marking.on(self, seed)
 
 
 class Marking:
@@ -144,3 +148,7 @@ class Marking:
         self.positions.add(r)
         self.marked.add(r)
         return self.d
+
+    def serve_all(self, requests: Iterable[PointId]) -> int:
+        # through `self.serve`, so a wrapper on it sees every request
+        return sum(map(self.serve, requests))

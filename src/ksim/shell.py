@@ -30,7 +30,7 @@ import random
 from fractions import Fraction
 from typing import Callable, Iterable, Optional, Protocol, Union
 
-from .marking import Marking, Universe
+from .marking import Universe
 from .metric import Decomposition, HstSpace, PointId, decompose
 from .offline import DemandTracker, UniformDemandTracker
 
@@ -43,6 +43,9 @@ class Subroutine(Protocol):
     def serve(self, r: PointId) -> int:
         """Serve request r; the cost is in the metric's integer unit
         (`Fraction(cost, metric.scale)` is the distance moved)."""
+
+    def serve_all(self, requests: Iterable[PointId]) -> int:
+        """The total cost of one `serve` per request, with the same draws."""
 
     def reset(self, config: Iterable[PointId]) -> None: ...
 
@@ -57,7 +60,6 @@ class NodePlan:
     subroutine plan (a marking `Universe` or the child's `NodePlan`) and the
     competitive function `f`, all fixed once built; and a memo of block
     peak demands, which grows as the shells on the plan serve.
-    `NodePlan(dec)` runs marking on every block.
 
     The memo is a trie per block over the block's requests in one phase.
     Node ids 0..t-1 are the empty prefixes of blocks 0..t-1; the child of
@@ -75,17 +77,11 @@ class NodePlan:
     __slots__ = ("dec", "block_sets", "uniform_d", "subs", "f", "num", "den",
                  "memo_child", "memo_key", "memo_peak", "memo_slack")
 
-    def __init__(self, dec: Decomposition,
-                 subs: Optional[tuple[Union["NodePlan", Universe], ...]] = None):
+    def __init__(self, dec: Decomposition, subs: tuple[Union["NodePlan", Universe], ...]):
         self.dec = dec
         self.block_sets = tuple(frozenset(b) for b in dec.blocks)
         # a uniform block's demand needs no configuration DP
         self.uniform_d = dec.uniform_d
-        if subs is None:
-            if None in dec.uniform_d:
-                raise ValueError("marking requires a uniform space")
-            subs = tuple(Universe._trusted(dec.metric, blk, d)
-                         for blk, d in zip(dec.blocks, dec.uniform_d))
         self.subs = subs
         self.f = compose_f(subs[0].f)
         self.num, self.den = dec.price.numerator, dec.price.denominator
@@ -94,6 +90,11 @@ class NodePlan:
         self.memo_key = [0] * dec.t
         self.memo_peak = [0] * dec.t
         self.memo_slack = [0] * dec.t
+
+    def start(self, seed: int,
+              event_sink: Optional[Callable[[str], None]] = None) -> "ShellSubroutine":
+        """The shell algorithm on this plan, seeded and holding no servers."""
+        return ShellSubroutine(self, seed, event_sink)
 
 
 class PhaseLogs:
@@ -165,11 +166,11 @@ class BlockShell(PhaseLogs):
         self.draws = 0
         self._event_sink = event_sink
 
-        # a nested shell of two or more servers checks its own count
+        # marking blocks read len(positions); a `held` on Marking cost ~115 ns a serve
         self._nested = isinstance(plan.subs[0], NodePlan)
         # a started subroutine holds no servers, so only occupied blocks
         # need a reset
-        self._subs: list[Subroutine] = [start_subroutine(sub, self.rng.getrandbits(64))
+        self._subs: list[Subroutine] = [sub.start(self.rng.getrandbits(64))
                                         for sub in plan.subs]
         for s in range(self.t):
             if self._counts[s]:
@@ -366,9 +367,7 @@ class BlockShell(PhaseLogs):
                         held = count
                     else:
                         cost = sub.serve(r)
-                        # one server, run by a shell for a sink; a nested
-                        # shell of two or more servers checks its own count
-                        held = len(sub.config) if count == 1 else count
+                        held = sub.held
                 if held != count:
                     raise ShellInvariantError("subroutine changed its server count")
                 self.total_inner += cost
@@ -544,19 +543,23 @@ class ShellSubroutine:
             raise RuntimeError("subtree holds no servers; caller must jump one in first")
         return self.shell.serve(r)
 
+    def serve_all(self, requests: Iterable[PointId]) -> int:
+        if self.shell is None:
+            return sum(map(self.serve, requests))
+        return self.shell.serve_all(requests)
+
+    @property
+    def held(self) -> int:
+        """The servers held, in O(1); a live shell checks its own count."""
+        if self.point is not None:
+            return 1
+        return 0 if self.shell is None else self.shell.k
+
     @property
     def config(self) -> frozenset:
         if self.point is not None:
             return frozenset((self.point,))
         return frozenset() if self.shell is None else self.shell.positions
-
-
-def start_subroutine(plan: Union[NodePlan, Universe], seed: int,
-                     event_sink: Optional[Callable[[str], None]] = None) -> Subroutine:
-    """The algorithm a plan describes, seeded and not yet holding servers."""
-    if isinstance(plan, NodePlan):
-        return ShellSubroutine(plan, seed, event_sink)
-    return Marking.on(plan, seed)
 
 
 def check_hst_admissible(space: HstSpace, k: int) -> None:
@@ -603,6 +606,6 @@ def build_hst_algorithm(space: HstSpace, k: int, initial: Iterable[PointId],
     if k > space.n_leaves:
         raise ValueError("more servers than leaves")
     check_hst_admissible(space, k)
-    algo = start_subroutine(tree_plan(space), seed, event_sink)
+    algo = tree_plan(space).start(seed, event_sink)
     algo.reset(init)
     return algo

@@ -16,14 +16,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Iterable, Optional, Sequence, Union
 
 from .generators import GeneratorSpec, generate
 from .harness import RunRecord, default_initial, run_shell
-from .marking import Marking, marking_f
+from .marking import Universe
 from .metric import FiniteMetric, HstSpace, build_hst, build_uniform
 from .offline import DemandTracker, opt_cost
-from .shell import check_hst_admissible, compose_f, start_subroutine, tree_plan
+from .shell import NodePlan, check_hst_admissible, tree_plan
 
 
 @dataclass
@@ -214,27 +214,29 @@ def ama_within_hard_limit(reports: Sequence[CheckReport], k: int) -> bool:
     return all(r.context["measured_constant"] <= limit for r in reports)
 
 
-def check_subroutine_contract(make_algo: Callable[[int], object],
-                              metric: FiniteMetric, ell: int,
+def check_subroutine_contract(plan: Union[NodePlan, Universe], metric: FiniteMetric,
                               sequence: Sequence[int], seeds: Sequence[int],
-                              f: Callable[[int], object], delta_scale,
-                              initial: Iterable[int],
+                              delta_scale, initial: Iterable[int],
                               name: str = "subroutine_contract") -> CheckReport:
-    """Monte-Carlo mean cost against f(ell)*opt + f(ell)*ell*delta/ln(ell).
+    """Monte-Carlo mean cost against f(ell)*opt + f(ell)*ell*delta/ln(ell),
+    for the plan's f and ell = len(initial).
 
-    The offline optimum is pinned to the algorithm's own start, so both
-    sides face the same initial configuration.  3-sigma margin; advisory for
-    ell < 3 where the log term degenerates.
+    Each seed starts its own instance from the plan at `initial`, and the
+    instance serves the sequence in one `serve_all`.  The offline optimum is
+    pinned to that start too.  3-sigma margin; advisory for ell < 3 where
+    the log term degenerates.
     """
     init = frozenset(initial)
+    ell = len(init)
     opt = opt_cost(metric, ell, sequence, initial=init).cost
     totals = []
     for seed in seeds:
-        algo = make_algo(seed)
+        algo = plan.start(seed)
+        algo.reset(init)
         # serve costs are in the metric's integer unit
-        totals.append(float(Fraction(sum(algo.serve(r) for r in sequence), metric.scale)))
+        totals.append(float(Fraction(algo.serve_all(sequence), metric.scale)))
     mean, stderr = _mean_stderr(totals)
-    f_ell = float(f(ell))
+    f_ell = float(plan.f(ell))
     bound = f_ell * float(opt) + f_ell * ell * float(delta_scale) / math.log(ell) \
         if ell >= 2 else math.inf
     return CheckReport(
@@ -367,16 +369,11 @@ def run_contract_suite(ks: Sequence[int] = (3, 4), seeds: int = 2000,
     reports: list[CheckReport] = []
     for k in ks:
         metric = build_uniform(k + 1, 1)
-        initial = default_initial(k)
         seq = cyclic_sequence(k + 1, cycles * (k + 1))
-
-        def make_marking(seed, _m=metric, _init=initial):
-            return Marking(_m, _init, seed)
-
         rep = check_subroutine_contract(
-            make_marking, metric, k, seq,
+            Universe(metric), metric, seq,
             [base_seed ^ i for i in range(seeds)],
-            marking_f, delta_scale=1, initial=initial,
+            delta_scale=1, initial=default_initial(k),
             name="marking_contract")
         rep.context["k"] = k
         reports.append(rep)
@@ -384,22 +381,14 @@ def run_contract_suite(ks: Sequence[int] = (3, 4), seeds: int = 2000,
     if include_composed:
         k = 3
         space = build_hst([2, 3], 3)
-        initial = default_initial(k)
         gen = GeneratorSpec("block_sweep", 40, seed=21, params={"width": 3, "passes": 3})
         seq = generate(gen, space)
         check_hst_admissible(space, k)
-        plan = tree_plan(space)  # one plan; each seed starts its own instance
-
-        def make_composed(seed):
-            algo = start_subroutine(plan, seed)
-            algo.reset(initial)
-            return algo
-
         rep = check_subroutine_contract(
-            make_composed, space.leaf_metric, k, seq,
+            tree_plan(space), space.leaf_metric, seq,
             [base_seed ^ (1 << 20) ^ i for i in range(composed_seeds)],
-            compose_f(marking_f), delta_scale=space.leaf_metric.diameter(),
-            initial=initial, name="composed_contract")
+            delta_scale=space.leaf_metric.diameter(),
+            initial=default_initial(k), name="composed_contract")
         rep.context["height"] = 2
         reports.append(rep)
 

@@ -9,9 +9,9 @@ from ksim.generators import GeneratorSpec, generate, parse_generator
 from ksim.harness import (CSV_HEADER, default_initial, probe_demand_monotonicity,
                           reports_to_csv, run_shell, run_trials, solver_guard_ok)
 from ksim.marking import Marking
-from ksim.metric import build_hst, build_uniform, decompose
+from ksim.metric import build_hst, build_uniform
 from ksim.offline import INF
-from ksim.shell import NodePlan, tree_plan
+from ksim.shell import tree_plan
 
 
 class TestGenerators:
@@ -31,10 +31,9 @@ class TestGenerators:
 
     def test_block_sweep_triggers_jumps(self):
         space = build_hst([3, 3], 3)
-        dec = decompose(space, 0)
         spec = GeneratorSpec("block_sweep", 50, seed=3, params={"width": 3, "passes": 3})
         seq = generate(spec, space)
-        rec = run_shell(NodePlan(dec), 3, default_initial(3), seq, seed=0)
+        rec = run_shell(tree_plan(space), 3, default_initial(3), seq, seed=0)
         assert sum(rec.phase_jump_counts) + rec.total_jump > 0
 
     def test_phase_stress_turns_marking_phases(self):

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from ksim.marking import Universe
 from ksim.metric import (Decomposition, FiniteMetric, build_hst, build_uniform,
                          decompose, validate_hst)
-from ksim.shell import NodePlan, tree_plan
+from ksim.shell import tree_plan
 
 
 class TestBuildUniform:
@@ -315,12 +315,11 @@ class TestStructuralDecompositions:
             dec.validate()
             if None in dec.uniform_d:
                 with pytest.raises(ValueError, match="uniform"):
-                    NodePlan(dec)
+                    Universe(metric, dec.blocks[dec.uniform_d.index(None)])
             else:
-                subs = NodePlan(dec).subs
-                for blk, sub in zip(dec.blocks, subs):
+                for blk, d in zip(dec.blocks, dec.uniform_d):
                     checked = Universe(metric, blk)
-                    assert (sub.points, sub.point_set, sub.d) == (
+                    assert (blk, frozenset(blk), d) == (
                         checked.points, checked.point_set, checked.d)
         universes = _leaf_parent_universes(space, tree_plan(space))
         assert len(universes) == sum(1 for v in space.internal_nodes()
@@ -347,6 +346,5 @@ class TestStructuralDecompositions:
         space = build_hst([8, 8], 8)
         wide = tree_plan(space)
         assert (wide.dec.t, wide.dec.price, wide.uniform_d) == (8, 18, (2,) * 8)
-        marking_on_blocks = NodePlan(decompose(space, 0))
-        assert [u.d for u in marking_on_blocks.subs] == [2] * 8
-        assert marking_on_blocks.subs[7].points == tuple(range(56, 64))
+        assert [u.d for u in wide.subs] == [2] * 8
+        assert wide.subs[7].points == tuple(range(56, 64))

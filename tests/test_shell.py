@@ -5,24 +5,22 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from ksim import harness
 from ksim.generators import GeneratorSpec, generate
 from ksim.harness import default_initial, reports_to_csv, run_shell, run_trials
-from ksim.marking import Marking, marking_f
+from ksim.marking import Marking, Universe, marking_f
 from ksim.metric import Decomposition, FiniteMetric, build_hst, decompose
 from ksim.offline import DemandTracker, UniformDemandTracker
 from ksim.shell import (BlockShell, NodePlan, ShellInvariantError, ShellSubroutine,
-                        build_hst_algorithm, compose_f, node_decompositions,
-                        tree_plan)
+                        build_hst_algorithm, compose_f, tree_plan)
 
 
 def two_block_shell(seed=42, events=None):
     space = build_hst([2, 2], 2)  # blocks {0,1} and {2,3}, Delta = 6
-    dec = decompose(space, 0)
     sink = events.append if events is not None else None
-    return BlockShell(NodePlan(dec), 2, {0, 1}, seed=seed, event_sink=sink)
+    return BlockShell(tree_plan(space), 2, {0, 1}, seed=seed, event_sink=sink)
 
 
 def event_fields(lines, kind):
@@ -34,35 +32,34 @@ def event_fields(lines, kind):
 class TestConstruction:
     def test_initial_marks_follow_empty_blocks(self):
         space = build_hst([3, 2], 3)
-        dec = decompose(space, 0)
-        sh = BlockShell(NodePlan(dec), 2, {0, 2}, seed=0)
+        sh = BlockShell(tree_plan(space), 2, {0, 2}, seed=0)
         assert [sh.is_marked(b) for b in range(3)] == [False, False, True]
 
     def test_all_servers_in_one_block_marks_the_rest(self):
         space = build_hst([3, 2], 3)
-        dec = decompose(space, 0)
-        sh = BlockShell(NodePlan(dec), 2, {0, 1}, seed=0)
+        sh = BlockShell(tree_plan(space), 2, {0, 1}, seed=0)
         assert [sh.is_marked(b) for b in range(3)] == [False, True, True]
 
     def test_rejects_small_separation(self):
         # uniform blocks of diameter 2 at cross distance 3: mu_eff = 3/2
         rows = [[0, 2, 3, 3], [2, 0, 3, 3], [3, 3, 0, 2], [3, 3, 2, 0]]
         dec = Decomposition(FiniteMetric(rows), [(0, 1), (2, 3)], Delta=3, delta=2)
+        plan = NodePlan(dec, tuple(Universe(dec.metric, blk) for blk in dec.blocks))
         with pytest.raises(ValueError, match="separation"):
-            BlockShell(NodePlan(dec), 2, {0, 1}, seed=0)
+            BlockShell(plan, 2, {0, 1}, seed=0)
 
     def test_rejects_wrong_initial_size(self):
-        dec = decompose(build_hst([2, 2], 2), 0)
+        plan = tree_plan(build_hst([2, 2], 2))
         with pytest.raises(ValueError):
-            BlockShell(NodePlan(dec), 3, {0, 1}, seed=0)
+            BlockShell(plan, 3, {0, 1}, seed=0)
         with pytest.raises(ValueError):
-            BlockShell(NodePlan(dec), 0, set(), seed=0)
+            BlockShell(plan, 0, set(), seed=0)
 
 
 class TestTrackerChoice:
     def test_uniform_blocks_get_the_interval_tracker(self):
         space = build_hst([8, 8], 8)
-        sh = BlockShell(NodePlan(node_decompositions(space)[0]), 8, range(8), seed=0)
+        sh = BlockShell(tree_plan(space), 8, range(8), seed=0)
         assert all(type(sh._new_tracker(s)) is UniformDemandTracker for s in range(2))
 
     def test_non_uniform_blocks_keep_the_dp(self):
@@ -72,9 +69,9 @@ class TestTrackerChoice:
         assert all(type(inner._new_tracker(s)) is UniformDemandTracker for s in range(3))
 
     def test_single_point_blocks_count_as_uniform(self):
-        dec = decompose(build_hst([2, 1], 2), 0)
-        assert NodePlan(dec).uniform_d == (0, 0)
-        sh = BlockShell(NodePlan(dec), 1, {0}, seed=0)
+        plan = tree_plan(build_hst([2, 1], 2))
+        assert plan.uniform_d == (0, 0)
+        sh = BlockShell(plan, 1, {0}, seed=0)
         assert all(type(sh._new_tracker(s)) is UniformDemandTracker for s in range(2))
 
 
@@ -143,7 +140,8 @@ class TestInvariants:
         seq = generate(gen, space)
         for seed in range(30):
             events = []
-            sh = BlockShell(NodePlan(dec), 3, {0, 1, 2}, seed=seed, event_sink=events.append)
+            sh = BlockShell(tree_plan(space), 3, {0, 1, 2}, seed=seed,
+                            event_sink=events.append)
             for r in seq:
                 inner, jump = sh.total_inner, sh.total_jump
                 events.clear()
@@ -161,7 +159,7 @@ class TestInvariants:
         dec = decompose(space, 0)
         seq = generate(GeneratorSpec("uniform_random", 60, seed=8), space)
         for seed in range(20):
-            sh = BlockShell(NodePlan(dec), 2, {0, 1}, seed=seed)
+            sh = BlockShell(tree_plan(space), 2, {0, 1}, seed=seed)
             for r in seq:
                 sh.serve(r)
                 for b in range(dec.t):
@@ -173,7 +171,7 @@ class TestInvariants:
         dec = decompose(space, 0)
         seq = generate(GeneratorSpec("block_sweep", 60, seed=2,
                                      params={"width": 4, "passes": 4}), space)
-        sh = BlockShell(NodePlan(dec), 2, {0, 4}, seed=5)
+        sh = BlockShell(tree_plan(space), 2, {0, 4}, seed=5)
         for r in seq:
             sh.serve(r)
             for b in range(dec.t):
@@ -182,11 +180,10 @@ class TestInvariants:
     def test_jumps_per_phase_at_most_k(self):
         # observed across desk runs; every server jumps at most once per phase
         space = build_hst([3, 3], 3)
-        dec = decompose(space, 0)
         seq = generate(GeneratorSpec("block_sweep", 60, seed=13,
                                      params={"width": 3, "passes": 4}), space)
         for seed in range(50):
-            sh = BlockShell(NodePlan(dec), 3, {0, 1, 2}, seed=seed)
+            sh = BlockShell(tree_plan(space), 3, {0, 1, 2}, seed=seed)
             for r in seq:
                 sh.serve(r)
             assert all(c <= 3 for c in sh.phase_jump_counts)
@@ -194,10 +191,9 @@ class TestInvariants:
     def test_marked_blocks_never_donate(self):
         events = []
         space = build_hst([3, 3], 3)
-        dec = decompose(space, 0)
         seq = generate(GeneratorSpec("block_sweep", 60, seed=4,
                                      params={"width": 3, "passes": 4}), space)
-        sh = BlockShell(NodePlan(dec), 3, {0, 1, 2}, seed=11, event_sink=events.append)
+        sh = BlockShell(tree_plan(space), 3, {0, 1, 2}, seed=11, event_sink=events.append)
         for r in seq:
             sh.serve(r)
         marked = set()
@@ -215,8 +211,7 @@ class TestInvariants:
         # demand can outgrow k with every other block empty: each such request
         # ends a phase and must still be served in the next one
         space = build_hst([2, 4], 4)
-        dec = decompose(space, 0)
-        sh = BlockShell(NodePlan(dec), 2, {0, 1}, seed=0)
+        sh = BlockShell(tree_plan(space), 2, {0, 1}, seed=0)
         seq = [0, 1, 2, 3] * 5
         for r in seq:
             sh.serve(r)
@@ -245,9 +240,9 @@ class TestSubroutineResets:
 
     def test_request_outside_decomposition(self):
         space = build_hst([2, 2, 2], 3)
-        dec = decompose(space, space.children[0][0])
-        sh = BlockShell(NodePlan(dec), 1, {dec.points[0]}, seed=0)
-        outside = [p for p in range(space.n_leaves) if p not in dec.points][0]
+        plan = tree_plan(space).subs[0]  # the root's first child
+        sh = BlockShell(plan, 1, {plan.dec.points[0]}, seed=0)
+        outside = [p for p in range(space.n_leaves) if p not in plan.dec.points][0]
         with pytest.raises(ValueError, match="outside"):
             sh.serve(outside)
 
@@ -715,7 +710,7 @@ class TestServeAll:
 class TestStartsAndResets:
     @pytest.mark.parametrize("blocks", [1, 2, 3, 8])
     def test_nested_stream_seed_is_the_draw_after_one_per_block(self, blocks):
-        plan = NodePlan(decompose(build_hst([blocks, 2], 3), 0))
+        plan = tree_plan(build_hst([blocks, 2], 3))
         for seed in (0, 1, 12345, 2 ** 64 - 1):
             rng = random.Random(seed)
             for _ in range(blocks):
@@ -736,7 +731,7 @@ class TestStartsAndResets:
             events = []
             seq = generate(GeneratorSpec("uniform_random", 120, seed=seed), space)
             empty_resets.clear()
-            sh = BlockShell(NodePlan(decompose(space, 0)), 3, {0, 1, 3}, seed=seed,
+            sh = BlockShell(tree_plan(space), 3, {0, 1, 3}, seed=seed,
                             event_sink=events.append)
             for r in seq:
                 sh.serve(r)
@@ -760,11 +755,27 @@ class TestServerCount:
                 return cost
 
         sh = two_block_shell()
-        plan = NodePlan(sh.dec)
+        plan = tree_plan(build_hst([2, 2], 2))
         sh._subs[0] = DropsAServer.on(plan.subs[0], seed=0)
         sh._subs[0].reset({0, 1})
         with pytest.raises(ShellInvariantError, match="server count"):
             sh.serve(0)
+
+    def test_a_nested_shell_losing_its_servers_is_caught(self):
+        # the adapter's `held` reads 0 once its shell is gone, so the
+        # request that lost two servers fails, not the next one to the block
+        class DropsItsShell(ShellSubroutine):
+            def serve(self, r):
+                cost = super().serve(r)
+                self.shell = None
+                return cost
+
+        plan = tree_plan(build_hst([2, 2, 2], 3))
+        sh = BlockShell(plan, 3, {0, 1, 4}, seed=0)
+        sh._subs[0] = DropsItsShell(plan.subs[0], seed=0)
+        sh._subs[0].reset({0, 1})
+        with pytest.raises(ShellInvariantError, match="server count"):
+            sh.serve(1)
 
     def test_a_jump_reads_two_configurations(self, monkeypatch):
         # the block subroutines are the only record of the servers' points:
@@ -858,7 +869,9 @@ class TestOneServerSubtrees:
         # never builds the shell that its zero separation would refuse
         space = build_hst(branching, 3)
         seq = generate(GeneratorSpec("uniform_random", 120, seed=k), space)
-        flat = NodePlan(decompose(space, 0))  # marking on each one-leaf block
+        dec = decompose(space, 0)
+        # marking on each one-leaf block
+        flat = NodePlan(dec, tuple(Universe(dec.metric, blk) for blk in dec.blocks))
         plan = tree_plan(space)
         for seed in range(6):
             got = run_shell(plan, k, default_initial(k), seq, seed)
@@ -949,3 +962,54 @@ class TestOneServerSubtrees:
         for r in seq:
             sh.serve(r)
         assert checks["all"] == len(seq)  # the one check in `serve`
+
+
+def streams(algo):
+    """The state of every random stream in a started algorithm and below
+    it, with each shell's draw count and each marking's phase count."""
+    if isinstance(algo, Marking):
+        return [(algo._rng and algo._rng.getstate(), algo.phase_count)]
+    if isinstance(algo, ShellSubroutine):
+        return [algo.rng.getstate()] + ([] if algo.shell is None else streams(algo.shell))
+    return [(algo.rng.getstate(), algo.draws)] + [x for sub in algo._subs for x in streams(sub)]
+
+
+class TestSubroutineServeAll:
+    """Every started algorithm's `serve_all(seq)` is one `serve` per request:
+    the same total cost, final configuration, random streams and events."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_serve_all_matches_serve(self, data):
+        height = data.draw(st.integers(1, 4), label="height")
+        branching = data.draw(st.lists(st.integers(1, 4), min_size=height, max_size=height)
+                              .filter(lambda b: 2 <= math.prod(b) <= 64), label="branching")
+        plan = tree_plan(build_hst(branching, data.draw(mus, label="mu")))
+        points = plan.points if isinstance(plan, Universe) else plan.dec.points
+        k = data.draw(st.integers(1, min(4, len(points) - 1)), label="k")  # with misses
+        sink = data.draw(st.booleans(), label="sink")
+        # every shell a run can build accepts k servers (only the root gets
+        # the sink, and a one-leaf subtree below it builds no shell)
+        assume(all(q.dec.mu_eff >= min(k, q.dec.t) for q in node_plans(plan)
+                   if len(q.dec.points) >= 2))
+        init = data.draw(st.sets(st.sampled_from(points), min_size=k, max_size=k),
+                         label="initial")
+        seq = data.draw(st.lists(st.sampled_from(points), max_size=60), label="requests")
+        seed = data.draw(st.integers(0, 2 ** 64 - 1), label="seed")
+        logs = ([], [])
+        whole, single = (plan.start(seed, log.append if sink else None) for log in logs)
+        for algo in (whole, single):
+            algo.reset(init)
+        if isinstance(whole, ShellSubroutine):
+            # one server without a sink is a point, else a shell runs
+            assert (whole.point is not None) == (k == 1 and not sink)
+        assert whole.serve_all(seq) == sum(single.serve(r) for r in seq)
+        assert whole.config == single.config
+        assert streams(whole) == streams(single)
+        assert logs[0] == logs[1]
+
+    def test_an_empty_adapter_serves_through_serve(self):
+        sub = tree_plan(build_hst([2, 2, 2], 3)).start(seed=0)
+        assert sub.held == 0 and sub.serve_all([]) == 0
+        with pytest.raises(RuntimeError, match="no servers"):
+            sub.serve_all([0])

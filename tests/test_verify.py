@@ -4,10 +4,10 @@ import pytest
 
 from ksim.generators import GeneratorSpec, generate
 from ksim.harness import default_initial, run_shell
-from ksim.marking import Marking, marking_f
-from ksim.metric import build_hst, build_uniform, decompose
+from ksim.marking import Universe
+from ksim.metric import build_hst, build_uniform
 from ksim.offline import opt_cost
-from ksim.shell import NodePlan
+from ksim.shell import tree_plan
 from ksim.verify import (CheckReport, check_ama_bound, check_lower_bound_demand,
                          check_lower_bound_mp, check_phase_costs_delta,
                          check_subroutine_contract, checks_to_csv,
@@ -18,9 +18,8 @@ from ksim.verify import (CheckReport, check_ama_bound, check_lower_bound_demand,
 def traced_record(extra=()):
     """The hand-traced two-block run: one phase end after six requests."""
     space = build_hst([2, 2], 2)
-    dec = decompose(space, 0)
     seq = [2, 1, 3, 2, 3, 2] + list(extra)
-    return run_shell(NodePlan(dec), 2, {0, 1}, seq, seed=42)
+    return run_shell(tree_plan(space), 2, {0, 1}, seq, seed=42)
 
 
 class TestLowerBoundDemand:
@@ -37,17 +36,15 @@ class TestLowerBoundDemand:
 
     def test_every_phase_of_random_runs_passes(self):
         space = build_hst([3, 3], 3)
-        dec = decompose(space, 0)
         seq = generate(GeneratorSpec("block_sweep", 40, seed=2,
                                      params={"width": 3, "passes": 4}), space)
         for seed in range(10):
-            rec = run_shell(NodePlan(dec), 3, default_initial(3), seq, seed)
+            rec = run_shell(tree_plan(space), 3, default_initial(3), seq, seed)
             assert all(r.passed for r in check_lower_bound_demand(rec))
 
     def test_empty_run(self):
         space = build_hst([2, 2], 2)
-        dec = decompose(space, 0)
-        rec = run_shell(NodePlan(dec), 2, {0, 1}, [], seed=0)
+        rec = run_shell(tree_plan(space), 2, {0, 1}, [], seed=0)
         reports = check_lower_bound_demand(rec)
         assert len(reports) == 1
         assert reports[0].passed  # 0 >= Delta * (0 - k)
@@ -83,15 +80,14 @@ class TestLowerBoundMp:
 
     def test_multi_phase_run(self):
         space = build_hst([3, 3], 3)
-        dec = decompose(space, 0)
         seq = generate(GeneratorSpec("block_sweep", 60, seed=5,
                                      params={"width": 3, "passes": 4}), space)
         for seed in range(10):
-            rec = run_shell(NodePlan(dec), 3, default_initial(3), seq, seed)
+            rec = run_shell(tree_plan(space), 3, default_initial(3), seq, seed)
             rep = check_lower_bound_mp(rec)
             assert rep.passed
         # at least some seed reaches a second completed phase
-        rec = run_shell(NodePlan(dec), 3, default_initial(3), seq, 3)
+        rec = run_shell(tree_plan(space), 3, default_initial(3), seq, 3)
         assert rec.completed_phases >= 1
 
 
@@ -105,8 +101,7 @@ class TestPhaseCostsDelta:
 
     def test_single_phase_run_vacuous(self):
         space = build_hst([2, 2], 2)
-        dec = decompose(space, 0)
-        rec = run_shell(NodePlan(dec), 2, {0, 2}, [0, 2, 0, 2], seed=1)
+        rec = run_shell(tree_plan(space), 2, {0, 2}, [0, 2, 0, 2], seed=1)
         assert rec.completed_phases == 0
         assert check_phase_costs_delta(rec) == []
 
@@ -114,11 +109,11 @@ class TestPhaseCostsDelta:
 class TestAmaBound:
     def make_records(self, seeds, seq=None):
         space = build_hst([3, 4], 3)
-        dec = decompose(space, 0)
         if seq is None:
             seq = generate(GeneratorSpec("block_sweep", 60, seed=5,
                                          params={"width": 3, "passes": 3}), space)
-        return [run_shell(NodePlan(dec), 3, default_initial(3), seq, s) for s in range(seeds)]
+        return [run_shell(tree_plan(space), 3, default_initial(3), seq, s)
+                for s in range(seeds)]
 
     def test_requires_enough_seeds(self):
         records = self.make_records(5)
@@ -142,9 +137,8 @@ class TestAmaBound:
         # one server per block, demands oscillate to the counts, donors never
         # exist when the phase ends: zero jumps, zero gain
         space = build_hst([2, 2], 2)
-        dec = decompose(space, 0)
         seq = [2] + [0, 1] * 3
-        records = [run_shell(NodePlan(dec), 2, {0, 2}, seq, s) for s in range(50)]
+        records = [run_shell(tree_plan(space), 2, {0, 2}, seq, s) for s in range(50)]
         assert all(rec.completed_phases >= 1 for rec in records)
         assert all(rec.phase_jump_counts[0] == 0 for rec in records)
         reports = check_ama_bound(records, 2, min_seeds=50)
@@ -157,12 +151,8 @@ class TestSubroutineContract:
     def test_covered_requests_cost_nothing(self):
         metric = build_uniform(3, 1)
         initial = frozenset({0, 1})
-
-        def make(seed):
-            return Marking(metric, initial, seed)
-
-        rep = check_subroutine_contract(make, metric, 2, [0, 1, 0], range(20),
-                                        marking_f, 1, initial)
+        rep = check_subroutine_contract(Universe(metric), metric, [0, 1, 0], range(20),
+                                        1, initial)
         assert rep.lhs == 0
         assert rep.passed
 
@@ -171,12 +161,8 @@ class TestSubroutineContract:
         metric = build_uniform(k + 1, 1)
         initial = default_initial(k)
         seq = [i % (k + 1) for i in range(20 * (k + 1))]
-
-        def make(seed):
-            return Marking(metric, initial, seed)
-
-        rep = check_subroutine_contract(make, metric, k, seq, range(400),
-                                        marking_f, 1, initial)
+        rep = check_subroutine_contract(Universe(metric), metric, seq, range(400),
+                                        1, initial)
         assert rep.passed
         assert rep.context["opt"] > 0
 
@@ -225,8 +211,7 @@ class TestReporting:
         space = build_hst([3, 3], 3)
         seq = generate(GeneratorSpec("block_sweep", 60, seed=12,
                                      params={"width": 3, "passes": 4}), space)
-        dec = decompose(space, 0)
-        rec = run_shell(NodePlan(dec), 3, default_initial(3), seq, seed=5)
+        rec = run_shell(tree_plan(space), 3, default_initial(3), seq, seed=5)
         phases = len(rec.phase_logs)
         assert phases >= 4
         calls = []
@@ -246,7 +231,7 @@ class TestReporting:
         assert len(shared) == 2 * phases - 1
         for r in shared:
             phase_seq = rec.phase_sequence(r.phase, r.phase <= rec.completed_phases)
-            assert r.lhs == opt_cost(dec.metric, 3, phase_seq).cost
+            assert r.lhs == opt_cost(rec.dec.metric, 3, phase_seq).cost
 
     def test_suite_solves_each_sequence_once_per_instance(self, monkeypatch):
         import ksim.verify
@@ -267,7 +252,7 @@ class TestReporting:
         fresh = []
         for run in (r for r in reports if r.name == "jumps_at_most_k"):
             inst = by_name[run.context["instance"]]
-            rec = run_shell(NodePlan(decompose(inst.space, 0)), inst.k,
+            rec = run_shell(tree_plan(inst.space), inst.k,
                             default_initial(inst.k), inst.sequence(), run.context["seed"])
             fresh.extend(deterministic_checks(rec))
         shared = [r for r in reports if r.name != "jumps_at_most_k"]
