@@ -69,34 +69,21 @@ class Universe:
 
     def start(self, seed: int, event_sink: Optional[Callable] = None) -> "Marking":
         """Marking on this universe, seeded and holding no servers (it emits no events)."""
-        return Marking.on(self, seed)
+        return Marking(self, seed)
 
 
 class Marking:
-    """Marking state over the uniform restriction of a metric.
+    """Marking state over a `Universe`, the uniform restriction of a metric
+    that the eviction rule has a guarantee on.
 
-    `points` selects the universe (defaults to the whole space); the pairwise
-    distances over it must all be equal, since the eviction rule only has a
-    guarantee there.  `serve` returns costs in the metric's integer unit
+    It starts holding no servers; `reset` places them before it serves.
+    `serve` returns costs in the metric's integer unit
     (`Fraction(cost, metric.scale)` is the distance moved).  Every random
     decision consumes the instance's own seeded stream, so runs replay
     bit-identically per seed.
     """
 
-    def __init__(self, metric: FiniteMetric, initial: Iterable[PointId], seed: int,
-                 points: Optional[Sequence[PointId]] = None):
-        self._start(Universe(metric, points), seed)
-        self.reset(initial)
-
-    @classmethod
-    def on(cls, universe: Universe, seed: int) -> "Marking":
-        """Marking on a validated universe, holding no servers; `reset` must
-        place them before it serves."""
-        self = cls.__new__(cls)
-        self._start(universe, seed)
-        return self
-
-    def _start(self, universe: Universe, seed: int) -> None:
+    def __init__(self, universe: Universe, seed: int):
         self.universe = universe
         self._point_set = universe.point_set
         self.d = universe.d

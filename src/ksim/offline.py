@@ -390,6 +390,38 @@ class DemandTracker:
         and opt(distinct) is 0.  The scan reads the kept levels' tables
         directly (`_scan_kept`).  Below L+1 distinct points an answer of L
         grows them (`_grow`) and scans again; at L+1, opt(L+1) = 0 decides.
+
+        The answer never falls as requests are pushed.  Write opt_t for the
+        optimum over the first t requests r_1..r_t and saving_t(ell) =
+        opt_t(ell) - opt_t(ell+1).  Theorem: for every metric, every ell >= 1
+        and every t >= 1, saving_{t+1}(ell) >= saving_t(ell).  The answer is
+        the least ell >= 1 with saving(ell) <= Delta, so each ell below the
+        answer at t saves more than Delta at t+1 too.
+
+        Proof.  Let G_t have an out-copy and an in-copy of each request
+        1..t, and an edge out_i -> in_j of cost dist(r_i, r_j) for each
+        i < j; M_t(m) is the least cost of a matching of m edges in G_t.
+        A schedule splits the requests into chains, one per server, and by
+        the triangle inequality a chain costs at least the sum of the
+        distances between its consecutive requests, which a server that
+        starts on its first request pays.  Servers that share a point gain
+        nothing, as a lazy schedule never needs that (see `opt_cost`).  So
+        c chains are a matching of t - c edges, each request but a chain's
+        first matched from its predecessor, and back; as dropping an edge
+        adds no cost, opt_t(ell) = M_t(t - ell) for ell <= t.  For ell >= t,
+        saving_t(ell) = 0, and opt never rises with ell.  For m = t - ell,
+        1 <= m <= t-1, take optimal matchings A of m+1 edges in G_{t+1} and
+        B of m-1 edges in G_t.  The edges in exactly one of them form
+        disjoint paths and cycles alternating between A and B; each holds
+        as many A edges as B edges or one more of either, and A holds two
+        more in all, so at least two are paths with one more A edge.  The
+        vertex in_{t+1} lies on at most one of them; let Q be another.
+        Exchanging Q's edges between A and B, a whole component, leaves two
+        matchings of m edges at the same total cost: A's in G_{t+1}, and
+        B's in G_t, since G_{t+1} adds only the edges into in_{t+1} (out_{t+1}
+        has none) and Q holds none of them.  So M_{t+1}(m) + M_t(m) <=
+        M_{t+1}(m+1) + M_t(m-1), which is opt_{t+1}(ell+1) + opt_t(ell) <=
+        opt_{t+1}(ell) + opt_t(ell+1), the theorem.
         """
         if not self._requests:
             return 0
@@ -515,12 +547,11 @@ def demand(m: FiniteMetric, Delta, rho: Sequence[PointId]) -> int:
 
 
 def max_demand_trace(m: FiniteMetric, Delta, rho: Sequence[PointId]) -> list[int]:
-    """Running maximum of the prefix demands, one entry per request."""
+    """The prefix demands, one entry per request.  They never fall (see
+    `DemandTracker.demand`), so each is also the largest demand so far."""
     tracker = DemandTracker.for_metric(m, Delta)
     out: list[int] = []
-    peak = 0
     for r in rho:
         tracker.push(r)
-        peak = max(peak, tracker.demand())
-        out.append(peak)
+        out.append(tracker.demand())
     return out

@@ -3,9 +3,10 @@
 The shell owns k servers on a decomposition with exact cross-block distance
 Delta.  Each nonempty block runs its own subroutine instance (marking, or a
 nested shell for deeper trees), the one record of the block's servers.  Per
-request it reads the target block's peak demand in the current phase from
-the node plan's memo (on a miss, bounding the demand by the memo's slack
-certificate or computing it) and then:
+request it reads the target block's demand in the current phase from the
+node plan's memo (on a miss, certifying it by the memo's slack or computing
+it).  A demand never falls within a phase (see `DemandTracker.demand`), so
+it is also the block's peak demand in the phase.  Then:
 
   * peak < servers in the block: forward to the block subroutine;
   * peak = servers: forward, then mark the block;
@@ -59,20 +60,20 @@ class NodePlan:
     integer unit (None elsewhere, read from the decomposition), each block's
     subroutine plan (a marking `Universe` or the child's `NodePlan`) and the
     competitive function `f`, all fixed once built; and a memo of block
-    peak demands, which grows as the shells on the plan serve.
+    demands, which grows as the shells on the plan serve.
 
     The memo is a trie per block over the block's requests in one phase.
     Node ids 0..t-1 are the empty prefixes of blocks 0..t-1; the child of
     node `v` on request `r` is `memo_child[v * metric.n + r]`, and
     `memo_key[v]` is the key that made `v` (unused at the empty prefixes),
     so `v`'s parent is `memo_key[v] // n` and its last request
-    `memo_key[v] % n`.  `memo_peak[v]` is the largest demand of a prefix on
-    the path to `v` (the block's peak demand in the phase) and
-    `memo_slack[v]` is `num - den * saving(D)` for the price num/den and the
-    demand D last computed on that path (see `BlockShell._memo_miss`).  Both
-    depend on the decomposition and that prefix alone, so every shell on the
-    plan reads them there, and a shell adds at most one node per request it
-    serves."""
+    `memo_key[v] % n`.  `memo_peak[v]` is the exact demand of the prefix at
+    `v`, which no shorter prefix on its path exceeds (the block's peak
+    demand in the phase), and `memo_slack[v]` is `num - den * saving(D)`
+    for the price num/den and the demand D last computed on that path (see
+    `BlockShell._memo_miss`).  Both depend on the decomposition and that
+    prefix alone, so every shell on the plan reads them there, and a shell
+    adds at most one node per request it serves."""
 
     __slots__ = ("dec", "block_sets", "uniform_d", "subs", "f", "num", "den",
                  "memo_child", "memo_key", "memo_peak", "memo_slack")
@@ -241,59 +242,62 @@ class BlockShell(PhaseLogs):
         """Memo node of block s's phase prefix ending in r, a prefix not in
         the memo yet.
 
-        The node's peak is exact without the demand D_t of the new prefix
-        whenever D_t cannot exceed the parent's peak P.  A free-start
-        opt(ell) is convex in ell (see `DemandTracker.demand`), so D_t <= P
-        exactly when saving_t(P) = opt_t(P) - opt_t(P+1) is at most the
-        price num/den.  Let t0 be the prefix where a tracker last answered D
-        on this path.  Three facts bound saving_t(P):
+        Every memo node holds its prefix's exact demand.  A demand never
+        falls as the prefix grows (the theorem in `DemandTracker.demand`),
+        so the new prefix's demand D_t is at least the parent's, P, and it
+        is P exactly when it cannot exceed P.  A free-start opt(ell) is
+        convex in ell, so D_t <= P exactly when saving_t(P) = opt_t(P) -
+        opt_t(P+1) is at most the price num/den.  Let t0 be the prefix where
+        a tracker last answered on this path; every node since holds its
+        answer, P.  Two facts bound saving_t(P):
           * appending requests never lowers a free-start optimum, so
             opt_t(P+1) >= opt_t0(P+1);
           * opt_t(P) <= opt_{t-1}(P) + dist(p_{t-1}, p_t): move the server
-            that stands on the last request;
-          * savings do not increase with ell, and P >= D, so
-            saving_t0(P) <= saving_t0(D).
-        So saving_t(P) <= saving_t0(D) + the path length from t0 to t, and
-        the slack `num - den * saving_t0(D)`, less den times each step of
-        that path, certifies D_t <= P while it stays >= 0.  A block's first
+            that stands on the last request.
+        So saving_t(P) <= saving_t0(P) + the path length from t0 to t, and
+        the slack `num - den * saving_t0(P)`, less den times each step of
+        that path, certifies D_t = P while it stays >= 0.  A block's first
         request has demand 1 and opt(1) = opt(2) = 0, so slack num.
 
         Only a negative slack consults the block's tracker, built on the
         block's first consult of the phase.  It first pushes the requests
         it skipped, read back up the trie from the new node's parent to the
-        prefix it last pushed, then r; its demand gives the peak, and the
-        saving at that demand, from levels the demand read, the new slack."""
+        prefix it last pushed, then r; its demand is the node's, and the
+        saving at that demand, from levels the demand read, the new slack.
+        A demand below P breaks the theorem and raises
+        ShellInvariantError before the memo grows."""
         plan = self._plan
         parent = self._node[s]
-        keys, peaks, slacks = plan.memo_key, plan.memo_peak, plan.memo_slack
-        node = len(peaks)
+        keys, demands, slacks = plan.memo_key, plan.memo_peak, plan.memo_slack
+        node = len(demands)
+        if parent < self.t:
+            d, slack = 1, plan.num
+        else:
+            n = self._n
+            d = demands[parent]
+            slack = slacks[parent] - plan.den * self.metric.dist[keys[parent] % n][r]
+            if slack < 0:
+                tracker = self._trackers[s]
+                if tracker is None:
+                    tracker = self._trackers[s] = self._new_tracker(s)
+                skipped = []
+                v, pushed = parent, self._tracked[s]
+                while v != pushed:
+                    skipped.append(keys[v] % n)
+                    v = keys[v] // n
+                for q in reversed(skipped):
+                    tracker.push(q)
+                tracker.push(r)
+                self._tracked[s] = node
+                d = tracker.demand()
+                if d < demands[parent]:
+                    raise ShellInvariantError(
+                        f"phase {self.phase}: block {s}'s demand fell from "
+                        f"{demands[parent]} to {d}")
+                slack = plan.num - plan.den * tracker.saving(d)
         plan.memo_child[key] = node
         keys.append(key)
-        if parent < self.t:
-            peaks.append(1)
-            slacks.append(plan.num)
-            return node
-        n = self._n
-        slack = slacks[parent] - plan.den * self.metric.dist[keys[parent] % n][r]
-        peak = peaks[parent]
-        if slack < 0:
-            tracker = self._trackers[s]
-            if tracker is None:
-                tracker = self._trackers[s] = self._new_tracker(s)
-            skipped = []
-            v, pushed = parent, self._tracked[s]
-            while v != pushed:
-                skipped.append(keys[v] % n)
-                v = keys[v] // n
-            for q in reversed(skipped):
-                tracker.push(q)
-            tracker.push(r)
-            self._tracked[s] = node
-            d = tracker.demand()
-            slack = plan.num - plan.den * tracker.saving(d)
-            if d > peak:
-                peak = d
-        peaks.append(peak)
+        demands.append(d)
         slacks.append(slack)
         return node
 

@@ -8,7 +8,7 @@ from ksim import offline
 from ksim.generators import GeneratorSpec, generate, parse_generator
 from ksim.harness import (CSV_HEADER, default_initial, probe_demand_monotonicity,
                           reports_to_csv, run_shell, run_trials, solver_guard_ok)
-from ksim.marking import Marking
+from ksim.marking import Universe
 from ksim.metric import build_hst, build_uniform
 from ksim.offline import INF
 from ksim.shell import tree_plan
@@ -42,7 +42,8 @@ class TestGenerators:
         spec = GeneratorSpec("phase_stress", 8 * (k + 1), params={"width": k + 1})
         seq = generate(spec, space)
         assert sorted(set(seq)) == [0, 1, 2, 3]
-        st = Marking(space.leaf_metric, default_initial(k), seed=1)
+        st = Universe(space.leaf_metric).start(seed=1)
+        st.reset(default_initial(k))
         for r in seq:
             st.serve(r)
         assert st.phase_count > 1

@@ -4,54 +4,63 @@ from fractions import Fraction
 
 import pytest
 
-from ksim.marking import Marking, Universe, harmonic, marking_f
+from ksim.marking import Universe, harmonic, marking_f
 from ksim.metric import FiniteMetric, build_uniform
 
 import math
 
 
+def started(metric, initial, seed, points=None):
+    """Marking started on the universe of `points` (the whole space by
+    default) and reset to `initial`."""
+    st = Universe(metric, points).start(seed)
+    st.reset(initial)
+    return st
+
+
 class TestConstruction:
     def test_two_servers_no_marks(self):
-        st = Marking(build_uniform(3, 1), {0, 1}, seed=4)
+        st = started(build_uniform(3, 1), {0, 1}, seed=4)
         assert st.k == 2
         assert st.marked == set()
         assert st.config == frozenset({0, 1})
 
     def test_three_servers(self):
-        st = Marking(build_uniform(5, 2), {0, 1, 2}, seed=4)
+        st = started(build_uniform(5, 2), {0, 1, 2}, seed=4)
         assert st.k == 3
         assert st.d == 2
 
     def test_rejects_non_uniform(self):
         path = FiniteMetric([[0, 1, 2], [1, 0, 1], [2, 1, 0]])
         with pytest.raises(ValueError, match="uniform"):
-            Marking(path, {0}, seed=1)
+            Universe(path)
 
     def test_uniform_subset_of_non_uniform_space_is_fine(self):
         path = FiniteMetric([[0, 1, 2], [1, 0, 1], [2, 1, 0]])
-        st = Marking(path, {0}, seed=1, points=[0, 1])
+        st = started(path, {0}, seed=1, points=[0, 1])
         assert st.d == 1
 
     def test_rejects_servers_outside_universe(self):
-        with pytest.raises(ValueError):
-            Marking(build_uniform(4, 1), {0, 3}, seed=1, points=[0, 1, 2])
+        st = Universe(build_uniform(4, 1), [0, 1, 2]).start(seed=1)
+        with pytest.raises(ValueError, match="inside"):
+            st.reset({0, 3})
 
 
 class TestServe:
     def test_covered_point_costs_nothing_and_marks(self):
-        st = Marking(build_uniform(3, 1), {0, 1}, seed=0)
+        st = started(build_uniform(3, 1), {0, 1}, seed=0)
         assert st.serve(0) == 0
         assert 0 in st.marked
 
     def test_fault_costs_uniform_distance(self):
-        st = Marking(build_uniform(3, 1), {0, 1}, seed=0)
+        st = started(build_uniform(3, 1), {0, 1}, seed=0)
         assert st.serve(2) == 1
         assert 2 in st.positions
 
     def test_victim_uniform_over_unmarked(self):
         counts = Counter()
         for seed in range(2000):
-            st = Marking(build_uniform(3, 1), {0, 1}, seed=seed)
+            st = started(build_uniform(3, 1), {0, 1}, seed=seed)
             st.serve(2)
             evicted = ({0, 1} - st.positions).pop()
             counts[evicted] += 1
@@ -67,7 +76,7 @@ class TestServe:
                 super().__init__(seed)
 
         monkeypatch.setattr(random, "Random", CountingRandom)
-        st = Marking(build_uniform(4, 1), {0, 1, 2}, seed=7)
+        st = started(build_uniform(4, 1), {0, 1, 2}, seed=7)
         for r in (0, 1, 2, 1):
             assert st.serve(r) == 0
         assert made == []
@@ -78,18 +87,18 @@ class TestServe:
         assert evicted == random.Random(7).choice([0, 1, 2])
 
     def test_cost_is_zero_or_d(self):
-        st = Marking(build_uniform(4, 3), {0, 1}, seed=7)
+        st = started(build_uniform(4, 3), {0, 1}, seed=7)
         for r in [0, 2, 3, 1, 2, 0, 3]:
             assert st.serve(r) in (0, 3)
 
     def test_positions_count_constant(self):
-        st = Marking(build_uniform(5, 1), {0, 1, 2}, seed=3)
+        st = started(build_uniform(5, 1), {0, 1, 2}, seed=3)
         for r in [3, 4, 0, 1, 2, 3]:
             st.serve(r)
             assert len(st.positions) == 3
 
     def test_marks_grow_within_phase(self):
-        st = Marking(build_uniform(4, 1), {0, 1, 2}, seed=3)
+        st = started(build_uniform(4, 1), {0, 1, 2}, seed=3)
         seen = set()
         for r in [0, 1, 3]:  # stays within one phase: at most k distinct faults
             st.serve(r)
@@ -99,7 +108,7 @@ class TestServe:
     def test_cycle_over_k_plus_one_pays_every_round(self):
         # pigeonhole: k+1 distinct points cannot all stay covered
         k = 3
-        st = Marking(build_uniform(k + 1, 1), set(range(k)), seed=12)
+        st = started(build_uniform(k + 1, 1), set(range(k)), seed=12)
         total = Fraction(0)
         rounds = 6
         for i in range(rounds * (k + 1)):
@@ -108,7 +117,7 @@ class TestServe:
         assert st.phase_count > 1
 
     def test_rejects_unknown_point(self):
-        st = Marking(build_uniform(3, 1), {0}, seed=0, points=[0, 1])
+        st = started(build_uniform(3, 1), {0}, seed=0, points=[0, 1])
         with pytest.raises(ValueError):
             st.serve(2)
 
@@ -116,14 +125,14 @@ class TestServe:
         seq = [2, 0, 3, 1, 2, 3, 0]
         runs = []
         for _ in range(2):
-            st = Marking(build_uniform(4, 1), {0, 1}, seed=99)
+            st = started(build_uniform(4, 1), {0, 1}, seed=99)
             runs.append([st.serve(r) for r in seq])
         assert runs[0] == runs[1]
 
 
 class TestReset:
     def test_reset_same_config_keeps_hits_free(self):
-        st = Marking(build_uniform(3, 1), {0, 1}, seed=5)
+        st = started(build_uniform(3, 1), {0, 1}, seed=5)
         st.serve(2)
         st.reset(st.config)
         assert st.marked == set()
@@ -131,19 +140,19 @@ class TestReset:
         assert st.serve(covered) == 0
 
     def test_reset_grows_server_count(self):
-        st = Marking(build_uniform(4, 1), {0, 1}, seed=5)
+        st = started(build_uniform(4, 1), {0, 1}, seed=5)
         st.reset({0, 1, 2})
         assert st.k == 3
 
     def test_reset_empty_then_serving_raises(self):
-        st = Marking(build_uniform(3, 1), {0}, seed=5)
+        st = started(build_uniform(3, 1), {0}, seed=5)
         st.reset(())
         assert st.k == 0
         with pytest.raises(RuntimeError):
             st.serve(0)
 
     def test_started_on_a_universe_it_holds_no_servers(self):
-        st = Marking.on(Universe(build_uniform(3, 1)), seed=5)
+        st = Universe(build_uniform(3, 1)).start(seed=5)
         assert (st.config, st.k, st.marked, st.phase_count) == (frozenset(), 0, set(), 1)
         with pytest.raises(RuntimeError):
             st.serve(0)
@@ -158,18 +167,18 @@ class TestRefusesWhatIsNotAPoint:
     @pytest.mark.parametrize("p", BAD)
     def test_constructor(self, p):
         with pytest.raises(ValueError):
-            Marking(build_uniform(3, 1), [p, 0], seed=0)
+            Universe(build_uniform(3, 1), [p, 0])
 
     @pytest.mark.parametrize("p", BAD)
     def test_reset(self, p):
-        st = Marking(build_uniform(3, 1), [0, 2], seed=0)
+        st = started(build_uniform(3, 1), [0, 2], seed=0)
         with pytest.raises(ValueError):
             st.reset([p, 0])
         assert st.positions == {0, 2}
 
     @pytest.mark.parametrize("p", BAD)
     def test_serve(self, p):
-        st = Marking(build_uniform(3, 1), [0, 2], seed=0)
+        st = started(build_uniform(3, 1), [0, 2], seed=0)
         with pytest.raises(ValueError, match="outside this space"):
             st.serve(p)
         assert st.positions == {0, 2} and st.marked == set()

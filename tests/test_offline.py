@@ -172,7 +172,7 @@ class TestMaxDemandTrace:
             trace = max_demand_trace(m, delta, rho)
             assert all(a <= b for a, b in zip(trace, trace[1:]))
             for i in range(len(rho)):
-                assert trace[-1] >= demand(m, delta, rho[: i + 1])
+                assert trace[i] == demand(m, delta, rho[: i + 1])
 
 
 class TestDemandTracker:
@@ -401,6 +401,35 @@ class TestDirectScan:
 # Delta per server; a denominator of 7 is off the grid of every metric drawn
 # from `rationals`, so those prices stay Fractions in the metric's unit
 prices = st.builds(Fraction, st.integers(1, 30), st.sampled_from([1, 2, 7]))
+
+
+class TestSavingsNeverFall:
+    """The theorem in `DemandTracker.demand`: for every ell >= 1 one more
+    server saves at least as much after a request is appended,
+    saving_{t+1}(ell) >= saving_t(ell), so the demand never falls as the
+    prefix grows.  The shell's memo and `max_demand_trace` rely on it;
+    `opt_cost` is the judge."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), Delta=prices)
+    def test_savings_and_demands_never_fall(self, data, Delta):
+        n = data.draw(st.integers(1, 7))
+        weights = data.draw(st.lists(rationals, min_size=n * (n - 1) // 2,
+                                     max_size=n * (n - 1) // 2))
+        m = metric_closure(n, weights)
+        rho = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=10))
+        tracker = DemandTracker.for_metric(m, Delta)
+        savings, demand = [0] * n, 0
+        for t in range(1, len(rho) + 1):
+            # saving_t(ell) for ell = 1..n-1, and saving(n) = 0: n servers
+            # cover every point
+            opts = [opt_cost(m, ell, rho[:t]).cost for ell in range(1, n + 1)]
+            now = [a - b for a, b in zip(opts, opts[1:])] + [0]
+            assert all(b >= a for a, b in zip(savings, now))
+            tracker.push(rho[t - 1])
+            prev, demand = demand, tracker.demand()
+            assert demand >= prev
+            savings = now
 
 
 class TestLazyLevels:

@@ -416,19 +416,21 @@ def live_shells(shell):
 
 
 def fresh_peak(shell, b):
-    """Running maximum of a fresh tracker's demand over block b's requests
-    in the running phase: the greedy on a uniform block, the DP elsewhere."""
+    """A fresh tracker's demand on block b's requests in the running phase
+    (the greedy on a uniform block, the DP elsewhere), asking it on every
+    prefix: no prefix demand falls, so the last is the phase's peak."""
     dec = shell.dec
     d = dec.metric.uniform_cost(dec.blocks[b])
     tracker = (DemandTracker(dec.metric, dec.price) if d is None
                else UniformDemandTracker(dec.metric, dec.price, d))
     block = set(dec.blocks[b])
-    peak = 0
+    demand = 0
     for q in shell.phase_logs[-1]:
         if q in block:
             tracker.push(q)
-            peak = max(peak, tracker.demand())
-    return peak
+            prev, demand = demand, tracker.demand()
+            assert demand >= prev, "a prefix demand fell"
+    return demand
 
 
 class TestDemandMemo:
@@ -492,24 +494,30 @@ class TestDemandMemo:
         runs = [(2, 0, [6]), (2, 0, [6, 0]), (1, 0, []), (1, 0, [])]
         self.check_shells_sharing_a_plan([2, 2, 3], 3, runs)
 
-    def test_a_falling_demand_keeps_its_peak(self, monkeypatch):
-        # no prefix demand has been seen to fall, so a stand-in does.  Block
-        # 0's points are 2 apart at price 6, so on requests alternating
-        # between them the memo's slack answers the first four and the
-        # tracker is consulted on the fifth and the ninth.  The stand-in
-        # answers 1 before the fifth request, as the true demand is, 2 on
-        # it, and 1 after it; the memo keeps the peak, and a second shell on
-        # the plan reads it from there
+    def test_a_falling_demand_is_caught(self, monkeypatch):
+        # the theorem in `DemandTracker.demand` rules out a falling demand
+        # for the real trackers, so a stand-in's falls.  Block 0's points
+        # are 2 apart at price 6, so on requests alternating between them
+        # the memo's slack answers the first four and the tracker is
+        # consulted on the fifth and the ninth.  The stand-in answers 1
+        # before the fifth request, as the true demand is, 2 on it, and 1
+        # after it; a second shell on the plan reads the fifth's 2 from the
+        # memo, and the consult on the ninth request is caught, with the
+        # memo left as it was
         monkeypatch.setattr(DemandTracker, "demand",
                             lambda self: 2 if self.length == 5 else 1)
         first = two_block_shell()
         twin = BlockShell(first._plan, 2, {0, 1}, seed=7)
-        for i, r in enumerate((0, 1) * 4 + (0,)):
+        for i, r in enumerate((0, 1) * 4):
             for sh in (first, twin):
                 sh.serve(r)
-                assert sh.peak_demand(0) == fresh_peak(sh, 0) == (1 if i < 4 else 2)
+                assert sh.peak_demand(0) == (1 if i < 4 else 2)
+        assert twin._trackers == [None, None]  # every demand was a memo hit
+        nodes = len(first._plan.memo_peak)
+        with pytest.raises(ShellInvariantError, match="demand fell from 2 to 1"):
+            first.serve(0)
         assert first._trackers[0].length == 9  # consulted on the ninth request
-        assert twin._trackers == [None, None]  # every peak was a memo hit
+        assert len(first._plan.memo_peak) == nodes
 
     def test_a_shell_catches_up_after_memo_hits(self):
         space = build_hst([3, 3, 3], 3)
@@ -756,7 +764,7 @@ class TestServerCount:
 
         sh = two_block_shell()
         plan = tree_plan(build_hst([2, 2], 2))
-        sh._subs[0] = DropsAServer.on(plan.subs[0], seed=0)
+        sh._subs[0] = DropsAServer(plan.subs[0], seed=0)
         sh._subs[0].reset({0, 1})
         with pytest.raises(ShellInvariantError, match="server count"):
             sh.serve(0)
