@@ -19,8 +19,8 @@ from . import __version__
 from .files import (ParseError, load_configuration, load_hst, load_metric, load_requests,
                     parse_rational)
 from .generators import parse_generator
-from .harness import (OPT_STATE_GUARD, probe_demand_monotonicity, render_rational,
-                      reports_to_csv, run_trials, solver_guard_ok)
+from .harness import (probe_demand_monotonicity, render_rational, reports_to_csv, run_trials,
+                      solver_guard_ok)
 from .metric import build_uniform
 from .offline import demand as demand_op, opt_cost
 from .verify import checks_to_csv, run_ama_suite, run_contract_suite, run_lower_bound_suite
@@ -181,10 +181,7 @@ def _cmd_opt(args) -> int:
 def _cmd_demand(args) -> int:
     metric = load_metric(args.metric)
     rho = load_requests(args.requests, metric.n)
-    distinct = len(set(rho))
-    if 2 ** distinct * len(rho) > OPT_STATE_GUARD:
-        raise CliError(f"demand: {distinct} distinct points and {len(rho)} requests are "
-                       f"beyond the solver's size limit")
+    # a DP level too wide to keep raises ValueError (DEMAND_LEVEL_GUARD)
     print(f"demand {demand_op(metric, args.delta, rho)}")
     return 0
 

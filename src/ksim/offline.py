@@ -260,6 +260,7 @@ class DemandTracker:
         self._metric = metric
         self._price = price
         self._checked = True
+        self._saving = 0  # saving() at the last answer of demand()
         self._restart(self.LEVELS)
 
     def _restart(self, levels: int) -> None:
@@ -374,9 +375,7 @@ class DemandTracker:
 
     def saving(self, ell: int) -> int:
         """opt(ell) - opt(ell+1) in the metric's integer unit, for ell >= 1 on
-        a nonempty sequence: what one more server saves.  At the answer of
-        demand() both optima sit in levels the scan has read, so no level
-        grows."""
+        a nonempty sequence: what one more server saves."""
         return self._opt_scaled(ell) - self._opt_scaled(ell + 1)
 
     def demand(self) -> int:
@@ -390,6 +389,8 @@ class DemandTracker:
         and opt(distinct) is 0.  The scan reads the kept levels' tables
         directly (`_scan_kept`).  Below L+1 distinct points an answer of L
         grows them (`_grow`) and scans again; at L+1, opt(L+1) = 0 decides.
+        The scan reads saving(answer) on its way, and keeps it in `_saving`
+        for the shell's slack, which would otherwise scan those levels again.
 
         The answer never falls as requests are pushed.  Write opt_t for the
         optimum over the first t requests r_1..r_t and saving_t(ell) =
@@ -429,26 +430,32 @@ class DemandTracker:
         num, den = self._price.numerator, self._price.denominator
         seen = len(self._seen)
         while True:
-            ell = self._scan_kept(num, den)
+            ell, saving = self._scan_kept(num, den)
             if ell < self._levels or ell == seen:
-                return ell
+                break
             if ell + 1 == seen:
-                return ell if self._opt_scaled(ell) * den <= num else seen
+                if saving * den > num:
+                    ell, saving = seen, 0
+                break
             self._grow(ell + 1)
+        self._saving = saving
+        return ell
 
-    def _scan_kept(self, num: int, den: int) -> int:
+    def _scan_kept(self, num: int, den: int) -> tuple[int, int]:
         """demand()'s scan over the kept levels 1..top, top = min(distinct,
-        L): the first ell < top whose next server saves at most num/den, or
-        top when none does.  Level `distinct`, kept while distinct <= L,
-        reads 0, as opt(distinct) is: every point keeps its server."""
+        L): the first ell < top whose next server saves at most num/den, with
+        that saving, or top with opt(top) when none does.  Level `distinct`,
+        kept while distinct <= L, reads 0, as opt(distinct) is: every point
+        keeps its server.  So opt(top) is saving(top) whenever top + 1 >=
+        distinct, the only tops that demand() answers with."""
         dp = self._dp
         cur = min(dp[1].values())
         for ell in range(1, len(dp) - 1):
             nxt = min(dp[ell + 1].values())
             if (cur - nxt) * den <= num:
-                return ell
+                return ell, cur - nxt
             cur = nxt
-        return len(dp) - 1
+        return len(dp) - 1, cur
 
 
 class UniformDemandTracker(DemandTracker):
@@ -520,14 +527,15 @@ class UniformDemandTracker(DemandTracker):
     def _check_width(self, distinct: int, levels: int) -> None:
         pass  # a level keeps at most `levels` machine ends, not configurations
 
-    def _scan_kept(self, num: int, den: int) -> int:
+    def _scan_kept(self, num: int, den: int) -> tuple[int, int]:
         # opt(ell) - opt(ell+1) = d * (kept[ell] - kept[ell-1])
-        kept = self._kept
-        price = self._d * den
+        kept, d = self._kept, self._d
+        price = d * den
         for ell in range(1, len(kept)):
-            if (kept[ell] - kept[ell - 1]) * price <= num:
-                return ell
-        return len(kept)
+            saved = kept[ell] - kept[ell - 1]
+            if saved * price <= num:
+                return ell, saved * d
+        return len(kept), self._opt_scaled(len(kept))
 
     def _opt_scaled(self, ell: int) -> Optional[int]:
         if 1 <= ell < len(self._seen):

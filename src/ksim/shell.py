@@ -146,14 +146,7 @@ class BlockShell(PhaseLogs):
             raise ValueError("need at least one server")
         if len(init) != k:
             raise ValueError(f"initial configuration has {len(init)} points, expected k={k}")
-        if dec.mu_eff < min(k, dec.t):
-            raise ValueError(
-                f"separation too small: mu_eff={dec.mu_eff} < min(k,t)={min(k, dec.t)}"
-            )
-        for p in init:
-            dec.metric.check_point(p)
-            if p not in dec.block_of:
-                raise ValueError(f"server at {p}, outside this decomposition")
+        _check_start(dec, init)
         self.dec = dec
         self.metric = dec.metric
         self.k = k
@@ -263,7 +256,8 @@ class BlockShell(PhaseLogs):
         block's first consult of the phase.  It first pushes the requests
         it skipped, read back up the trie from the new node's parent to the
         prefix it last pushed, then r; its demand is the node's, and the
-        saving at that demand, from levels the demand read, the new slack.
+        saving at that demand, which the demand's scan has read
+        (`DemandTracker._saving`), the new slack.
         A demand below P breaks the theorem and raises
         ShellInvariantError before the memo grows."""
         plan = self._plan
@@ -294,7 +288,7 @@ class BlockShell(PhaseLogs):
                     raise ShellInvariantError(
                         f"phase {self.phase}: block {s}'s demand fell from "
                         f"{demands[parent]} to {d}")
-                slack = plan.num - plan.den * tracker.saving(d)
+                slack = plan.num - plan.den * tracker._saving
         plan.memo_child[key] = node
         keys.append(key)
         demands.append(d)
@@ -472,6 +466,21 @@ class BlockShell(PhaseLogs):
             )
 
 
+def _check_start(dec: Decomposition, init: frozenset) -> None:
+    """Refuse a shell's start on `dec` at the nonempty configuration `init`
+    when the separation is below min(k, t) for k = len(init), or when a
+    server is not on a point of the decomposition."""
+    mu, least = dec.mu_eff, min(len(init), dec.t)
+    # mu < least in ints, as a lazy reset checks here: comparing a Fraction
+    # to an int costs microseconds
+    if mu.numerator < least * mu.denominator:
+        raise ValueError(f"separation too small: mu_eff={mu} < min(k,t)={least}")
+    for p in init:
+        dec.metric.check_point(p)
+        if p not in dec.block_of:
+            raise ValueError(f"server at {p}, outside this decomposition")
+
+
 # -- recursive construction over separation trees ---------------------------
 
 
@@ -485,22 +494,34 @@ def compose_f(f_inner: Callable[[int], object]) -> Callable[[int], float]:
 class ShellSubroutine:
     """Adapter running a nested shell as the subroutine of the level above.
 
-    `reset` rebuilds the nested shell from scratch at the new configuration
-    (fresh phase, fresh marks), drawing the instance seed from this adapter's
-    own stream so the whole tree replays deterministically per seed.
+    `reset` restarts the nested shell at the new configuration (fresh phase,
+    fresh marks), with an instance seed drawn from this adapter's own stream
+    so the whole tree replays deterministically per seed.
 
-    Without an event sink, a reset to a single point builds no shell: the
+    Without an event sink a restart is lazy.  A reset to two or more points
+    checks the configuration as `BlockShell` would, with the same errors,
+    and keeps it pending: `config` answers with the pending set and `held`
+    with its size, and the shell is built on the first `serve` or
+    `serve_all`, or a read of `shell`.  A jump or a phase end above restarts
+    subtrees that are often restarted again before they serve, and those
+    shells are never built.  The stream, too, is created with the first
+    build.  Each nonempty reset counts its 64-bit draw, and the build skips
+    the counted draws that no shell took with one `getrandbits`, so every
+    instance seed is the one an adapter that drew at each reset would draw.
+    `rng` reads the stream in that state, creating it if need be.
+
+    Without a sink, a reset to a single point builds no shell either: the
     adapter keeps that point, and `serve(r)` moves it to r at `dist[p][r]`.
     This is the shell's own outcome, by induction on the height.  With one
     server each random choice of the shell has one option: the only
     occupied block donates (after at most one phase end), its one server
     moves, and r is free.  A request inside the server's block costs
-    `dist`, as one-server marking pays `d` per miss.  The instance seed is
-    still drawn, so every later rebuild gets the same seed; the draws the
+    `dist`, as one-server marking pays `d` per miss.  The reset still counts
+    its draw, so every later build gets the same seed; the draws the
     skipped shell would make come from its private streams, which nothing
     else reads.  A parent shell makes the same move on `point` in its own
     loop (`BlockShell.serve_all`), with no call.  With a sink, every reset
-    builds a shell, so its events are emitted.
+    builds a shell at once, so its events are emitted.
     """
 
     def __init__(self, plan: NodePlan, seed: int,
@@ -508,30 +529,63 @@ class ShellSubroutine:
         self._plan = plan
         self._block_of = plan.dec.block_of
         self._dist = plan.dec.metric.dist
-        # the stream's seed is the 64-bit draw that follows one unused draw
-        # per block, so that nested seeds replay unchanged
-        m = len(plan.subs)
-        self.rng = random.Random(random.Random(seed).getrandbits(64 * (m + 1)) >> (64 * m))
+        self._seed = seed
+        self._rng: Optional[random.Random] = None  # created by `_stream`
+        self._owed = 0  # draws counted by resets and not taken from the stream
         self._event_sink = event_sink
-        # at most one of these is set; neither while holding no servers
-        self.shell: Optional[BlockShell] = None
+        # at most one of these is set; none while holding no servers
+        self._shell: Optional[BlockShell] = None
+        self._pending: Optional[frozenset] = None  # a checked start, not built
         self.point: Optional[PointId] = None  # the one server, when no shell runs
+        self._pending_seed = 0  # the pending shell's draw, once `_stream` took it
+
+    def _stream(self) -> random.Random:
+        """The stream with every counted draw taken; the last one seeds the
+        pending shell, if any."""
+        rng = self._rng
+        if rng is None:
+            # the 64-bit draw that follows one unused draw per block, so
+            # that nested seeds replay unchanged
+            m = len(self._plan.subs)
+            rng = self._rng = random.Random(
+                random.Random(self._seed).getrandbits(64 * (m + 1)) >> (64 * m))
+        owed = self._owed
+        if owed:
+            self._owed = 0
+            if self._pending is None:
+                rng.getrandbits(64 * owed)
+            else:
+                if owed > 1:
+                    rng.getrandbits(64 * (owed - 1))
+                self._pending_seed = rng.getrandbits(64)
+        return rng
+
+    def _build(self) -> BlockShell:
+        """Build the pending shell."""
+        self._stream()
+        cfg, self._pending = self._pending, None
+        shell = self._shell = BlockShell(self._plan, len(cfg), cfg, self._pending_seed,
+                                         self._event_sink)
+        return shell
 
     def reset(self, config: Iterable[PointId]) -> None:
         cfg = frozenset(config)
-        self.shell = None
-        self.point = None
+        self._shell = self._pending = self.point = None
         if not cfg:
             return
-        seed = self.rng.getrandbits(64)
-        if len(cfg) == 1 and self._event_sink is None:
+        self._owed += 1
+        if self._event_sink is not None:
+            self._pending = cfg
+            self._build()
+        elif len(cfg) == 1:
             (p,) = cfg
             self._plan.dec.metric.check_point(p)
             if p not in self._block_of:
                 raise ValueError(f"server at {p}, outside this decomposition")
             self.point = p
         else:
-            self.shell = BlockShell(self._plan, len(cfg), cfg, seed, self._event_sink)
+            _check_start(self._plan.dec, cfg)
+            self._pending = cfg
 
     def serve(self, r: PointId) -> int:
         p = self.point
@@ -543,27 +597,47 @@ class ShellSubroutine:
                 raise ValueError(f"request {r} outside this decomposition")
             self.point = r
             return self._dist[p][r]
-        if self.shell is None:
+        shell = self.shell
+        if shell is None:
             raise RuntimeError("subtree holds no servers; caller must jump one in first")
-        return self.shell.serve(r)
+        return shell.serve(r)
 
     def serve_all(self, requests: Iterable[PointId]) -> int:
-        if self.shell is None:
+        shell = self.shell
+        if shell is None:
             return sum(map(self.serve, requests))
-        return self.shell.serve_all(requests)
+        return shell.serve_all(requests)
+
+    @property
+    def shell(self) -> Optional[BlockShell]:
+        """The nested shell, built now if pending; None while the adapter
+        holds no servers or one point."""
+        if self._pending is not None:
+            return self._build()
+        return self._shell
+
+    @property
+    def rng(self) -> random.Random:
+        """The adapter's stream, as if each nonempty reset had taken its
+        draw; reading it creates the stream if no shell was built yet."""
+        return self._stream()
 
     @property
     def held(self) -> int:
         """The servers held, in O(1); a live shell checks its own count."""
         if self.point is not None:
             return 1
-        return 0 if self.shell is None else self.shell.k
+        if self._pending is not None:
+            return len(self._pending)
+        return 0 if self._shell is None else self._shell.k
 
     @property
     def config(self) -> frozenset:
         if self.point is not None:
             return frozenset((self.point,))
-        return frozenset() if self.shell is None else self.shell.positions
+        if self._pending is not None:
+            return self._pending
+        return frozenset() if self._shell is None else self._shell.positions
 
 
 def check_hst_admissible(space: HstSpace, k: int) -> None:

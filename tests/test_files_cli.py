@@ -537,7 +537,6 @@ class TestCli:
         def no_solve(*args, **kwargs):
             raise AssertionError("solver started")
         monkeypatch.setattr("ksim.cli.opt_cost", no_solve)
-        monkeypatch.setattr("ksim.cli.demand_op", no_solve)
         reqs = workdir / "r.txt"
         # C(22, 7) * 44 * 7 is about 10.5 times the guard
         reqs.write_text(" ".join(str(i % 22) for i in range(44)))
@@ -545,19 +544,27 @@ class TestCli:
                    "--servers", "7", "--requests", str(reqs)])
         assert rc == 1
         assert "22 points, 7 servers and 44 requests" in capsys.readouterr().err
-        # 2**18 * 36 is about 1.9 times the guard
-        reqs.write_text(" ".join(str(i % 18) for i in range(36)))
-        rc = main(["demand", "--metric", _uniform_metric(workdir / "u18.txt", 18),
-                   "--delta", "1", "--requests", str(reqs)])
-        assert rc == 1
-        assert "18 distinct points and 36 requests" in capsys.readouterr().err
-        # 2**17 * 38 is just within it: the solver is reached
-        monkeypatch.setattr("ksim.cli.demand_op", lambda *args: 5)
-        reqs.write_text(" ".join(str(i % 17) for i in range(38)))
-        assert main(["demand", "--metric", str(workdir / "u18.txt"), "--delta", "1",
-                     "--requests", str(reqs)]) == 0
-        assert capsys.readouterr().out == "demand 5\n"
         monkeypatch.undo()
         for argv in (["opt", "--servers", "1"], ["demand", "--delta", "2"]):
             assert main(argv + ["--metric", str(workdir / "uniform3.txt"),
                                 "--requests", str(workdir / "reqs.txt")]) == 0
+
+    def test_demand_has_no_size_refusal_of_its_own(self, workdir, capsys):
+        # 2**24 * 24 requests was far beyond a refusal by distinct points;
+        # the lazy DP keeps three levels over 24 points and answers at once
+        reqs = workdir / "r.txt"
+        reqs.write_text(" ".join(str(i) for i in range(24)))
+        rc = main(["demand", "--metric", _uniform_metric(workdir / "u24.txt", 24),
+                   "--delta", "5", "--requests", str(reqs)])
+        assert rc == 0
+        assert capsys.readouterr().out == "demand 1\n"
+
+    def test_demand_too_high_for_the_dp_exits_with_its_guard(self, workdir, capsys):
+        # every server saves more than Delta, so the scan would keep level 6
+        # over 30 points: C(30, 6) configurations, above DEMAND_LEVEL_GUARD
+        reqs = workdir / "r.txt"
+        reqs.write_text(" ".join(str(i) for i in range(30)))
+        rc = main(["demand", "--metric", _uniform_metric(workdir / "u30.txt", 30),
+                   "--delta", "1/2", "--requests", str(reqs)])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error: demand DP too large: level 6 ")

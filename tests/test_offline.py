@@ -535,6 +535,7 @@ class TestSlackBound:
             levels = tracker._levels
             scaled = tracker.saving(d)
             assert tracker._levels == levels  # read from the levels demand() read
+            assert tracker._saving == scaled  # the saving the shell reads
             # savings[P] for P = 1..n; opt(n+1) is opt(n), 0
             opts = [tracker.opt(ell) for ell in range(n + 1)] + [0]
             savings.append([None] + [opts[p] - opts[p + 1] for p in range(1, n + 1)])
@@ -567,6 +568,8 @@ class TestSlackBound:
             levels = greedy._levels
             assert greedy.saving(demand) == dp.saving(demand)
             assert greedy._levels == levels
+            assert dp.demand() == demand
+            assert greedy._saving == dp._saving == dp.saving(demand)
 
 
 class TestLevelGuard:

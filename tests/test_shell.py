@@ -775,7 +775,7 @@ class TestServerCount:
         class DropsItsShell(ShellSubroutine):
             def serve(self, r):
                 cost = super().serve(r)
-                self.shell = None
+                self._shell = None
                 return cost
 
         plan = tree_plan(build_hst([2, 2, 2], 3))
@@ -892,19 +892,28 @@ class TestOneServerSubtrees:
 
     def test_only_subtrees_of_two_or_more_servers_build_shells(self, monkeypatch):
         built = Counter()
-        init = BlockShell.__init__
+        init, seed = BlockShell.__init__, random.Random.seed
 
         def counted(self, plan, k, *args, **kwargs):
             built[k >= 2] += 1
             return init(self, plan, k, *args, **kwargs)
+
+        def seeded(self, *args, **kwargs):
+            built["seeds"] += 1
+            return seed(self, *args, **kwargs)
         monkeypatch.setattr(BlockShell, "__init__", counted)
+        monkeypatch.setattr(random.Random, "seed", seeded)
         trials = 8
         run_trials(build_hst([3, 3, 3], 3), 3, "algox",
                    GeneratorSpec("uniform_random", 200, seed=5), trials, base_seed=0)
         # a root per trial, and a nested shell only where two or three of
         # the servers share a subtree; one per one-server reset made 264
         assert built[False] == 0
-        assert trials < built[True] <= 4 * trials
+        # and only when that subtree serves: 8 nested shells and 33 seeded
+        # streams, where a shell built at every reset, with its adapter's
+        # stream seeded up front, made 16 and 73
+        assert trials < built[True] < 3 * trials
+        assert built["seeds"] < 6 * trials
 
     def test_a_sink_still_runs_a_shell_for_one_server(self):
         space = build_hst([3, 3, 3], 3)
@@ -944,7 +953,7 @@ class TestOneServerSubtrees:
         class DropsItsServer(ShellSubroutine):
             def serve(self, r):
                 cost = super().serve(r)
-                self.shell = None
+                self._shell = None
                 return cost
 
         plan = tree_plan(build_hst([2, 2, 2], 3))
@@ -1021,3 +1030,161 @@ class TestSubroutineServeAll:
         assert sub.held == 0 and sub.serve_all([]) == 0
         with pytest.raises(RuntimeError, match="no servers"):
             sub.serve_all([0])
+
+
+class EagerShellSubroutine(ShellSubroutine):
+    """The oracle for lazy builds: an adapter that takes its draw from a
+    stream created up front and builds its shell at every reset to two or
+    more points."""
+
+    def __init__(self, plan, seed, event_sink=None):
+        super().__init__(plan, seed, event_sink)
+        m = len(plan.subs)
+        self._rng = random.Random(random.Random(seed).getrandbits(64 * (m + 1)) >> (64 * m))
+
+    def reset(self, config):
+        cfg = frozenset(config)
+        self._shell = self._pending = self.point = None
+        if not cfg:
+            return
+        seed = self._rng.getrandbits(64)
+        if len(cfg) == 1 and self._event_sink is None:
+            (p,) = cfg
+            self._plan.dec.metric.check_point(p)
+            if p not in self._block_of:
+                raise ValueError(f"server at {p}, outside this decomposition")
+            self.point = p
+        else:
+            self._shell = BlockShell(self._plan, len(cfg), cfg, seed, self._event_sink)
+
+
+class TestLazyShells:
+    """Without a sink, a reset to two or more points keeps its configuration
+    pending, and the shell and the adapter's stream are built when the
+    subtree first serves; every draw stays the one an eager adapter takes."""
+
+    @staticmethod
+    def run(space, k, seq, seeds, eager):
+        """Per trial, the root's record and draws, and a record of each
+        shell built that served, with the stream states of its adapters;
+        and the count of shells built below the roots."""
+        built = []
+        nested = [0]
+        init = BlockShell.__init__
+
+        def recorded(self, *args, **kwargs):
+            built.append(self)
+            nested[0] += len(built) > 1
+            return init(self, *args, **kwargs)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(BlockShell, "__init__", recorded)
+            if eager:
+                mp.setattr(NodePlan, "start", lambda plan, seed, event_sink=None:
+                           EagerShellSubroutine(plan, seed, event_sink))
+            plan = tree_plan(space)
+            trials = []
+            for seed in seeds:
+                built.clear()
+                root = BlockShell(plan, k, default_initial(k), seed)
+                cost = root.serve_all(seq)
+                trials.append((cost, root.total_inner, root.total_jump, root.phase_logs,
+                               root.dhat, root.draws, root.rng.getstate(), Counter(
+                                   (len(sh.dec.points), sh.k, str(sh.phase_logs), str(sh.dhat),
+                                    sh.draws, sh.rng.getstate(),
+                                    tuple(sub.rng.getstate() for sub in sh._subs
+                                          if isinstance(sub, ShellSubroutine)))
+                                   for sh in built[1:] if sh.phase_logs != [[]])))
+        return trials, nested[0]
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_lazy_builds_match_eager_builds(self, data):
+        height = data.draw(st.integers(3, 4), label="height")
+        branching = data.draw(st.lists(st.integers(1, 4), min_size=height, max_size=height)
+                              .filter(lambda b: 4 <= math.prod(b) <= 64), label="branching")
+        space = build_hst(branching, data.draw(mus, label="mu"))
+        plan = tree_plan(space)
+        k = data.draw(st.integers(2, min(4, space.n_leaves - 1)), label="k")
+        assume(all(q.dec.mu_eff >= min(k, q.dec.t) for q in node_plans(plan)
+                   if len(q.dec.points) >= 2))
+        seq = data.draw(st.lists(st.integers(0, space.n_leaves - 1), max_size=80),
+                        label="requests")
+        seeds = data.draw(st.lists(st.integers(0, 2 ** 64 - 1), min_size=1, max_size=3),
+                          label="seeds")
+        # a lazy shell is built to serve, so each is in both runs; an eager
+        # run builds the others too
+        lazy, built = self.run(space, k, seq, seeds, eager=False)
+        eager, eager_built = self.run(space, k, seq, seeds, eager=True)
+        assert lazy == eager
+        assert built <= eager_built
+
+    def test_lazy_builds_skip_shells_that_never_serve(self):
+        space = build_hst([3, 3, 3], 3)
+        seq = generate(GeneratorSpec("uniform_random", 200, seed=5), space)
+        lazy, built = self.run(space, 3, seq, range(4), eager=False)
+        eager, eager_built = self.run(space, 3, seq, range(4), eager=True)
+        assert lazy == eager
+        served = sum(sum(trial[-1].values()) for trial in lazy)
+        assert 0 < served == built < eager_built
+
+    def test_a_pending_shell_builds_and_seeds_nothing_until_it_serves(self, monkeypatch):
+        counts = Counter()
+        init, seed_of = BlockShell.__init__, random.Random.seed
+
+        def built(self, *args, **kwargs):
+            counts["built"] += 1
+            return init(self, *args, **kwargs)
+
+        def seeded(self, *args, **kwargs):
+            counts["seeded"] += 1
+            return seed_of(self, *args, **kwargs)
+        plan = tree_plan(build_hst([2, 2, 2], 3)).subs[0]  # the [2,2] subtree, leaves 0..3
+        monkeypatch.setattr(BlockShell, "__init__", built)
+        monkeypatch.setattr(random.Random, "seed", seeded)
+        sub = ShellSubroutine(plan, seed=7)
+        # four nonempty resets, one of them to a single point
+        for config in ({0, 2}, {1}, set(), {1, 3}, {0, 1}):
+            sub.reset(config)
+        assert sub.config == {0, 1} and sub.held == 2 and sub.point is None
+        assert counts == Counter()
+        sub.reset(())
+        assert sub.held == 0 and counts == Counter()
+        sub.reset({0, 3})
+        assert counts == Counter()
+        monkeypatch.undo()
+        # the fifth draw of the stream an eager adapter seeds up front
+        stream = random.Random(random.Random(7).getrandbits(64 * 3) >> 128)
+        for _ in range(4):
+            stream.getrandbits(64)
+        oracle = BlockShell(plan, 2, {0, 3}, seed=stream.getrandbits(64))
+        seq = [1, 2, 0, 3, 2, 1, 0, 2, 3, 1] * 3
+        assert [sub.serve(r) for r in seq] == [oracle.serve(r) for r in seq]
+        assert sub.shell.rng.getstate() == oracle.rng.getstate()
+        assert sub.rng.getstate() == stream.getstate()
+
+    def test_reading_the_stream_keeps_the_pending_seed(self):
+        plan = tree_plan(build_hst([2, 2, 2], 3)).subs[0]
+        sub, twin = ShellSubroutine(plan, seed=3), ShellSubroutine(plan, seed=3)
+        for a in (sub, twin):
+            a.reset({0, 1})
+            a.reset({2, 3})
+        state = sub.rng.getstate()  # creates the stream and takes both draws
+        assert sub.rng.getstate() == state and sub.config == {2, 3}
+        seq = [0, 1, 3, 2, 0] * 4
+        assert [sub.serve(r) for r in seq] == [twin.serve(r) for r in seq]
+        assert sub.rng.getstate() == twin.rng.getstate() == state
+
+    def test_a_reset_refuses_what_the_shell_refuses(self):
+        rows = [[0, 2, 3, 3], [2, 0, 3, 3], [3, 3, 0, 2], [3, 3, 2, 0]]
+        dec = Decomposition(FiniteMetric(rows), [(0, 1), (2, 3)], Delta=3, delta=2)
+        narrow = NodePlan(dec, tuple(Universe(dec.metric, blk) for blk in dec.blocks))
+        wide = tree_plan(build_hst([2, 2, 2], 3)).subs[0]  # leaves 0..3
+        for plan, config in ((narrow, {0, 1}), (wide, {0, 5}), (wide, {0, True}),
+                             (wide, {0, -1})):
+            with pytest.raises(ValueError) as shell_error:
+                BlockShell(plan, len(config), config, seed=0)
+            sub = ShellSubroutine(plan, seed=0)
+            with pytest.raises(ValueError) as reset_error:
+                sub.reset(config)
+            assert str(reset_error.value) == str(shell_error.value)
+            assert sub.held == 0
