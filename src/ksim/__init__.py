@@ -13,8 +13,8 @@ from .metric import (Decomposition, FiniteMetric, HstSpace, PointId,
 from .offline import (INF, DemandTracker, OptResult, UniformDemandTracker, demand,
                       max_demand_trace, opt_cost, opt_cost_exhaustive)
 from .marking import Marking, Universe, harmonic, marking_f
-from .shell import (BlockShell, NodePlan, ShellInvariantError, Subroutine,
-                    build_hst_algorithm, compose_f, tree_plan)
+from .shell import (BlockShell, NodePlan, ShellInvariantError, Subroutine, compose_f,
+                    tree_plan)
 from .generators import GeneratorSpec, generate, parse_generator
 from .harness import (TrialReport, RunRecord, probe_demand_monotonicity,
                       reports_to_csv, run_shell, run_trials)
@@ -31,7 +31,7 @@ __all__ = [
     "opt_cost", "opt_cost_exhaustive",
     "Marking", "Universe", "harmonic", "marking_f",
     "BlockShell", "NodePlan", "ShellInvariantError", "Subroutine",
-    "build_hst_algorithm", "compose_f", "tree_plan",
+    "compose_f", "tree_plan",
     "GeneratorSpec", "generate", "parse_generator",
     "TrialReport", "RunRecord", "probe_demand_monotonicity", "reports_to_csv",
     "run_shell", "run_trials",

@@ -91,16 +91,14 @@ def _build_parser() -> _Parser:
     p_run = sub.add_parser("run", help="one seeded online run")
     p_run.add_argument("--hst")
     p_run.add_argument("--k", type=_integer)
-    p_run.add_argument("--algo", choices=["marking", "algox"], default="algox")
     p_run.add_argument("--gen", help="kind[:key=value,...]")
     p_run.add_argument("--seed", type=_integer, default=0)
     p_run.add_argument("--length", type=_integer, default=50)
-    p_run.add_argument("--events", help="write the event log here (algox only)")
+    p_run.add_argument("--events", help="write the event log here (height 2 or more)")
 
     p_bench = sub.add_parser("bench", help="seeded trial batch, CSV out")
     p_bench.add_argument("--hst")
     p_bench.add_argument("--k", type=_integer)
-    p_bench.add_argument("--algo", choices=["marking", "algox"], default="algox")
     p_bench.add_argument("--gen", default="uniform_random")
     p_bench.add_argument("--trials", type=_integer)
     p_bench.add_argument("--seed", type=_integer, default=0)
@@ -195,12 +193,13 @@ def _cmd_run(args) -> int:
     space, gen = _run_inputs(args)
     events = None
     if args.events:
-        if args.algo != "algox" or space.height < 2:
-            print("events are only produced by shell (algox) runs", file=sys.stderr)
+        if space.height < 2:
+            print("no event log: a height-1 tree runs marking, and only shell runs "
+                  "produce events", file=sys.stderr)
         else:
             events = []
     # one trial, bounded by --length: the log is written only once it succeeded
-    rep = run_trials(space, args.k, args.algo, gen, 1, args.seed,
+    rep = run_trials(space, args.k, "algox", gen, 1, args.seed,
                      event_sink=None if events is None else events.append)[0]
     if events is not None:
         with open(args.events, "w", encoding="utf-8") as fh:
@@ -217,7 +216,7 @@ def _cmd_run(args) -> int:
 
 def _cmd_bench(args) -> int:
     space, gen = _run_inputs(args)
-    reports = run_trials(space, args.k, args.algo, gen, args.trials, args.seed)
+    reports = run_trials(space, args.k, "algox", gen, args.trials, args.seed)
     csv_text = reports_to_csv(reports)
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
         fh.write(csv_text)

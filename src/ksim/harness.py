@@ -18,7 +18,7 @@ from typing import Callable, Iterable, Optional, Sequence
 
 from .generators import GeneratorSpec, generate
 from .metric import Decomposition, FiniteMetric, HstSpace, PointId
-from .offline import INF, DemandTracker, opt_cost
+from .offline import INF, max_demand_trace, opt_cost
 from .shell import BlockShell, NodePlan, PhaseLogs, check_hst_admissible, tree_plan
 
 CSV_HEADER = "seed,total,inner,jump,opt,ratio,phases,m_sum"
@@ -245,12 +245,9 @@ def probe_demand_monotonicity(metric: FiniteMetric, Delta,
     for seq in sequences:
         seq = list(seq)
         n_seq += 1
-        tracker = DemandTracker.for_metric(metric, Delta)
+        n_pref += len(seq)
         prev = 0  # demand of the empty sequence
-        for i, r in enumerate(seq):
-            tracker.push(r)
-            d = tracker.demand()
-            n_pref += 1
+        for i, d in enumerate(max_demand_trace(metric, Delta, seq)):
             step = d - prev
             if step < 0:
                 decreases += 1

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .metric import FiniteMetric, PointId
 
@@ -67,8 +67,8 @@ class Universe:
         self.d = d
         return self
 
-    def start(self, seed: int, event_sink: Optional[Callable] = None) -> "Marking":
-        """Marking on this universe, seeded and holding no servers (it emits no events)."""
+    def start(self, seed: int) -> "Marking":
+        """Marking on this universe, seeded and holding no servers."""
         return Marking(self, seed)
 
 

@@ -383,6 +383,8 @@ class Decomposition:
         self.blocks = tuple(tuple(sorted(b)) for b in blocks)
         self.Delta = as_fraction(Delta)
         self.delta = as_fraction(delta)
+        if self.delta <= 0:
+            raise ValueError(f"delta must be positive, got {self.delta}")
         self.t = len(self.blocks)
         self.mu_eff = self.Delta / self.delta
         price = self.Delta * metric.scale

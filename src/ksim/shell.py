@@ -92,10 +92,9 @@ class NodePlan:
         self.memo_peak = [0] * dec.t
         self.memo_slack = [0] * dec.t
 
-    def start(self, seed: int,
-              event_sink: Optional[Callable[[str], None]] = None) -> "ShellSubroutine":
+    def start(self, seed: int) -> "ShellSubroutine":
         """The shell algorithm on this plan, seeded and holding no servers."""
-        return ShellSubroutine(self, seed, event_sink)
+        return ShellSubroutine(self, seed)
 
 
 class PhaseLogs:
@@ -498,41 +497,39 @@ class ShellSubroutine:
     fresh marks), with an instance seed drawn from this adapter's own stream
     so the whole tree replays deterministically per seed.
 
-    Without an event sink a restart is lazy.  A reset to two or more points
-    checks the configuration as `BlockShell` would, with the same errors,
-    and keeps it pending: `config` answers with the pending set and `held`
-    with its size, and the shell is built on the first `serve` or
-    `serve_all`, or a read of `shell`.  A jump or a phase end above restarts
-    subtrees that are often restarted again before they serve, and those
-    shells are never built.  The stream, too, is created with the first
-    build.  Each nonempty reset counts its 64-bit draw, and the build skips
-    the counted draws that no shell took with one `getrandbits`, so every
-    instance seed is the one an adapter that drew at each reset would draw.
-    `rng` reads the stream in that state, creating it if need be.
+    A restart is lazy.  A reset to two or more points checks the
+    configuration as `BlockShell` would, with the same errors, and keeps it
+    pending: `config` answers with the pending set and `held` with its
+    size, and the shell is built on the first `serve` or `serve_all`, or a
+    read of `shell`.  A jump or a phase end above restarts subtrees that are
+    often restarted again before they serve, and those shells are never
+    built.  The stream, too, is created with the first build.  Each nonempty
+    reset counts its 64-bit draw, and the build takes the counted draws with
+    one `getrandbits`, so every instance seed is the one an adapter that
+    drew at each reset would draw.  `rng` reads the stream in that state,
+    creating it if need be.
 
-    Without a sink, a reset to a single point builds no shell either: the
-    adapter keeps that point, and `serve(r)` moves it to r at `dist[p][r]`.
-    This is the shell's own outcome, by induction on the height.  With one
-    server each random choice of the shell has one option: the only
-    occupied block donates (after at most one phase end), its one server
-    moves, and r is free.  A request inside the server's block costs
-    `dist`, as one-server marking pays `d` per miss.  The reset still counts
-    its draw, so every later build gets the same seed; the draws the
-    skipped shell would make come from its private streams, which nothing
-    else reads.  A parent shell makes the same move on `point` in its own
-    loop (`BlockShell.serve_all`), with no call.  With a sink, every reset
-    builds a shell at once, so its events are emitted.
+    A reset to a single point builds no shell either: the adapter keeps that
+    point, and `serve(r)` moves it to r at `dist[p][r]`.  This is the
+    shell's own outcome, by induction on the height.  With one server each
+    random choice of the shell has one option: the only occupied block
+    donates (after at most one phase end), its one server moves, and r is
+    free.  A request inside the server's block costs `dist`, as one-server
+    marking pays `d` per miss.  The reset still counts its draw, so every
+    later build gets the same seed; the draws the skipped shell would make
+    come from its private streams, which nothing else reads.  A parent
+    shell makes the same move on `point` in its own loop
+    (`BlockShell.serve_all`), with no call.  Nested shells emit no events:
+    a run's event sink is its root `BlockShell`'s.
     """
 
-    def __init__(self, plan: NodePlan, seed: int,
-                 event_sink: Optional[Callable[[str], None]] = None):
+    def __init__(self, plan: NodePlan, seed: int):
         self._plan = plan
         self._block_of = plan.dec.block_of
         self._dist = plan.dec.metric.dist
         self._seed = seed
         self._rng: Optional[random.Random] = None  # created by `_stream`
         self._owed = 0  # draws counted by resets and not taken from the stream
-        self._event_sink = event_sink
         # at most one of these is set; none while holding no servers
         self._shell: Optional[BlockShell] = None
         self._pending: Optional[frozenset] = None  # a checked start, not built
@@ -552,20 +549,16 @@ class ShellSubroutine:
         owed = self._owed
         if owed:
             self._owed = 0
-            if self._pending is None:
-                rng.getrandbits(64 * owed)
-            else:
-                if owed > 1:
-                    rng.getrandbits(64 * (owed - 1))
-                self._pending_seed = rng.getrandbits(64)
+            # the owed draws in order, the first in the low bits: the top 64
+            # bits are the last reset's draw
+            self._pending_seed = rng.getrandbits(64 * owed) >> (64 * (owed - 1))
         return rng
 
     def _build(self) -> BlockShell:
         """Build the pending shell."""
         self._stream()
         cfg, self._pending = self._pending, None
-        shell = self._shell = BlockShell(self._plan, len(cfg), cfg, self._pending_seed,
-                                         self._event_sink)
+        shell = self._shell = BlockShell(self._plan, len(cfg), cfg, self._pending_seed)
         return shell
 
     def reset(self, config: Iterable[PointId]) -> None:
@@ -574,10 +567,7 @@ class ShellSubroutine:
         if not cfg:
             return
         self._owed += 1
-        if self._event_sink is not None:
-            self._pending = cfg
-            self._build()
-        elif len(cfg) == 1:
+        if len(cfg) == 1:
             (p,) = cfg
             self._plan.dec.metric.check_point(p)
             if p not in self._block_of:
@@ -668,22 +658,3 @@ def tree_plan(space: HstSpace) -> Union[NodePlan, Universe]:
         else:
             plans[v] = NodePlan(decs[v], tuple(plans[c] for c in children))
     return plans[0]
-
-
-def build_hst_algorithm(space: HstSpace, k: int, initial: Iterable[PointId],
-                        seed: int,
-                        event_sink: Optional[Callable[[str], None]] = None) -> Subroutine:
-    """Online algorithm for a whole separation tree, ready to serve.
-
-    Height-1 trees run plain marking on the uniform leaf space; deeper trees
-    run a shell per internal node, nested by level.
-    """
-    init = frozenset(initial)
-    if len(init) != k:
-        raise ValueError(f"initial configuration has {len(init)} points, expected k={k}")
-    if k > space.n_leaves:
-        raise ValueError("more servers than leaves")
-    check_hst_admissible(space, k)
-    algo = tree_plan(space).start(seed, event_sink)
-    algo.reset(init)
-    return algo

@@ -35,3 +35,10 @@ def test_a_third_party_import_is_found():
     names = list(imported_names(tree))
     assert names == ["os", "numpy", "hypothesis"]
     assert [n for n in names if n not in sys.stdlib_module_names] == ["numpy", "hypothesis"]
+
+
+def test_every_exported_name_is_defined():
+    # a name left in `__all__` after its definition went would make
+    # `from ksim import *` raise
+    import ksim
+    assert [name for name in ksim.__all__ if not hasattr(ksim, name)] == []

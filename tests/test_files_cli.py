@@ -256,7 +256,7 @@ class TestCli:
         ev2 = workdir / "ev2.log"
         for path in (ev1, ev2):
             rc = main(["run", "--hst", str(workdir / "tree.txt"), "--k", "3",
-                       "--algo", "algox", "--gen", "block_sweep:width=3",
+                       "--gen", "block_sweep:width=3",
                        "--length", "30", "--seed", "4", "--events", str(path)])
             assert rc == 0
         assert ev1.read_bytes() == ev2.read_bytes()
@@ -270,6 +270,25 @@ class TestCli:
         assert main(args + ["--events", str(workdir / "ev.log")]) == 0
         assert capsys.readouterr().out == plain
         assert "opt " in plain and "ratio " in plain and "m_sum " in plain
+
+    def test_run_events_on_a_height_one_tree_writes_no_log(self, tmp_path, capsys):
+        # a height-1 tree runs marking, which emits no events
+        tree = tmp_path / "t.txt"
+        tree.write_text("mu 2\nbranching 4\n")
+        args = ["run", "--hst", str(tree), "--k", "3", "--gen", "uniform_random",
+                "--length", "20", "--seed", "1"]
+        assert main(args) == 0
+        plain = capsys.readouterr().out
+        assert main(args + ["--events", str(tmp_path / "ev.log")]) == 0
+        captured = capsys.readouterr()
+        assert captured.out == plain and "total " in plain
+        assert "height-1" in captured.err and "no event log" in captured.err
+        assert not (tmp_path / "ev.log").exists()
+
+    def test_no_command_selects_an_algorithm(self):
+        # the tree picks it: marking at height 1, the nested shell above
+        options = {o for _, action in _long_options() for o in action.option_strings}
+        assert [o for o in options if "algo" in o] == []
 
     def test_run_events_rejects_inadmissible_tree(self, tmp_path, capsys):
         tree = tmp_path / "t.txt"
@@ -378,7 +397,7 @@ class TestCli:
         src = Path(ksim.__file__).resolve().parents[1]
         proc = subprocess.run(
             [sys.executable, "-m", "ksim.cli", "run", "--hst", str(tree), "--k", "0",
-             "--algo", "marking", "--gen", "uniform_random", "--length", "5"],
+             "--gen", "uniform_random", "--length", "5"],
             capture_output=True, text=True, timeout=60,
             env={**os.environ, "PYTHONPATH": str(src)})
         assert proc.returncode == 1

@@ -263,6 +263,12 @@ class TestDecompose:
         with pytest.raises(ValueError):
             Decomposition(m, [(0, 2), (1, 3)], Delta=3, delta=2)
 
+    @pytest.mark.parametrize("delta", [0, -1, Fraction(-1, 2)])
+    def test_refuses_a_delta_that_is_not_positive(self, delta):
+        # before any division by delta
+        with pytest.raises(ValueError, match="delta must be positive"):
+            Decomposition(build_uniform(4, 1), [[0, 1], [2, 3]], 1, delta)
+
 
 def _checked_decomposition(space, node):
     """The decomposition at `node` from scans of the leaf table, through the

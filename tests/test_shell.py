@@ -14,7 +14,14 @@ from ksim.marking import Marking, Universe, marking_f
 from ksim.metric import Decomposition, FiniteMetric, build_hst, decompose
 from ksim.offline import DemandTracker, UniformDemandTracker
 from ksim.shell import (BlockShell, NodePlan, ShellInvariantError, ShellSubroutine,
-                        build_hst_algorithm, compose_f, tree_plan)
+                        check_hst_admissible, compose_f, tree_plan)
+
+
+def started(space, initial, seed):
+    """The whole tree's algorithm, started by its plan and reset to `initial`."""
+    algo = tree_plan(space).start(seed)
+    algo.reset(initial)
+    return algo
 
 
 def two_block_shell(seed=42, events=None):
@@ -63,7 +70,7 @@ class TestTrackerChoice:
         assert all(type(sh._new_tracker(s)) is UniformDemandTracker for s in range(2))
 
     def test_non_uniform_blocks_keep_the_dp(self):
-        root = build_hst_algorithm(build_hst([3, 3, 3], 3), 3, {0, 1, 2}, seed=0).shell
+        root = started(build_hst([3, 3, 3], 3), {0, 1, 2}, seed=0).shell
         assert all(type(root._new_tracker(s)) is DemandTracker for s in range(3))
         inner = root._subs[0].shell  # [3,3] node: blocks of three leaves
         assert all(type(inner._new_tracker(s)) is UniformDemandTracker for s in range(3))
@@ -273,19 +280,19 @@ class TestServeRejects:
 class TestHstAlgorithm:
     def test_height_one_is_marking(self):
         space = build_hst([4], 3)
-        algo = build_hst_algorithm(space, 3, {0, 1, 2}, seed=0)
+        algo = started(space, {0, 1, 2}, seed=0)
         assert isinstance(algo, Marking)
 
     def test_height_two_is_shell_over_marking(self):
         space = build_hst([2, 3], 3)
-        algo = build_hst_algorithm(space, 3, {0, 1, 2}, seed=0)
+        algo = started(space, {0, 1, 2}, seed=0)
         assert isinstance(algo, ShellSubroutine)
         inner = algo.shell
         assert all(isinstance(s, Marking) for s in inner._subs)
 
     def test_height_three_nests_shells(self):
         space = build_hst([2, 2, 2], 3)
-        algo = build_hst_algorithm(space, 3, {0, 1, 2}, seed=0)
+        algo = started(space, {0, 1, 2}, seed=0)
         assert isinstance(algo, ShellSubroutine)
         assert any(isinstance(s, ShellSubroutine) for s in algo.shell._subs)
 
@@ -305,18 +312,19 @@ class TestHstAlgorithm:
     def test_rejects_mu_below_both_thresholds(self):
         space = build_hst([3, 3], 2)  # mu=2 < k=3 and < degree 3
         with pytest.raises(ValueError, match="below both"):
-            build_hst_algorithm(space, 3, {0, 1, 2}, seed=0)
+            check_hst_admissible(space, 3)
 
     def test_mu_at_least_degree_is_admissible(self):
         space = build_hst([2, 2], 2)  # mu=2 < k=3 but >= degree 2
-        algo = build_hst_algorithm(space, 3, {0, 1, 2}, seed=0)
+        check_hst_admissible(space, 3)
+        algo = started(space, {0, 1, 2}, seed=0)
         seq = generate(GeneratorSpec("uniform_random", 30, seed=1), space)
         total = sum(algo.serve(r) for r in seq)
         assert total >= 0
 
     def test_serving_moves_costs_and_configuration(self):
         space = build_hst([2, 3], 3)
-        algo = build_hst_algorithm(space, 3, {0, 1, 2}, seed=7)
+        algo = started(space, {0, 1, 2}, seed=7)
         cost = algo.serve(4)
         assert cost > 0
         assert 4 in algo.config
@@ -324,7 +332,7 @@ class TestHstAlgorithm:
 
     def test_reset_to_empty_then_back(self):
         space = build_hst([2, 3], 3)
-        algo = build_hst_algorithm(space, 2, {0, 1}, seed=7)
+        algo = started(space, {0, 1}, seed=7)
         algo.reset(())
         with pytest.raises(RuntimeError):
             algo.serve(0)
@@ -336,7 +344,7 @@ class TestHstAlgorithm:
         seq = generate(GeneratorSpec("uniform_random", 40, seed=5), space)
         costs = []
         for _ in range(2):
-            algo = build_hst_algorithm(space, 3, {0, 1, 2}, seed=31)
+            algo = started(space, {0, 1, 2}, seed=31)
             costs.append([algo.serve(r) for r in seq])
         assert costs[0] == costs[1]
 
@@ -345,7 +353,7 @@ class TestHstAlgorithm:
         seq = [2, 3, 0, 1, 2, 0, 3, 1] * 3
         streams = set()
         for seed in range(6):
-            algo = build_hst_algorithm(space, 2, {0, 1}, seed=seed)
+            algo = started(space, {0, 1}, seed=seed)
             streams.add(tuple(algo.serve(r) for r in seq))
         assert len(streams) > 1
 
@@ -367,14 +375,14 @@ class TestServeContract:
         space, spec = self.pinned(branching)
         k, seed = self.k, self.seed
         seq = generate(spec, space)
-        init = default_initial(k)
+        plan, init = tree_plan(space), default_initial(k)
         events = []
-        algo = build_hst_algorithm(space, k, init, seed, event_sink=events.append)
-        twin = build_hst_algorithm(space, k, init, seed)  # the same random stream
+        algo = BlockShell(plan, k, init, seed, event_sink=events.append)
+        twin = BlockShell(plan, k, init, seed)  # the same random stream, no sink
         scale = space.leaf_metric.scale
         for r in seq:
             events.clear()
-            cost = twin.shell.serve(r)
+            cost = twin.serve(r)
             assert type(cost) is int
             assert algo.serve(r) == cost
             logged = [Fraction(f["cost"]) for kind in ("serve", "jump")
@@ -832,7 +840,7 @@ mus = st.one_of(st.integers(2, 5),
 
 
 class TestOneServerSubtrees:
-    """Without an event sink, a subtree that holds one server runs no shell:
+    """A subtree that holds one server runs no shell:
     its adapter keeps the point and serves r at dist[p][r], which is what
     `BlockShell(plan, 1, ...)`, the oracle, does."""
 
@@ -915,18 +923,6 @@ class TestOneServerSubtrees:
         assert trials < built[True] < 3 * trials
         assert built["seeds"] < 6 * trials
 
-    def test_a_sink_still_runs_a_shell_for_one_server(self):
-        space = build_hst([3, 3, 3], 3)
-        events = []
-        algo = build_hst_algorithm(space, 1, {0}, seed=3, event_sink=events.append)
-        assert isinstance(algo.shell, BlockShell) and algo.point is None
-        twin = build_hst_algorithm(space, 1, {0}, seed=3)
-        assert twin.shell is None and twin.point == 0
-        for r in generate(GeneratorSpec("uniform_random", 30, seed=2), space):
-            assert algo.serve(r) == twin.serve(r)
-            assert algo.config == twin.config == {r}
-        assert event_fields(events, "jump") and event_fields(events, "serve")
-
     def test_one_point_rejects_outside_points(self):
         space = build_hst([2, 2, 2], 3)
         plan = tree_plan(space).subs[0]  # the first [2,2] subtree, leaves 0..3
@@ -940,28 +936,11 @@ class TestOneServerSubtrees:
     @pytest.mark.parametrize("r", [True, 1.0])
     def test_one_point_rejects_what_is_not_a_point(self, r):
         # both would find point 1 in the block's dict by their hash
-        algo = build_hst_algorithm(build_hst([3, 3, 3], 3), 1, {0}, seed=3)
+        algo = started(build_hst([3, 3, 3], 3), {0}, seed=3)
         assert algo.point == 0
         with pytest.raises(ValueError, match=re.escape(f"point id {r!r} out of range")):
             algo.serve(r)
         assert algo.point == 0 and type(algo.point) is int
-
-    def test_subroutine_losing_its_one_server_is_caught(self):
-        # a one-server subtree held as a point is moved by the parent's own
-        # loop, which calls no method of it; one run by a shell, as with an
-        # event sink, serves through `serve` and has its count checked
-        class DropsItsServer(ShellSubroutine):
-            def serve(self, r):
-                cost = super().serve(r)
-                self._shell = None
-                return cost
-
-        plan = tree_plan(build_hst([2, 2, 2], 3))
-        sh = BlockShell(plan, 2, {0, 4}, seed=0)  # one server per subtree
-        sh._subs[0] = DropsItsServer(plan.subs[0], seed=0, event_sink=[].append)
-        sh._subs[0].reset({0})
-        with pytest.raises(ShellInvariantError, match="server count"):
-            sh.serve(1)
 
     def test_shell_trackers_skip_the_point_check(self, monkeypatch):
         checks = Counter()
@@ -993,7 +972,7 @@ def streams(algo):
 
 class TestSubroutineServeAll:
     """Every started algorithm's `serve_all(seq)` is one `serve` per request:
-    the same total cost, final configuration, random streams and events."""
+    the same total cost, final configuration and random streams."""
 
     @settings(max_examples=100, deadline=None)
     @given(data=st.data())
@@ -1004,26 +983,23 @@ class TestSubroutineServeAll:
         plan = tree_plan(build_hst(branching, data.draw(mus, label="mu")))
         points = plan.points if isinstance(plan, Universe) else plan.dec.points
         k = data.draw(st.integers(1, min(4, len(points) - 1)), label="k")  # with misses
-        sink = data.draw(st.booleans(), label="sink")
-        # every shell a run can build accepts k servers (only the root gets
-        # the sink, and a one-leaf subtree below it builds no shell)
+        # every shell a run can build accepts k servers (a one-leaf subtree
+        # builds no shell)
         assume(all(q.dec.mu_eff >= min(k, q.dec.t) for q in node_plans(plan)
                    if len(q.dec.points) >= 2))
         init = data.draw(st.sets(st.sampled_from(points), min_size=k, max_size=k),
                          label="initial")
         seq = data.draw(st.lists(st.sampled_from(points), max_size=60), label="requests")
         seed = data.draw(st.integers(0, 2 ** 64 - 1), label="seed")
-        logs = ([], [])
-        whole, single = (plan.start(seed, log.append if sink else None) for log in logs)
+        whole, single = plan.start(seed), plan.start(seed)
         for algo in (whole, single):
             algo.reset(init)
         if isinstance(whole, ShellSubroutine):
-            # one server without a sink is a point, else a shell runs
-            assert (whole.point is not None) == (k == 1 and not sink)
+            # one server is a point, else a shell runs
+            assert (whole.point is not None) == (k == 1)
         assert whole.serve_all(seq) == sum(single.serve(r) for r in seq)
         assert whole.config == single.config
         assert streams(whole) == streams(single)
-        assert logs[0] == logs[1]
 
     def test_an_empty_adapter_serves_through_serve(self):
         sub = tree_plan(build_hst([2, 2, 2], 3)).start(seed=0)
@@ -1037,8 +1013,8 @@ class EagerShellSubroutine(ShellSubroutine):
     stream created up front and builds its shell at every reset to two or
     more points."""
 
-    def __init__(self, plan, seed, event_sink=None):
-        super().__init__(plan, seed, event_sink)
+    def __init__(self, plan, seed):
+        super().__init__(plan, seed)
         m = len(plan.subs)
         self._rng = random.Random(random.Random(seed).getrandbits(64 * (m + 1)) >> (64 * m))
 
@@ -1048,19 +1024,18 @@ class EagerShellSubroutine(ShellSubroutine):
         if not cfg:
             return
         seed = self._rng.getrandbits(64)
-        if len(cfg) == 1 and self._event_sink is None:
+        if len(cfg) == 1:
             (p,) = cfg
             self._plan.dec.metric.check_point(p)
             if p not in self._block_of:
                 raise ValueError(f"server at {p}, outside this decomposition")
             self.point = p
         else:
-            self._shell = BlockShell(self._plan, len(cfg), cfg, seed, self._event_sink)
+            self._shell = BlockShell(self._plan, len(cfg), cfg, seed)
 
 
 class TestLazyShells:
-    """Without a sink, a reset to two or more points keeps its configuration
-    pending, and the shell and the adapter's stream are built when the
+    """A reset to two or more points keeps its configuration pending, and the shell and the adapter's stream are built when the
     subtree first serves; every draw stays the one an eager adapter takes."""
 
     @staticmethod
@@ -1079,8 +1054,8 @@ class TestLazyShells:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(BlockShell, "__init__", recorded)
             if eager:
-                mp.setattr(NodePlan, "start", lambda plan, seed, event_sink=None:
-                           EagerShellSubroutine(plan, seed, event_sink))
+                mp.setattr(NodePlan, "start",
+                           lambda plan, seed: EagerShellSubroutine(plan, seed))
             plan = tree_plan(space)
             trials = []
             for seed in seeds:
