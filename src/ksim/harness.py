@@ -225,8 +225,9 @@ def probe_demand_monotonicity(metric: FiniteMetric, Delta,
     With `max_len` instead of explicit sequences, enumerates every sequence
     over the whole point set up to that length.  Reports how often the
     demand drops from one prefix to the next, the largest |step|, and the
-    first (shortest) witnessing sequence of each anomaly.  The theorem in
-    `DemandTracker.demand` rules out drops, so this is its executable check.
+    first (shortest) witnessing sequence of each anomaly.  The two theorems
+    in `DemandTracker.demand` rule out drops and steps above one, so this is
+    their executable check.
     """
     if sequences is None:
         if max_len is None:

@@ -385,6 +385,9 @@ class Decomposition:
         self.delta = as_fraction(delta)
         if self.delta <= 0:
             raise ValueError(f"delta must be positive, got {self.delta}")
+        # a one-block decomposition has no cross-block pair to pin Delta
+        if self.Delta < 0:
+            raise ValueError(f"Delta must be nonnegative, got {self.Delta}")
         self.t = len(self.blocks)
         self.mu_eff = self.Delta / self.delta
         price = self.Delta * metric.scale

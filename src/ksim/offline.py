@@ -423,6 +423,25 @@ class DemandTracker:
         has none) and Q holds none of them.  So M_{t+1}(m) + M_t(m) <=
         M_{t+1}(m+1) + M_t(m-1), which is opt_{t+1}(ell+1) + opt_t(ell) <=
         opt_{t+1}(ell) + opt_t(ell+1), the theorem.
+
+        The answer also rises by at most one per request.  Theorem: for
+        every metric, every ell >= 1 and every t >= 1, saving_{t+1}(ell+1)
+        <= saving_t(ell).  At t, the answer D_t saves at most Delta, so
+        saving_{t+1}(D_t + 1) <= Delta and D_{t+1} <= D_t + 1.  With the
+        theorem above, the savings interlace: saving_t(ell+1) <=
+        saving_{t+1}(ell+1) <= saving_t(ell).
+
+        Proof.  For ell >= t both sides are 0.  Otherwise, for m = t - ell,
+        1 <= m <= t-1, the claim reads M_{t+1}(m) + M_t(m-1) <= M_t(m) +
+        M_{t+1}(m-1).  Take optimal matchings A of m edges in G_t and B of
+        m-1 edges in G_{t+1}.  Only in_{t+1} gains edges in G_{t+1}, and
+        only B can touch it, at an end of its component in A and B's
+        symmetric difference; so that component, which starts with a B
+        edge, holds no more A edges than B edges.  A holds one more edge
+        than B in all, so some other component Q holds one more A edge than
+        B edges.  Exchanging Q's edges between A and B leaves matchings of
+        m-1 edges in G_t (Q's B edges avoid in_{t+1}) and m edges in
+        G_{t+1}, at the same total cost, which proves the claim.
         """
         if not self._requests:
             return 0
@@ -555,8 +574,9 @@ def demand(m: FiniteMetric, Delta, rho: Sequence[PointId]) -> int:
 
 
 def max_demand_trace(m: FiniteMetric, Delta, rho: Sequence[PointId]) -> list[int]:
-    """The prefix demands, one entry per request.  They never fall (see
-    `DemandTracker.demand`), so each is also the largest demand so far."""
+    """The prefix demands, one entry per request.  They never fall and rise
+    by at most one per request (see `DemandTracker.demand`), so each is also
+    the largest demand so far."""
     tracker = DemandTracker.for_metric(m, Delta)
     out: list[int] = []
     for r in rho:

@@ -5,18 +5,24 @@ Delta.  Each nonempty block runs its own subroutine instance (marking, or a
 nested shell for deeper trees), the one record of the block's servers.  Per
 request it reads the target block's demand in the current phase from the
 node plan's memo (on a miss, certifying it by the memo's slack or computing
-it).  A demand never falls within a phase (see `DemandTracker.demand`), so
-it is also the block's peak demand in the phase.  Then:
+it).  A demand never falls within a phase and rises by at most one per
+request (see `DemandTracker.demand`), so it is also the block's peak demand
+in the phase.  A block is marked exactly when it holds no more servers than
+its peak; the shell derives marks from the counts and the memo and stores
+none.  Then:
 
   * peak < servers in the block: forward to the block subroutine;
-  * peak = servers: forward, then mark the block;
-  * peak > servers: mark the block, then repeatedly move a uniformly random
-    server out of a uniformly random unmarked block into the target (a jump,
-    costing Delta) until the block holds `peak` servers.  Donors that drop
-    to their own peak demand get marked; both blocks' subroutines restart
-    from their current configurations.  If donors run out (every block is
-    marked) the phase ends and the triggering request is replayed as the
-    first request of the next phase.
+  * peak = servers: forward; the block is marked;
+  * peak > servers: the block, marked before the request and at its old
+    peak, is one server short, and one server jumps: a uniformly random
+    server of a uniformly random unmarked block moves into the target,
+    costing Delta.  Both blocks' subroutines restart from their current
+    configurations.  If no block is unmarked, the phase ends and the
+    triggering request is replayed as the first request of the next phase.
+
+A block gains servers only by jumps, up to its peak, and loses them only as
+a donor, while it is above its peak, so a marked block stays marked for the
+rest of the phase.
 
 Per-phase bookkeeping (end-of-phase server counts, jump counts, request
 logs) is retained for the inequality checks in `ksim.verify`.  Costs are
@@ -75,10 +81,15 @@ class NodePlan:
     prefix alone, so every shell on the plan reads them there, and a shell
     adds at most one node per request it serves."""
 
-    __slots__ = ("dec", "block_sets", "uniform_d", "subs", "f", "num", "den",
+    __slots__ = ("dec", "block_sets", "uniform_d", "subs", "nested", "f", "num", "den",
                  "memo_child", "memo_key", "memo_peak", "memo_slack")
 
     def __init__(self, dec: Decomposition, subs: tuple[Union["NodePlan", Universe], ...]):
+        # the shell serves marking blocks and nested shells on different
+        # paths, and `f` composes one kind's
+        self.nested = all(isinstance(sub, NodePlan) for sub in subs)
+        if not self.nested and not all(isinstance(sub, Universe) for sub in subs):
+            raise ValueError("block plans must be all marking universes or all node plans")
         self.dec = dec
         self.block_sets = tuple(frozenset(b) for b in dec.blocks)
         # a uniform block's demand needs no configuration DP
@@ -159,8 +170,6 @@ class BlockShell(PhaseLogs):
         self.draws = 0
         self._event_sink = event_sink
 
-        # marking blocks read len(positions); a `held` on Marking cost ~115 ns a serve
-        self._nested = isinstance(plan.subs[0], NodePlan)
         # a started subroutine holds no servers, so only occupied blocks
         # need a reset
         self._subs: list[Subroutine] = [sub.start(self.rng.getrandbits(64))
@@ -169,7 +178,6 @@ class BlockShell(PhaseLogs):
             if self._counts[s]:
                 self._subs[s].reset(init & self._block_sets[s])
 
-        self._marked = [c == 0 for c in self._counts]
         self._node = list(range(self.t))  # each block's phase prefix in the memo
         self._trackers: list[Optional[DemandTracker]] = [None] * self.t
         self._tracked = list(range(self.t))  # the prefix each tracker has pushed
@@ -183,7 +191,7 @@ class BlockShell(PhaseLogs):
         self.total_jump = 0
 
         for s in range(self.t):
-            if self._marked[s]:
+            if not self._counts[s]:
                 self._emit("mark", block=s)
 
     # -- plumbing -----------------------------------------------------------
@@ -213,16 +221,11 @@ class BlockShell(PhaseLogs):
         return self._counts[s]
 
     def is_marked(self, s: int) -> bool:
-        return self._marked[s]
+        """Block s holds no more servers than its peak demand in the phase."""
+        return self._counts[s] <= self._plan.memo_peak[self._node[s]]
 
     def peak_demand(self, s: int) -> int:
         return self._plan.memo_peak[self._node[s]]
-
-    def _mark(self, s: int) -> None:
-        """Mark block s, which is unmarked."""
-        self._marked[s] = True
-        if self._event_sink is not None:
-            self._emit("mark", block=s)
 
     @property
     def positions(self) -> frozenset:
@@ -235,11 +238,12 @@ class BlockShell(PhaseLogs):
         the memo yet.
 
         Every memo node holds its prefix's exact demand.  A demand never
-        falls as the prefix grows (the theorem in `DemandTracker.demand`),
-        so the new prefix's demand D_t is at least the parent's, P, and it
-        is P exactly when it cannot exceed P.  A free-start opt(ell) is
-        convex in ell, so D_t <= P exactly when saving_t(P) = opt_t(P) -
-        opt_t(P+1) is at most the price num/den.  Let t0 be the prefix where
+        falls as the prefix grows and rises by at most one per request (the
+        theorems in `DemandTracker.demand`), so the new prefix's demand D_t
+        is the parent's, P, or P + 1, and it is P exactly when it cannot
+        exceed P.  A free-start opt(ell) is convex in ell, so D_t <= P
+        exactly when saving_t(P) = opt_t(P) - opt_t(P+1) is at most the
+        price num/den.  Let t0 be the prefix where
         a tracker last answered on this path; every node since holds its
         answer, P.  Two facts bound saving_t(P):
           * appending requests never lowers a free-start optimum, so
@@ -257,7 +261,7 @@ class BlockShell(PhaseLogs):
         prefix it last pushed, then r; its demand is the node's, and the
         saving at that demand, which the demand's scan has read
         (`DemandTracker._saving`), the new slack.
-        A demand below P breaks the theorem and raises
+        An answer below P or above P + 1 breaks a theorem and raises
         ShellInvariantError before the memo grows."""
         plan = self._plan
         parent = self._node[s]
@@ -282,11 +286,11 @@ class BlockShell(PhaseLogs):
                     tracker.push(q)
                 tracker.push(r)
                 self._tracked[s] = node
-                d = tracker.demand()
-                if d < demands[parent]:
+                p, d = d, tracker.demand()
+                if not p <= d <= p + 1:
                     raise ShellInvariantError(
-                        f"phase {self.phase}: block {s}'s demand fell from "
-                        f"{demands[parent]} to {d}")
+                        f"phase {self.phase}: block {s}'s demand "
+                        f"{'fell' if d < p else 'rose'} from {p} to {d}")
                 slack = plan.num - plan.den * tracker._saving
         plan.memo_child[key] = node
         keys.append(key)
@@ -317,8 +321,9 @@ class BlockShell(PhaseLogs):
         n = self._n
         dist = self.metric.dist
         sink = self._event_sink
-        nested = self._nested
-        subs, counts, marked = self._subs, self._counts, self._marked
+        # marking blocks read len(positions); a `held` on Marking cost ~115 ns a serve
+        nested = plan.nested
+        subs, counts = self._subs, self._counts
         node = self._node
         k = self.k
         log = self.phase_logs[-1]
@@ -343,7 +348,7 @@ class BlockShell(PhaseLogs):
                 peak = memo_peak[v]
                 count = counts[s]
                 if peak > count:
-                    if self._jump_in(r, s, memo_peak[u], peak, replay):
+                    if self._jump_in(r, s, memo_peak[u], replay):
                         break
                     # the phase ended: r opens the next one
                     replay = True
@@ -370,51 +375,48 @@ class BlockShell(PhaseLogs):
                 self.total_inner += cost
                 if sink is not None:
                     self._emit("serve", block=s, point=r, cost=cost)
-                if peak == count and not marked[s]:
-                    self._mark(s)
+                    if peak == count > memo_peak[u]:
+                        self._emit("mark", block=s)  # r raised the peak to the count
                 break
             if sum(counts) != k:
                 raise ShellInvariantError("server count not conserved")
         return self.total_inner + self.total_jump - before
 
-    def _jump_in(self, r: PointId, s: int, prev_peak: int, peak: int,
-                 replay: bool) -> bool:
-        """Raise block s's population to `peak` by jumping servers in, for
-        request r.  False when the phase ends first (every block is marked):
-        r then belongs to the next phase, to be served again."""
-        if not self._marked[s]:
-            self._mark(s)
-        memo_peak, sub_s = self._plan.memo_peak, self._subs[s]
-        while self._counts[s] < peak:
-            donors = [b for b in range(self.t) if not self._marked[b]]
-            if not donors:
-                if replay:
-                    raise ShellInvariantError("phase ended twice for a single request")
-                self._end_phase(r, s, prev_peak)
-                return False
-            b = self._choice(donors)
-            sub_b = self._subs[b]
-            cfg_b, cfg_s = sub_b.config, sub_s.config
-            src = self._choice(sorted(cfg_b))
-            if r not in cfg_s:
-                dst = r
-            else:
-                free = sorted(self._block_sets[s] - cfg_s)
-                if not free:
-                    raise ShellInvariantError("no unoccupied point in the demanding block")
-                dst = self._choice(free)
-            self._counts[b] -= 1
-            self._counts[s] += 1
-            self._current_phase_jumps += 1
-            # a cross-block distance, which the decomposition pins to Delta
-            cost = self.metric.dist[src][dst]
-            self.total_jump += cost
-            if self._event_sink is not None:
-                self._emit("jump", from_block=b, to_block=s, src=src, dst=dst, cost=cost)
-            if self._counts[b] == memo_peak[self._node[b]]:
-                self._mark(b)
-            sub_s.reset(cfg_s | {dst})
-            sub_b.reset(cfg_b - {src})
+    def _jump_in(self, r: PointId, s: int, prev_peak: int, replay: bool) -> bool:
+        """Jump one server into block s for request r, which raised the
+        block's peak from `prev_peak`, its count, to one above it.  False
+        when no block is unmarked and the phase ends: r then belongs to the
+        next phase, to be served again."""
+        counts, memo_peak, node = self._counts, self._plan.memo_peak, self._node
+        donors = [b for b in range(self.t) if counts[b] > memo_peak[node[b]]]
+        if not donors:
+            if replay:
+                raise ShellInvariantError("phase ended twice for a single request")
+            self._end_phase(r, s, prev_peak)
+            return False
+        b = self._choice(donors)
+        sub_b, sub_s = self._subs[b], self._subs[s]
+        cfg_b, cfg_s = sub_b.config, sub_s.config
+        src = self._choice(sorted(cfg_b))
+        if r not in cfg_s:
+            dst = r
+        else:
+            free = sorted(self._block_sets[s] - cfg_s)
+            if not free:
+                raise ShellInvariantError("no unoccupied point in the demanding block")
+            dst = self._choice(free)
+        counts[b] -= 1
+        counts[s] += 1
+        self._current_phase_jumps += 1
+        # a cross-block distance, which the decomposition pins to Delta
+        cost = self.metric.dist[src][dst]
+        self.total_jump += cost
+        if self._event_sink is not None:
+            self._emit("jump", from_block=b, to_block=s, src=src, dst=dst, cost=cost)
+            if counts[b] == memo_peak[node[b]]:
+                self._emit("mark", block=b)  # the donor dropped to its peak
+        sub_s.reset(cfg_s | {dst})
+        sub_b.reset(cfg_b - {src})
         return True
 
     # -- phase boundary -----------------------------------------------------
@@ -434,17 +436,17 @@ class BlockShell(PhaseLogs):
 
         self._current_phase_jumps = 0
         self.phase_logs.append([])
-        # in place, as `serve_all` holds these lists; empty prefixes peak at 0
-        self._marked[:] = [c == 0 for c in self._counts]
+        # in place, as `serve_all` holds this list; empty prefixes peak at 0,
+        # so the empty blocks are the marked ones
         self._node[:] = range(self.t)
         self._trackers = [None] * self.t
         self._tracked = list(range(self.t))
         # the jump that emptied a block has reset its subroutine already
         for b, sub in enumerate(self._subs):
-            if self._marked[b]:
-                self._emit("mark", block=b)
-            else:
+            if self._counts[b]:
                 sub.reset(sub.config)
+            else:
+                self._emit("mark", block=b)
 
     def _check_sandwich(self, peak_without: list[int], peak_plus: list[int]) -> None:
         """End-of-phase counts sit between the peak demands with and without

@@ -169,6 +169,22 @@ class TestParsers:
         with pytest.raises(ParseError, match=r"cfg\.txt:3: .*distinct.*point 0"):
             load_configuration(str(p), 3)
 
+    @pytest.mark.parametrize("load, text, message", [
+        (load_metric, "", r"f\.txt:1: empty metric file"),
+        (load_metric, "x\n", r"f\.txt:1: bad point count 'x'"),
+        (load_metric, "0\n", r"f\.txt:1: point count must be >= 1, got 0"),
+        (load_hst, "mu 2 3\nbranching 2\n", r"f\.txt:1: mu line needs exactly one value"),
+        (load_hst, "mu 2\nbranching\n", r"f\.txt:2: branching line needs at least one"),
+        (load_hst, "mu 2\nbranching 2 x\n", r"f\.txt:2: branching counts must be integers"),
+        (lambda path: load_requests(path, 3), "0 1\n2 x\n", r"f\.txt:2: bad point id 'x'"),
+    ], ids=["metric-empty", "metric-bad-count", "metric-no-points", "hst-mu-two-values",
+            "hst-bare-branching", "hst-branching-not-int", "requests-bad-id"])
+    def test_refusals(self, tmp_path, load, text, message):
+        p = tmp_path / "f.txt"
+        p.write_text(text)
+        with pytest.raises(ParseError, match=message):
+            load(str(p))
+
     @pytest.mark.parametrize("text, line, message", [
         ("3\n1 0\n1\n", 2, r"dist\(0,2\) = 0, must be positive"),
         ("3\n1 1\n# note\n-1\n", 4, r"dist\(1,2\) = -1, must be positive"),
@@ -463,6 +479,20 @@ class TestCli:
                    "--requests", str(workdir / "reqs.txt")])
         assert rc == 0
         assert "demand 2" in capsys.readouterr().out  # explicit flag wins
+
+    @pytest.mark.parametrize("text, message", [
+        (None, "config file: .*No such file"),
+        ("{", "config file: Expecting property name"),
+        ("[1, 2]", "config file must hold a JSON object"),
+    ], ids=["unreadable", "invalid-json", "json-list"])
+    def test_config_refusals(self, tmp_path, capsys, text, message):
+        cfg = tmp_path / "cfg.json"
+        if text is not None:
+            cfg.write_text(text)
+        assert main(["--config", str(cfg), "verify", "--suite", "lower", "--runs", "1"]) == 1
+        out, err = capsys.readouterr()
+        assert re.match(f"error: {message}", err.splitlines()[-1])
+        assert out == ""
 
     @pytest.mark.parametrize("value", [1.9, True, "1.5", "x", [1]])
     def test_config_rejects_non_integer_options(self, workdir, capsys, value):

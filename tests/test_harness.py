@@ -68,6 +68,14 @@ class TestGenerators:
         with pytest.raises(ValueError, match=f"unknown {kind} parameter '{bad}'"):
             generate(GeneratorSpec(kind, 10, params=params), space)
 
+    @pytest.mark.parametrize("spec, message", [
+        (GeneratorSpec("uniform_random", -1), "length must be >= 0"),
+        (GeneratorSpec("file", 5), r"file generator needs params\['path'\]"),
+    ], ids=["negative-length", "file-without-path"])
+    def test_refusals(self, spec, message):
+        with pytest.raises(ValueError, match=message):
+            generate(spec, build_hst([2, 2], 2))
+
     def test_parse_generator(self):
         spec = parse_generator("block_sweep:width=3,passes=2,seed=7", length=50)
         assert spec.kind == "block_sweep"
@@ -81,6 +89,15 @@ class TestGenerators:
 
 
 class TestRunTrials:
+    @pytest.mark.parametrize("algo, trials, message", [
+        ("algox", 0, "trials must be >= 1"),
+        ("greedy", 1, "unknown algorithm 'greedy'"),
+    ], ids=["no-trials", "unknown-algo"])
+    def test_refusals(self, algo, trials, message):
+        spec = GeneratorSpec("uniform_random", 5)
+        with pytest.raises(ValueError, match=message):
+            run_trials(build_hst([2, 2], 2), 2, algo, spec, trials, 0)
+
     def test_rejects_no_servers_before_generating(self):
         # the file does not exist: reading it would fail with another error
         spec = GeneratorSpec("file", 0, params={"path": "missing-requests.txt"})

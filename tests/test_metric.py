@@ -269,6 +269,30 @@ class TestDecompose:
         with pytest.raises(ValueError, match="delta must be positive"):
             Decomposition(build_uniform(4, 1), [[0, 1], [2, 3]], 1, delta)
 
+    @pytest.mark.parametrize("Delta", [-1, Fraction(-1, 3)])
+    def test_refuses_a_negative_Delta(self, Delta):
+        # one block has no cross-block pair to pin Delta; a negative one
+        # would sell servers at a negative price
+        with pytest.raises(ValueError, match="Delta must be nonnegative"):
+            Decomposition(build_uniform(2, 1), [[0, 1]], Delta, 1)
+        # Delta 0 stays: a one-leaf node has it
+        assert Decomposition(build_uniform(1, 1), [[0]], 0, 1).price == 0
+
+    @pytest.mark.parametrize("build, message", [
+        (lambda: FiniteMetric([]), "a metric needs at least one point"),
+        (lambda: FiniteMetric([[0, 1], [1]]), "row 1 has 1 entries, expected 2"),
+        (lambda: Decomposition(build_uniform(4, 1), [[0, 1], [1, 2]], 1, 1),
+         "point 1 appears in two blocks"),
+        (lambda: Decomposition(build_uniform(2, 1), [], 1, 1), "need at least one block"),
+        (lambda: Decomposition(build_uniform(4, 1), [[0, 1], [2, 3]], 2, 1),
+         r"cross-block distance d\(0,2\) = 1 != Delta = 2"),
+        (lambda: decompose(build_hst([2, 2], 3), 7), "node 7 out of range"),
+    ], ids=["no-points", "ragged-row", "point-in-two-blocks", "no-blocks",
+            "cross-distance-not-Delta", "node-out-of-range"])
+    def test_refusals(self, build, message):
+        with pytest.raises(ValueError, match=message):
+            build()
+
 
 def _checked_decomposition(space, node):
     """The decomposition at `node` from scans of the leaf table, through the

@@ -404,11 +404,12 @@ prices = st.builds(Fraction, st.integers(1, 30), st.sampled_from([1, 2, 7]))
 
 
 class TestSavingsNeverFall:
-    """The theorem in `DemandTracker.demand`: for every ell >= 1 one more
+    """The theorems in `DemandTracker.demand`: for every ell >= 1 one more
     server saves at least as much after a request is appended,
     saving_{t+1}(ell) >= saving_t(ell), so the demand never falls as the
-    prefix grows.  The shell's memo and `max_demand_trace` rely on it;
-    `opt_cost` is the judge."""
+    prefix grows; and saving_{t+1}(ell+1) <= saving_t(ell), so it rises by
+    at most one per request.  The shell's memo and `max_demand_trace` rely
+    on both; `opt_cost` is the judge."""
 
     @settings(max_examples=200, deadline=None)
     @given(data=st.data(), Delta=prices)
@@ -426,9 +427,10 @@ class TestSavingsNeverFall:
             opts = [opt_cost(m, ell, rho[:t]).cost for ell in range(1, n + 1)]
             now = [a - b for a, b in zip(opts, opts[1:])] + [0]
             assert all(b >= a for a, b in zip(savings, now))
+            assert all(b <= a for a, b in zip(savings, now[1:]))
             tracker.push(rho[t - 1])
             prev, demand = demand, tracker.demand()
-            assert demand >= prev
+            assert prev <= demand <= prev + 1
             savings = now
 
 

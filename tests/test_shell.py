@@ -55,6 +55,20 @@ class TestConstruction:
         with pytest.raises(ValueError, match="separation"):
             BlockShell(plan, 2, {0, 1}, seed=0)
 
+    @pytest.mark.parametrize("nested_block", [0, 1])
+    def test_refuses_mixed_block_plans(self, nested_block):
+        # blocks {0, 1} and {2, 3} at Delta 2, delta 1: one block gets
+        # marking, the other a nested plan on its two points
+        rows = [[0, 1, 2, 2], [1, 0, 2, 2], [2, 2, 0, 1], [2, 2, 1, 0]]
+        m = FiniteMetric(rows)
+        dec = Decomposition(m, [(0, 1), (2, 3)], Delta=2, delta=1)
+        subs = [Universe(m, blk) for blk in dec.blocks]
+        blk = dec.blocks[nested_block]
+        inner = Decomposition(m, [blk[:1], blk[1:]], Delta=1, delta=1)
+        subs[nested_block] = NodePlan(inner, tuple(Universe(m, b) for b in inner.blocks))
+        with pytest.raises(ValueError, match="all marking universes or all node plans"):
+            NodePlan(dec, tuple(subs))
+
     def test_rejects_wrong_initial_size(self):
         plan = tree_plan(build_hst([2, 2], 2))
         with pytest.raises(ValueError):
@@ -185,7 +199,8 @@ class TestInvariants:
                 assert sh.peak_demand(b) <= len(dec.blocks[b])
 
     def test_jumps_per_phase_at_most_k(self):
-        # observed across desk runs; every server jumps at most once per phase
+        # by construction: a jump moves a server into a marked block, which
+        # never donates within the phase (see `run_lower_bound_suite`)
         space = build_hst([3, 3], 3)
         seq = generate(GeneratorSpec("block_sweep", 60, seed=13,
                                      params={"width": 3, "passes": 4}), space)
@@ -194,6 +209,28 @@ class TestInvariants:
             for r in seq:
                 sh.serve(r)
             assert all(c <= 3 for c in sh.phase_jump_counts)
+
+    def test_a_request_on_a_held_point_jumps_to_a_free_one(self):
+        # request 10 (point 1) raises block 0's demand to 2 while its one
+        # server stands on point 1, so the jump lands on a free point
+        space = build_hst([3, 2], 3)  # blocks {0,1}, {2,3}, {4,5}
+        dec = decompose(space, 0)
+        events = []
+        sh = BlockShell(tree_plan(space), 4, {0, 1, 2, 3}, seed=24,
+                        event_sink=events.append)
+        seq = [0, 1, 1, 0, 3, 1, 0, 4, 3, 1, 5, 0, 2]
+        sh.serve_all(seq[:9])
+        before = sh._subs[0].config
+        assert before == {1}
+        events.clear()
+        assert sh.serve(seq[9]) == dec.price
+        assert events[0] == ("jump\tphase=1\tfrom_block=1\tto_block=0\tsrc=2\tdst=0"
+                             "\tcost=8\tdraws=5")
+        (jump,) = event_fields(events, "jump")
+        dst = int(jump["dst"])
+        assert dst in dec.blocks[0] and dst not in before
+        assert sh._subs[0].config == before | {dst}
+        sh.serve_all(seq[10:])
 
     def test_marked_blocks_never_donate(self):
         events = []
@@ -438,6 +475,7 @@ def fresh_peak(shell, b):
             tracker.push(q)
             prev, demand = demand, tracker.demand()
             assert demand >= prev, "a prefix demand fell"
+            assert demand <= prev + 1, "a prefix demand rose by more than one"
     return demand
 
 
@@ -526,6 +564,25 @@ class TestDemandMemo:
             first.serve(0)
         assert first._trackers[0].length == 9  # consulted on the ninth request
         assert len(first._plan.memo_peak) == nodes
+
+    def test_a_demand_rising_by_two_is_caught(self, monkeypatch):
+        # the second theorem in `DemandTracker.demand` rules out a step above
+        # one for the real trackers, so a stand-in's rises by two.  As in
+        # the test above, the memo's slack answers the first four requests
+        # and the tracker is consulted on the fifth, where the stand-in
+        # answers 3 after the true demand 1; the consult is caught, with
+        # the memo left as it was
+        monkeypatch.setattr(DemandTracker, "demand",
+                            lambda self: 3 if self.length == 5 else 1)
+        sh = two_block_shell()
+        for r in (0, 1) * 2:
+            sh.serve(r)
+            assert sh.peak_demand(0) == 1
+        nodes = len(sh._plan.memo_peak)
+        with pytest.raises(ShellInvariantError, match="demand rose from 1 to 3"):
+            sh.serve(0)
+        assert sh._trackers[0].length == 5
+        assert len(sh._plan.memo_peak) == nodes
 
     def test_a_shell_catches_up_after_memo_hits(self):
         space = build_hst([3, 3, 3], 3)

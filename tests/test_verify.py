@@ -179,6 +179,9 @@ class TestReporting:
     def test_lower_bound_suite_passes(self):
         reports, ok = run_lower_bound_suite(runs_per_instance=2)
         assert ok
+        # at most k jumps per phase holds by construction, so it is asserted
+        jumps = [r for r in reports if r.name == "jumps_at_most_k"]
+        assert len(jumps) == 12 and not any(r.advisory for r in jumps)
         assert any(r.name == "lower_bound_demand" for r in reports)
         assert any(r.name == "lower_bound_mp" for r in reports)
         assert any(r.name == "phase_cost_delta" for r in reports)
@@ -261,6 +264,11 @@ class TestReporting:
 
 
 class TestContractSuite:
+    @pytest.mark.parametrize("composed_seeds", [0, -1])
+    def test_refuses_no_composed_seeds(self, composed_seeds):
+        with pytest.raises(ValueError, match="need at least one composed seed"):
+            run_contract_suite(composed_seeds=composed_seeds)
+
     def test_composed_contract_plans_the_tree_once(self, monkeypatch):
         import ksim.shell
         import ksim.verify
