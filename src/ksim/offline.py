@@ -374,8 +374,11 @@ class DemandTracker:
         return Fraction(v, self._metric.scale)
 
     def saving(self, ell: int) -> int:
-        """opt(ell) - opt(ell+1) in the metric's integer unit, for ell >= 1 on
-        a nonempty sequence: what one more server saves."""
+        """opt(ell) - opt(ell+1) in the metric's integer unit: what one more
+        server saves.  Refuses an `ell` outside [1, metric.n], as `opt`
+        refuses one outside [0, metric.n]."""
+        if not (1 <= ell <= self._metric.n):
+            raise ValueError(f"server count {ell} out of range [1, {self._metric.n}]")
         return self._opt_scaled(ell) - self._opt_scaled(ell + 1)
 
     def demand(self) -> int:
@@ -386,11 +389,11 @@ class DemandTracker:
         opt(ell) + ell * Delta falls strictly up to its least argmin and never
         falls after it, and the scan stops at the first ell >= 1 whose next
         server saves at most Delta.  opt(0) is +inf on a nonempty sequence,
-        and opt(distinct) is 0.  The scan reads the kept levels' tables
-        directly (`_scan_kept`).  Below L+1 distinct points an answer of L
-        grows them (`_grow`) and scans again; at L+1, opt(L+1) = 0 decides.
-        The scan reads saving(answer) on its way, and keeps it in `_saving`
-        for the shell's slack, which would otherwise scan those levels again.
+        and opt(distinct) is 0.  The scan reads opt(1), opt(2), ... once
+        each through `_opt_scaled`, which grows the kept levels on a read
+        above L, up to opt(answer + 1) or opt(distinct).  It keeps
+        saving(answer) in `_saving` for the shell's slack, which would
+        otherwise read those levels again.
 
         The answer never falls as requests are pushed.  Write opt_t for the
         optimum over the first t requests r_1..r_t and saving_t(ell) =
@@ -448,33 +451,17 @@ class DemandTracker:
         # exact for a rational price num/den: compare den * saving with num
         num, den = self._price.numerator, self._price.denominator
         seen = len(self._seen)
-        while True:
-            ell, saving = self._scan_kept(num, den)
-            if ell < self._levels or ell == seen:
+        ell, cur = 1, self._opt_scaled(1)
+        while ell < seen:
+            nxt = self._opt_scaled(ell + 1)
+            saving = cur - nxt
+            if saving * den <= num:
                 break
-            if ell + 1 == seen:
-                if saving * den > num:
-                    ell, saving = seen, 0
-                break
-            self._grow(ell + 1)
+            ell, cur = ell + 1, nxt
+        else:
+            saving = 0  # every point keeps its server
         self._saving = saving
         return ell
-
-    def _scan_kept(self, num: int, den: int) -> tuple[int, int]:
-        """demand()'s scan over the kept levels 1..top, top = min(distinct,
-        L): the first ell < top whose next server saves at most num/den, with
-        that saving, or top with opt(top) when none does.  Level `distinct`,
-        kept while distinct <= L, reads 0, as opt(distinct) is: every point
-        keeps its server.  So opt(top) is saving(top) whenever top + 1 >=
-        distinct, the only tops that demand() answers with."""
-        dp = self._dp
-        cur = min(dp[1].values())
-        for ell in range(1, len(dp) - 1):
-            nxt = min(dp[ell + 1].values())
-            if (cur - nxt) * den <= num:
-                return ell, cur - nxt
-            cur = nxt
-        return len(dp) - 1, cur
 
 
 class UniformDemandTracker(DemandTracker):
@@ -498,10 +485,10 @@ class UniformDemandTracker(DemandTracker):
     exist.  Each level runs on its own, so the levels above L are dropped
     and grown back by the same replay as the DP's.
 
-    Only `push`, the optimum for 1 <= ell < distinct and the scan over the
-    kept levels are replaced; the other conventions and the queries are the
-    DP's.  The configuration DP stays the oracle (and the path for
-    non-uniform blocks); the two agree on opt(ell) and demand().
+    Only `push` and the optimum for 1 <= ell < distinct are replaced; the
+    other conventions and the queries are the DP's.  The configuration DP
+    stays the oracle (and the path for non-uniform blocks); the two agree
+    on opt(ell) and demand().
     """
 
     def __init__(self, metric: FiniteMetric, price, d: int):
@@ -545,16 +532,6 @@ class UniformDemandTracker(DemandTracker):
 
     def _check_width(self, distinct: int, levels: int) -> None:
         pass  # a level keeps at most `levels` machine ends, not configurations
-
-    def _scan_kept(self, num: int, den: int) -> tuple[int, int]:
-        # opt(ell) - opt(ell+1) = d * (kept[ell] - kept[ell-1])
-        kept, d = self._kept, self._d
-        price = d * den
-        for ell in range(1, len(kept)):
-            saved = kept[ell] - kept[ell - 1]
-            if saved * price <= num:
-                return ell, saved * d
-        return len(kept), self._opt_scaled(len(kept))
 
     def _opt_scaled(self, ell: int) -> Optional[int]:
         if 1 <= ell < len(self._seen):

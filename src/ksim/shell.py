@@ -85,6 +85,13 @@ class NodePlan:
                  "memo_child", "memo_key", "memo_peak", "memo_slack")
 
     def __init__(self, dec: Decomposition, subs: tuple[Union["NodePlan", Universe], ...]):
+        if len(subs) != dec.t:
+            raise ValueError(f"expected {dec.t} block plans, one per block, got {len(subs)}")
+        # every shell start checks mu_eff >= min(k, t) >= 1, but a
+        # one-server reset builds no shell, so the plan checks it once; a
+        # single point (a one-leaf subtree, Delta 0) has no move to bound
+        if dec.mu_eff < 1 and len(dec.points) > 1:
+            raise ValueError(f"separation too small: mu_eff={dec.mu_eff} < 1")
         # the shell serves marking blocks and nested shells on different
         # paths, and `f` composes one kind's
         self.nested = all(isinstance(sub, NodePlan) for sub in subs)
@@ -259,7 +266,7 @@ class BlockShell(PhaseLogs):
         block's first consult of the phase.  It first pushes the requests
         it skipped, read back up the trie from the new node's parent to the
         prefix it last pushed, then r; its demand is the node's, and the
-        saving at that demand, which the demand's scan has read
+        saving at that demand, which `demand()` keeps on its way
         (`DemandTracker._saving`), the new slack.
         An answer below P or above P + 1 breaks a theorem and raises
         ShellInvariantError before the memo grows."""
@@ -511,8 +518,9 @@ class ShellSubroutine:
     drew at each reset would draw.  `rng` reads the stream in that state,
     creating it if need be.
 
-    A reset to a single point builds no shell either: the adapter keeps that
-    point, and `serve(r)` moves it to r at `dist[p][r]`.  This is the
+    A reset to a single point builds no shell either: the adapter checks
+    the point alone (the plan checked the separation when it was built),
+    keeps it, and `serve(r)` moves it to r at `dist[p][r]`.  This is the
     shell's own outcome, by induction on the height.  With one server each
     random choice of the shell has one option: the only occupied block
     donates (after at most one phase end), its one server moves, and r is

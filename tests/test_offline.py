@@ -208,6 +208,11 @@ class TestDemandTracker:
             assert tracker.opt(1) == 5
             with pytest.raises(ValueError, match="server count -1"):
                 tracker.opt(-1)
+            # saving(ell) = opt(ell) - opt(ell+1) needs a server to save with
+            for ell in (0, -1):
+                with pytest.raises(ValueError,
+                                   match=re.escape(f"server count {ell} out of range [1, 4]")):
+                    tracker.saving(ell)
 
     @pytest.mark.parametrize("make", [lambda m: DemandTracker.for_metric(m, 2),
                                       lambda m: UniformDemandTracker(m, 2, 1)],
@@ -219,10 +224,14 @@ class TestDemandTracker:
         for r in [0, 1, 2, 3, 0, 1]:
             tracker.push(r)
         assert tracker.opt(4) == 0
+        assert tracker.saving(4) == 0
         for ell in (5, 100):
             with pytest.raises(ValueError,
                                match=re.escape(f"server count {ell} out of range [0, 4]")):
                 tracker.opt(ell)
+            with pytest.raises(ValueError,
+                               match=re.escape(f"server count {ell} out of range [1, 4]")):
+                tracker.saving(ell)
 
     def test_initial_state(self):
         tracker = DemandTracker.for_metric(build_uniform(3, 1), 2)

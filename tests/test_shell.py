@@ -69,6 +69,32 @@ class TestConstruction:
         with pytest.raises(ValueError, match="all marking universes or all node plans"):
             NodePlan(dec, tuple(subs))
 
+    def test_refuses_a_plan_count_other_than_the_blocks(self):
+        # blocks {0, 1} and {2, 3}: with one plan, a request to point 2
+        # would find no subroutine for its block
+        rows = [[0, 1, 2, 2], [1, 0, 2, 2], [2, 2, 0, 1], [2, 2, 1, 0]]
+        m = FiniteMetric(rows)
+        dec = Decomposition(m, [(0, 1), (2, 3)], Delta=2, delta=1)
+        for blocks in ([(0, 1)], [(0, 1), (2, 3), (0, 1)]):
+            with pytest.raises(ValueError,
+                               match=f"expected 2 block plans, one per block, got {len(blocks)}"):
+                NodePlan(dec, tuple(Universe(m, blk) for blk in blocks))
+
+    def test_refuses_a_separation_below_one(self):
+        # blocks of diameter 2 at cross distance 1: no shell starts at
+        # mu_eff = 1/2, yet a one-server reset, which builds none, served
+        rows = [[0, 2, 1, 1], [2, 0, 1, 1], [1, 1, 0, 2], [1, 1, 2, 0]]
+        m = FiniteMetric(rows)
+        dec = Decomposition(m, [(0, 1), (2, 3)], Delta=1, delta=2)
+        with pytest.raises(ValueError, match=re.escape("separation too small: mu_eff=1/2 < 1")):
+            NodePlan(dec, tuple(Universe(m, blk) for blk in dec.blocks))
+        # one point (a one-leaf subtree, Delta 0) holds one server that
+        # never moves, so its plan builds and serves
+        point = Decomposition(m, [(2,)], Delta=0, delta=1)
+        sub = NodePlan(point, (Universe(m, (2,)),)).start(0)
+        sub.reset({2})
+        assert sub.serve(2) == 0 and sub.config == {2}
+
     def test_rejects_wrong_initial_size(self):
         plan = tree_plan(build_hst([2, 2], 2))
         with pytest.raises(ValueError):
