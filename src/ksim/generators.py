@@ -11,6 +11,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Optional
 
+from .draws import below
 from .metric import HstSpace, PointId
 
 # the parameters each generator kind reads; any other key is rejected
@@ -34,6 +35,9 @@ def _leaf_blocks(space: HstSpace) -> list[tuple[PointId, ...]]:
 
 
 def generate(spec: GeneratorSpec, space: HstSpace) -> list[PointId]:
+    # `bool` is an `int`; True would read as length 1
+    if not isinstance(spec.length, int) or isinstance(spec.length, bool):
+        raise ValueError(f"length must be an int, got {spec.length!r}")
     if spec.length < 0:
         raise ValueError("length must be >= 0")
     if spec.kind not in PARAMS:
@@ -42,9 +46,9 @@ def generate(spec: GeneratorSpec, space: HstSpace) -> list[PointId]:
     if unknown:
         raise ValueError(f"unknown {spec.kind} parameter {unknown[0]!r}")
     if spec.kind == "uniform_random":
-        rng = random.Random(spec.seed)
+        getrandbits = random.Random(spec.seed).getrandbits
         n = space.n_leaves
-        return [rng.randrange(n) for _ in range(spec.length)]
+        return [below(getrandbits, n) for _ in range(spec.length)]
 
     if spec.kind == "block_sweep":
         # bursts sweep a few distinct points of one block several times over,

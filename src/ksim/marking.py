@@ -12,6 +12,7 @@ import random
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
+from .draws import below
 from .metric import FiniteMetric, PointId
 
 
@@ -130,7 +131,7 @@ class Marking:
         rng = self._rng
         if rng is None:
             rng = self._rng = random.Random(self._seed)
-        victim = rng.choice(pool)
+        victim = pool[below(rng.getrandbits, len(pool))]
         self.positions.discard(victim)
         self.positions.add(r)
         self.marked.add(r)

@@ -344,12 +344,11 @@ class DemandTracker:
                     lower = {0: 0}
                 else:
                     lower = {}
+                # no configuration on level ell holds the new point, and
+                # distinct lower ones stay distinct under `| bit`: no key meets
                 target = dp[ell]
                 for cfg, c in lower.items():
-                    cfg2 = cfg | bit
-                    prev = target.get(cfg2)
-                    if prev is None or c < prev:
-                        target[cfg2] = c
+                    target[cfg | bit] = c
             self._seen.add(r)
         for ell in range(1, len(dp)):
             dp[ell] = _lazy_step(dp[ell], r, dist)

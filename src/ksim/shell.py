@@ -37,6 +37,7 @@ import random
 from fractions import Fraction
 from typing import Callable, Iterable, Optional, Protocol, Union
 
+from .draws import below
 from .marking import Universe
 from .metric import Decomposition, HstSpace, PointId, decompose
 from .offline import DemandTracker, UniformDemandTracker
@@ -222,7 +223,7 @@ class BlockShell(PhaseLogs):
 
     def _choice(self, seq):
         self.draws += 1
-        return self.rng.choice(seq)
+        return seq[below(self.rng.getrandbits, len(seq))]
 
     def server_count(self, s: int) -> int:
         return self._counts[s]

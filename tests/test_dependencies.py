@@ -1,5 +1,7 @@
 """ksim runs on the standard library alone: every import in `src/ksim` names
-ksim itself (a relative import) or a standard library module."""
+ksim itself (a relative import) or a standard library module.  And every
+uniform draw in it goes through `ksim.draws.below`, so replay rests on
+`getrandbits` alone, not on how `random` implements its other methods."""
 
 import ast
 import sys
@@ -35,6 +37,35 @@ def test_a_third_party_import_is_found():
     names = list(imported_names(tree))
     assert names == ["os", "numpy", "hypothesis"]
     assert [n for n in names if n not in sys.stdlib_module_names] == ["numpy", "hypothesis"]
+
+
+# `random.Random` methods whose draws rest on the interpreter's own rule
+UNIFORM_DRAWS = {"choice", "randrange", "randint", "choices", "sample", "shuffle"}
+
+
+def uniform_draw_calls(tree: ast.AST):
+    """The line and name of every call of an attribute named in
+    `UNIFORM_DRAWS`, such as `rng.choice(seq)`."""
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr in UNIFORM_DRAWS):
+            yield node.lineno, node.func.attr
+
+
+def test_every_uniform_draw_goes_through_below():
+    found = []
+    for path in sorted(SRC.glob("**/*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found.extend(f"{path.name}:{line}: {name}" for line, name in uniform_draw_calls(tree))
+    assert found == []
+
+
+def test_a_uniform_draw_is_found():
+    tree = ast.parse("import random\nrng = random.Random(0)\nx = rng.choice([1, 2])\n"
+                     "random.shuffle(xs)\nself.rng.randrange(5)\n"
+                     "parser.add_argument('--suite', choices=['a'])\nchoice(xs)\n"
+                     "below(rng.getrandbits, 3)\n")
+    assert list(uniform_draw_calls(tree)) == [(3, "choice"), (4, "shuffle"), (5, "randrange")]
 
 
 def test_every_exported_name_is_defined():

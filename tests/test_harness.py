@@ -76,6 +76,20 @@ class TestGenerators:
         with pytest.raises(ValueError, match=message):
             generate(spec, build_hst([2, 2], 2))
 
+    @pytest.mark.parametrize("kind, params", [
+        ("uniform_random", {}),
+        ("block_sweep", {"width": 2}),
+        ("phase_stress", {"width": 2}),
+        ("file", {"path": "no-such-file.txt"}),
+    ])
+    @pytest.mark.parametrize("length", [2.5, 3.0, True, False, "3", None])
+    def test_a_length_that_is_not_an_int_is_refused(self, kind, params, length):
+        # unchecked, 2.5 gives block_sweep 8 requests, True reads as length
+        # 1 and "3" raises a bare TypeError; the file is never opened
+        spec = GeneratorSpec(kind, length, seed=1, params=params)
+        with pytest.raises(ValueError, match=f"length must be an int, got {length!r}"):
+            generate(spec, build_hst([2, 2], 2))
+
     def test_parse_generator(self):
         spec = parse_generator("block_sweep:width=3,passes=2,seed=7", length=50)
         assert spec.kind == "block_sweep"

@@ -379,12 +379,13 @@ class TestDemandEarlyStop:
 
 
 class TestDirectScan:
-    """demand() reads the kept levels' tables directly and reads on through
-    the grow path from level L; the interval tracker's scan must answer as
-    the DP's and as a full scan of a third tracker's optima, on every
-    prefix, also where the answer reaches and passes `LEVELS`.  A price
-    below d buys a server for every distinct point, so the sequences with
-    more than `LEVELS` of them run the fall-back."""
+    """demand() reads opt(1), opt(2), ... once each through the tracker's
+    `_opt_scaled`, which grows the kept levels on a read above L; the
+    interval tracker's greedy answer must equal the DP's and a full scan of
+    a third tracker's optima, on every prefix, also where the answer
+    reaches and passes `LEVELS`.  A price below d buys a server for every
+    distinct point, so the sequences with more than `LEVELS` of them read
+    levels that a growth added."""
 
     @settings(max_examples=200, deadline=None)
     @given(n=st.integers(2, 10), dist=rationals,
