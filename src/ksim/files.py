@@ -129,7 +129,10 @@ def load_hst(path: str) -> HstSpace:
         raise ParseError(path, mu_line, f"mu must be > 1, got {mu}")
     if any(b < 1 for b in branching):
         raise ParseError(path, branching_line, "branching counts must be >= 1")
-    return build_hst(branching, mu)
+    try:
+        return build_hst(branching, mu)
+    except ValueError as exc:  # too many leaves
+        raise ParseError(path, branching_line, str(exc)) from None
 
 
 def _point_ids(path: str, n: int) -> list[tuple[int, int]]:

@@ -12,7 +12,7 @@ import random
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
-from .draws import below
+from .draws import below, skip_certain
 from .metric import FiniteMetric, PointId
 
 
@@ -82,20 +82,45 @@ class Marking:
     (`Fraction(cost, metric.scale)` is the distance moved).  Every random
     decision consumes the instance's own seeded stream, so runs replay
     bit-identically per seed.
+
+    An eviction with one unmarked candidate takes it without a draw and
+    owes the draw `below(getrandbits, 1)` would have made; the owed draws
+    survive `reset` and are skipped in one `skip_certain` before the next
+    eviction that draws, or on a read of `rng`.  So the victims and the
+    stream are those of drawing at every eviction, and an instance whose
+    evictions are all certain never seeds its stream.
     """
 
     def __init__(self, universe: Universe, seed: int):
         self.universe = universe
         self._point_set = universe.point_set
         self.d = universe.d
-        # most instances on a nested tree never evict, so the stream is
-        # seeded on the first eviction; the draws are the same either way
+        # most instances on a nested tree never draw, so the stream is
+        # seeded on the first eviction that draws (or read of `rng`); the
+        # draws are the same either way
         self._seed = seed
-        self._rng: Optional[random.Random] = None
+        self._rng: Optional[random.Random] = None  # created by `_stream`
+        self._owed = 0  # one-candidate evictions whose draw is not yet taken
         self.positions: set[PointId] = set()
         self.k = 0
         self.marked: set[PointId] = set()
         self.phase_count = 1
+
+    def _stream(self) -> random.Random:
+        """The stream with every owed draw taken."""
+        rng = self._rng
+        if rng is None:
+            rng = self._rng = random.Random(self._seed)
+        if self._owed:
+            skip_certain(rng.getrandbits, self._owed)
+            self._owed = 0
+        return rng
+
+    @property
+    def rng(self) -> random.Random:
+        """The stream as if every eviction had drawn; reading it creates
+        the stream if no eviction drew yet."""
+        return self._stream()
 
     @property
     def config(self) -> frozenset:
@@ -124,17 +149,26 @@ class Marking:
         if r in self.positions:
             self.marked.add(r)
             return 0
-        if self.positions <= self.marked:
-            self.marked = set()
+        marked = self.marked
+        # the marks are a subset of the positions, so all are marked when
+        # there are k of them
+        if len(marked) == self.k:
+            marked = self.marked = set()
             self.phase_count += 1
-        pool = sorted(self.positions - self.marked)
-        rng = self._rng
-        if rng is None:
-            rng = self._rng = random.Random(self._seed)
-        victim = pool[below(rng.getrandbits, len(pool))]
-        self.positions.discard(victim)
-        self.positions.add(r)
-        self.marked.add(r)
+        positions = self.positions
+        if len(marked) == self.k - 1:
+            # one candidate: its draw is certain, so it is owed
+            (victim,) = positions - marked
+            self._owed += 1
+        else:
+            rng = self._rng
+            if rng is None or self._owed:
+                rng = self._stream()
+            pool = sorted(positions - marked)
+            victim = pool[below(rng.getrandbits, len(pool))]
+        positions.discard(victim)
+        positions.add(r)
+        marked.add(r)
         return self.d
 
     def serve_all(self, requests: Iterable[PointId]) -> int:

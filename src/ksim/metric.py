@@ -19,6 +19,11 @@ from typing import Iterable, Optional, Sequence
 
 PointId = int
 
+# a separation tree's leaf metric is a dense n x n table, so a tree of more
+# leaves than this is refused before any node is built: 4,096 leaves already
+# make a table of 16.8 million exact distances
+HST_MAX_LEAVES = 4096
+
 
 def as_fraction(value) -> Fraction:
     """Coerce to an exact rational.  Floats are rejected: they carry rounding."""
@@ -179,6 +184,10 @@ class HstSpace:
             raise ValueError("branching must have at least one level")
         if any(b < 1 for b in branching):
             raise ValueError("all branching counts must be >= 1")
+        leaves = math.prod(branching)
+        if leaves > HST_MAX_LEAVES:
+            raise ValueError(f"branching {list(branching)} gives {leaves} leaves, "
+                             f"more than the {HST_MAX_LEAVES} a separation tree may have")
         self.mu = mu
         self.branching = branching
         self.height = len(branching)

@@ -176,9 +176,12 @@ class TestParsers:
         (load_hst, "mu 2 3\nbranching 2\n", r"f\.txt:1: mu line needs exactly one value"),
         (load_hst, "mu 2\nbranching\n", r"f\.txt:2: branching line needs at least one"),
         (load_hst, "mu 2\nbranching 2 x\n", r"f\.txt:2: branching counts must be integers"),
+        (load_hst, "mu 2\n# huge\nbranching 3000 3000\n",
+         r"f\.txt:3: branching \[3000, 3000\] gives 9000000 leaves, more than the 4096"),
         (lambda path: load_requests(path, 3), "0 1\n2 x\n", r"f\.txt:2: bad point id 'x'"),
     ], ids=["metric-empty", "metric-bad-count", "metric-no-points", "hst-mu-two-values",
-            "hst-bare-branching", "hst-branching-not-int", "requests-bad-id"])
+            "hst-bare-branching", "hst-branching-not-int", "hst-too-many-leaves",
+            "requests-bad-id"])
     def test_refusals(self, tmp_path, load, text, message):
         p = tmp_path / "f.txt"
         p.write_text(text)

@@ -113,6 +113,21 @@ class TestBuildHst:
         with pytest.raises(TypeError):
             build_hst([2], 2.5)
 
+    @pytest.mark.parametrize("branching", [[4097], [64, 65], [2] * 13, [3000, 3000],
+                                           [16, 16, 17]])
+    def test_refuses_more_leaves_than_the_limit(self, branching):
+        # before the node loop: [3000, 3000] would take gigabytes
+        with pytest.raises(ValueError, match=rf"gives {math.prod(branching)} leaves, "
+                                             rf"more than the 4096"):
+            build_hst(branching, 3)
+
+    def test_the_leaf_limit_is_inclusive(self, monkeypatch):
+        monkeypatch.setattr("ksim.metric.HST_MAX_LEAVES", 12)
+        assert build_hst([3, 4], 3).n_leaves == 12
+        for branching in ([13], [2, 7], [2, 2, 2, 2]):
+            with pytest.raises(ValueError, match="more than the 12"):
+                build_hst(branching, 3)
+
     @pytest.mark.parametrize("branching", [[2.5, 3], [True, 3], [3, 2.0]])
     def test_rejects_counts_that_are_not_ints(self, branching):
         # int() would build [2, 3], [1, 3] and [3, 2] from these

@@ -1047,10 +1047,20 @@ def streams(algo):
     """The state of every random stream in a started algorithm and below
     it, with each shell's draw count and each marking's phase count."""
     if isinstance(algo, Marking):
-        return [(algo._rng and algo._rng.getstate(), algo.phase_count)]
+        return [(algo.rng.getstate(), algo.phase_count)]
     if isinstance(algo, ShellSubroutine):
         return [algo.rng.getstate()] + ([] if algo.shell is None else streams(algo.shell))
     return [(algo.rng.getstate(), algo.draws)] + [x for sub in algo._subs for x in streams(sub)]
+
+
+def markings(algo):
+    """Every marking instance running in a started algorithm and below it
+    (a pending shell holds none yet)."""
+    if isinstance(algo, Marking):
+        return [algo]
+    if isinstance(algo, ShellSubroutine):
+        return [] if algo._shell is None else markings(algo._shell)
+    return [m for sub in algo._subs for m in markings(sub)]
 
 
 class TestSubroutineServeAll:
@@ -1080,7 +1090,14 @@ class TestSubroutineServeAll:
         if isinstance(whole, ShellSubroutine):
             # one server is a point, else a shell runs
             assert (whole.point is not None) == (k == 1)
-        assert whole.serve_all(seq) == sum(single.serve(r) for r in seq)
+        total = 0
+        for r in seq:
+            total += single.serve(r)
+            # the marks are a subset of the positions, which lets marking
+            # end a phase when it holds k marks
+            for m in markings(single):
+                assert m.marked <= m.positions
+        assert whole.serve_all(seq) == total
         assert whole.config == single.config
         assert streams(whole) == streams(single)
 
