@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-_LOW_BYTES = bytes(range(128))  # the top bytes of words whose top bit is 0
-
 
 def below(getrandbits, n: int) -> int:
     """A uniform integer in [0, n), drawn from `getrandbits` (a
@@ -28,20 +26,11 @@ def skip_certain(getrandbits, m: int) -> None:
     """Leave the stream of `getrandbits` where m calls of
     `below(getrandbits, 1)` would, without their m results (all 0).
 
-    Each such call reads 32-bit words until one has top bit 0, so it takes
-    at least one word: `need` words are never too many.  While many are
-    owed, they are drawn in one `getrandbits(32 * need)`, first word
-    lowest; every word whose top bit is 0 ends a call, and every word whose
-    top bit is 1 asks for one more word, which the next round draws.  The
-    last few calls draw a word at a time, which is faster below about 32.
-    An m below 0 raises ValueError before any draw."""
+    Each such call reads 32-bit words until one has top bit 0, which is
+    what `getrandbits(1)` returns of a word.  An m below 0 raises
+    ValueError before any draw."""
     if m < 0:
         raise ValueError(f"skip_certain needs m >= 0, got {m}")
-    need = m
-    while need > 32:
-        words = getrandbits(32 * need).to_bytes(4 * need, "little")
-        # the top bytes, less those below 128: the words with top bit 1
-        need = len(words[3::4].translate(None, _LOW_BYTES))
-    for _ in range(need):
+    for _ in range(m):
         while getrandbits(1):
             pass
