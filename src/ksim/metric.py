@@ -215,10 +215,13 @@ class HstSpace:
         self.n_leaves = len(frontier)
         self._leaf_index = {node: i for i, node in enumerate(frontier)}
         # distance between leaves whose lowest common ancestor sits at depth
-        # j: twice the edge weights from depth j+1 down to the leaves
-        self._lca_distance = [2 * sum((mu ** (self.height - depth)
-                                       for depth in range(j + 1, self.height + 1)), Fraction(0))
-                              for j in range(self.height + 1)]
+        # j: twice the edge weights from depth j+1 down to the leaves, 2 (the
+        # leaf edges) plus mu times the distance at depth j+1, summed from
+        # the leaves up in O(height)
+        lca = [Fraction(0)] * (self.height + 1)
+        for j in reversed(range(self.height)):
+            lca[j] = 2 + mu * lca[j + 1]
+        self._lca_distance = lca
         self.leaf_metric = self._build_leaf_metric()
 
     # -- tree queries -------------------------------------------------------

@@ -285,8 +285,7 @@ class DemandTracker:
         self._check_width(seen, levels)
         self._restart(levels)
         self._checked = False  # each was checked on its first push
-        for r in requests:
-            self.push(r)
+        self.push_all(requests)
         self._checked = checked
 
     def _check_width(self, distinct: int, levels: int) -> None:
@@ -353,6 +352,11 @@ class DemandTracker:
         for ell in range(1, len(dp)):
             dp[ell] = _lazy_step(dp[ell], r, dist)
         self._requests.append(r)
+
+    def push_all(self, requests: Iterable[PointId]) -> None:
+        """One `push` per request, in order."""
+        for r in requests:
+            self.push(r)
 
     def _opt_scaled(self, ell: int) -> Optional[int]:
         """Optimum in the metric's integer unit, or None for +inf."""
@@ -505,29 +509,40 @@ class UniformDemandTracker(DemandTracker):
         self._kept: list[int] = [0]
 
     def push(self, r: PointId) -> None:
-        if self._checked:
-            self._metric.check_point(r)
-        self._requests.append(r)
-        t = len(self._requests)
-        a = self._last.get(r)
-        if a is None:
-            a = 0
-            if self._seen and len(self._ends) < self._levels:
-                self._ends.append([0] + self._ends[-1])
-                self._kept.append(self._kept[-1])
-            self._seen.add(r)
-        self._last[r] = t
-        if a == t - 1:
-            self._empty_hits += 1
-            return
-        kept = self._kept
-        for i, ends in enumerate(self._ends):
-            j = bisect_right(ends, a)
-            if j:
-                # every end is below t-1, so the list stays sorted
-                del ends[j - 1]
-                ends.append(t - 1)
-                kept[i] += 1
+        self.push_all((r,))
+
+    def push_all(self, requests: Iterable[PointId]) -> None:
+        """One greedy step per request, with the tracker's fields bound once.
+        Level ell = 1 has no machine (its list of ends stays empty), so its
+        count of kept intervals stays 0 and the step skips it."""
+        check = self._metric.check_point if self._checked else None
+        reqs, last, seen = self._requests, self._last, self._seen
+        all_ends, kept, levels = self._ends, self._kept, self._levels
+        t = len(reqs)
+        for r in requests:
+            if check is not None:
+                check(r)
+            reqs.append(r)
+            t += 1
+            a = last.get(r)
+            if a is None:
+                a = 0
+                if seen and len(all_ends) < levels:
+                    all_ends.append([0] + all_ends[-1])
+                    kept.append(kept[-1])
+                seen.add(r)
+            last[r] = t
+            if a == t - 1:
+                self._empty_hits += 1
+                continue
+            for i in range(1, len(all_ends)):
+                ends = all_ends[i]
+                j = bisect_right(ends, a)
+                if j:
+                    # every end is below t-1, so the list stays sorted
+                    del ends[j - 1]
+                    ends.append(t - 1)
+                    kept[i] += 1
 
     def _check_width(self, distinct: int, levels: int) -> None:
         pass  # a level keeps at most `levels` machine ends, not configurations
@@ -544,8 +559,7 @@ def demand(m: FiniteMetric, Delta, rho: Sequence[PointId]) -> int:
     """Least server count worth buying into an initially empty block at price
     Delta per server, to serve `rho` optimally."""
     tracker = DemandTracker.for_metric(m, Delta)
-    for r in rho:
-        tracker.push(r)
+    tracker.push_all(rho)
     return tracker.demand()
 
 

@@ -215,7 +215,7 @@ class BlockShell(PhaseLogs):
         self._event_sink("\t".join(parts))
 
     def _new_tracker(self, s: int) -> DemandTracker:
-        # `serve_all` has checked every point the tracker will get
+        # `serve_all` has tested every point the tracker will get
         d = self._uniform_d[s]
         if d is None:
             return DemandTracker._trusted(self.metric, self.dec.price)
@@ -241,9 +241,12 @@ class BlockShell(PhaseLogs):
         configurations, derived on each read."""
         return frozenset().union(*[sub.config for sub in self._subs])
 
-    def _memo_miss(self, s: int, r: PointId, key: int) -> int:
-        """Memo node of block s's phase prefix ending in r, a prefix not in
-        the memo yet.
+    def _memo_miss(self, s: int, r: PointId, parent: int) -> tuple[int, int]:
+        """The demand and slack of block s's phase prefix ending in r: a
+        prefix not in the memo yet, whose parent node `parent` is not an
+        empty prefix, and whose slack, the parent's less den * dist(last,
+        r), is negative.  `serve_all` extends the memo itself in every other
+        case, and appends the node for this answer as node `len(memo_peak)`.
 
         Every memo node holds its prefix's exact demand.  A demand never
         falls as the prefix grows and rises by at most one per request (the
@@ -263,48 +266,33 @@ class BlockShell(PhaseLogs):
         that path, certifies D_t = P while it stays >= 0.  A block's first
         request has demand 1 and opt(1) = opt(2) = 0, so slack num.
 
-        Only a negative slack consults the block's tracker, built on the
-        block's first consult of the phase.  It first pushes the requests
-        it skipped, read back up the trie from the new node's parent to the
-        prefix it last pushed, then r; its demand is the node's, and the
-        saving at that demand, which `demand()` keeps on its way
-        (`DemandTracker._saving`), the new slack.
+        Only a negative slack comes here, to consult the block's tracker,
+        built on the block's first consult of the phase.  It catches up with
+        one `push_all` of the requests it skipped, read back up the trie
+        from the parent to the prefix it last pushed, then r; its demand is
+        the node's, and the saving at that demand, which `demand()` keeps on
+        its way (`DemandTracker._saving`), the new slack.
         An answer below P or above P + 1 breaks a theorem and raises
         ShellInvariantError before the memo grows."""
         plan = self._plan
-        parent = self._node[s]
-        keys, demands, slacks = plan.memo_key, plan.memo_peak, plan.memo_slack
-        node = len(demands)
-        if parent < self.t:
-            d, slack = 1, plan.num
-        else:
-            n = self._n
-            d = demands[parent]
-            slack = slacks[parent] - plan.den * self.metric.dist[keys[parent] % n][r]
-            if slack < 0:
-                tracker = self._trackers[s]
-                if tracker is None:
-                    tracker = self._trackers[s] = self._new_tracker(s)
-                skipped = []
-                v, pushed = parent, self._tracked[s]
-                while v != pushed:
-                    skipped.append(keys[v] % n)
-                    v = keys[v] // n
-                for q in reversed(skipped):
-                    tracker.push(q)
-                tracker.push(r)
-                self._tracked[s] = node
-                p, d = d, tracker.demand()
-                if not p <= d <= p + 1:
-                    raise ShellInvariantError(
-                        f"phase {self.phase}: block {s}'s demand "
-                        f"{'fell' if d < p else 'rose'} from {p} to {d}")
-                slack = plan.num - plan.den * tracker._saving
-        plan.memo_child[key] = node
-        keys.append(key)
-        demands.append(d)
-        slacks.append(slack)
-        return node
+        keys, n = plan.memo_key, self._n
+        tracker = self._trackers[s]
+        if tracker is None:
+            tracker = self._trackers[s] = self._new_tracker(s)
+        requests = [r]
+        v, pushed = parent, self._tracked[s]
+        while v != pushed:
+            requests.append(keys[v] % n)
+            v = keys[v] // n
+        requests.reverse()
+        tracker.push_all(requests)
+        self._tracked[s] = len(plan.memo_peak)  # the node `serve_all` appends next
+        p, d = plan.memo_peak[parent], tracker.demand()
+        if not p <= d <= p + 1:
+            raise ShellInvariantError(
+                f"phase {self.phase}: block {s}'s demand "
+                f"{'fell' if d < p else 'rose'} from {p} to {d}")
+        return d, plan.num - plan.den * tracker._saving
 
     # -- serving ------------------------------------------------------------
 
@@ -315,17 +303,24 @@ class BlockShell(PhaseLogs):
         """Serve the requests in order and return their total cost.
 
         `requests` is read one request at a time, and the shell's records
-        are current whenever the next one is read.  A request is checked
-        (`check_point` first, so that 1.0 or True never finds point 1's
-        block by its hash) and makes one memo lookup; a block that needs no
-        jump is served here, a one-server subtree by moving its point.  A
-        jump, and a phase end with its one replay, go to `_jump_in`.  Count
-        conservation is checked after every request."""
-        check = self.metric.check_point
+        are current whenever the next one is read.  A request is tested by
+        `type(r) is int` and one `block_of.get`; only a request that fails
+        them goes to `check_point`, which refuses what is not a point (so
+        1.0 or True never finds point 1's block by its hash), before the
+        shell refuses a point outside its decomposition.  One memo lookup
+        gives the block's peak demand; on a miss the loop appends the new
+        memo node itself, asking `_memo_miss` only for a negative slack.  A
+        block that needs no jump is served here, a one-server subtree by
+        moving its point.  A jump, and a phase end with its one replay, go
+        to `_jump_in`, which checks count conservation after it moves a
+        server: the counts change nowhere else."""
         block_of = self.dec.block_of.get
         plan = self._plan
-        memo_get = plan.memo_child.get
-        memo_peak = plan.memo_peak
+        memo_child = plan.memo_child
+        memo_get = memo_child.get
+        memo_key, memo_peak, memo_slack = plan.memo_key, plan.memo_peak, plan.memo_slack
+        num, den = plan.num, plan.den
+        t = self.t
         n = self._n
         dist = self.metric.dist
         sink = self._event_sink
@@ -333,13 +328,12 @@ class BlockShell(PhaseLogs):
         nested = plan.nested
         subs, counts = self._subs, self._counts
         node = self._node
-        k = self.k
         log = self.phase_logs[-1]
         before = self.total_inner + self.total_jump
         for r in requests:
-            check(r)
-            s = block_of(r)
+            s = block_of(r) if type(r) is int else None
             if s is None:
+                self.metric.check_point(r)
                 raise ValueError(f"request {r} outside this decomposition")
             replay = False
             while True:
@@ -351,7 +345,19 @@ class BlockShell(PhaseLogs):
                 key = u * n + r
                 v = memo_get(key)
                 if v is None:
-                    v = self._memo_miss(s, r, key)
+                    if u < t:
+                        # a block's first request: demand 1, and a second
+                        # server saves nothing
+                        d, slack = 1, num
+                    else:
+                        d = memo_peak[u]
+                        slack = memo_slack[u] - den * dist[memo_key[u] % n][r]
+                        if slack < 0:
+                            d, slack = self._memo_miss(s, r, u)
+                    v = memo_child[key] = len(memo_peak)
+                    memo_key.append(key)
+                    memo_peak.append(d)
+                    memo_slack.append(slack)
                 node[s] = v
                 peak = memo_peak[v]
                 count = counts[s]
@@ -386,8 +392,6 @@ class BlockShell(PhaseLogs):
                     if peak == count > memo_peak[u]:
                         self._emit("mark", block=s)  # r raised the peak to the count
                 break
-            if sum(counts) != k:
-                raise ShellInvariantError("server count not conserved")
         return self.total_inner + self.total_jump - before
 
     def _jump_in(self, r: PointId, s: int, prev_peak: int, replay: bool) -> bool:
@@ -415,6 +419,8 @@ class BlockShell(PhaseLogs):
             dst = self._choice(free)
         counts[b] -= 1
         counts[s] += 1
+        if sum(counts) != self.k:
+            raise ShellInvariantError("server count not conserved")
         self._current_phase_jumps += 1
         # a cross-block distance, which the decomposition pins to Delta
         cost = self.metric.dist[src][dst]

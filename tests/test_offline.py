@@ -523,6 +523,98 @@ class TestLazyLevels:
         assert full_scan_demand(oracle, Delta) == want
 
 
+class TestPushAll:
+    """`push_all(batch)` is one `push` per request of the batch, on both
+    trackers: the kept levels' optima, `demand()`, the saving it keeps, and
+    a later read above the kept levels (which replays the requests through
+    `_grow`) all match.  The greedy's batches also match the DP's pushes."""
+
+    @staticmethod
+    def assert_same(batched, single):
+        assert (batched.length, batched.distinct, batched._levels) == \
+            (single.length, single.distinct, single._levels)
+        kept = range(1, min(batched._levels, batched.distinct) + 1)
+        assert [batched._opt_scaled(ell) for ell in kept] == \
+            [single._opt_scaled(ell) for ell in kept]
+        assert batched.demand() == single.demand()
+        assert batched._saving == single._saving
+
+    @classmethod
+    def check(cls, batches, batched, single, oracle=None):
+        """Feed the batches to `batched` by `push_all` and request by request
+        to `single` (and the oracle), comparing after each batch; halfway
+        through, read every optimum, which grows the kept levels."""
+        for i, batch in enumerate(batches):
+            batched.push_all(iter(batch))
+            for r in batch:
+                single.push(r)
+                if oracle is not None:
+                    oracle.push(r)
+            cls.assert_same(batched, single)
+            if oracle is not None:
+                assert batched.demand() == oracle.demand()
+            if i == len(batches) // 2:
+                every = range(batched.distinct + 1)
+                assert [batched.opt(ell) for ell in every] == [single.opt(ell) for ell in every]
+                if oracle is not None:
+                    assert [batched.opt(ell) for ell in every] == \
+                        [oracle.opt(ell) for ell in every]
+                cls.assert_same(batched, single)
+
+    @staticmethod
+    def cut(data, seq):
+        """`seq` cut into consecutive batches at drawn points."""
+        cuts = sorted(data.draw(st.lists(st.integers(0, len(seq)), max_size=6), label="cuts"))
+        bounds = [0] + cuts + [len(seq)]
+        return [seq[a:b] for a, b in zip(bounds, bounds[1:])]
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), Delta=prices)
+    def test_dp_batches_match_single_pushes(self, data, Delta):
+        n = data.draw(st.integers(1, 7))
+        weights = data.draw(st.lists(rationals, min_size=n * (n - 1) // 2,
+                                     max_size=n * (n - 1) // 2))
+        m = metric_closure(n, weights)
+        seq = data.draw(st.lists(st.integers(0, n - 1), max_size=16))
+        self.check(self.cut(data, seq), DemandTracker.for_metric(m, Delta),
+                   DemandTracker.for_metric(m, Delta))
+
+    @settings(max_examples=300, deadline=None)
+    @given(n=st.integers(1, 9), offset=st.integers(0, 3), d=rationals,
+           other=rationals, Delta=prices, data=st.data())
+    def test_uniform_batches_match_single_pushes_and_the_dp(self, n, offset, d, other,
+                                                            Delta, data):
+        m = clustered_metric(offset, n, d, other)
+        block = list(range(offset, offset + n))
+        price, cost = Delta * m.scale, m.uniform_cost(block)
+        seq = data.draw(st.lists(st.sampled_from(block), max_size=30))
+        self.check(self.cut(data, seq), UniformDemandTracker(m, price, cost),
+                   UniformDemandTracker(m, price, cost), DemandTracker(m, price))
+
+    @pytest.mark.parametrize("Delta", [Fraction(1, 2), Fraction(3, 2), 5])
+    def test_new_points_partway_through_a_batch(self, Delta):
+        # every batch brings in new points after repeats, one bringing six
+        # at once, past the three kept levels
+        m = build_uniform(9, 1)
+        batches = [[0, 0, 1], [0, 2, 3, 1, 4], [4, 5, 6, 7, 8, 0, 3], [1, 8, 2, 8]]
+        for make in (lambda: DemandTracker.for_metric(m, Delta),
+                     lambda: UniformDemandTracker(m, Delta * m.scale, 1)):
+            self.check(batches, make(), make(), DemandTracker.for_metric(m, Delta))
+
+    def test_a_checked_batch_pushes_up_to_a_refused_point(self):
+        # as the pushes one by one would, and a trusted tracker skips the check
+        m = build_uniform(3, 1)
+        for tracker in (DemandTracker(m, 2), UniformDemandTracker(m, 2, 1)):
+            with pytest.raises(ValueError, match=re.escape("point id 3 out of range [0, 3)")):
+                tracker.push_all([0, 1, 3, 2])
+            assert tracker.length == 2
+            with pytest.raises(ValueError, match="point id True"):
+                tracker.push_all([True])
+        for tracker in (DemandTracker._trusted(m, 2), UniformDemandTracker._trusted(m, 2, 1)):
+            tracker.push_all([0, 1, 0, 2, 1])
+            assert (tracker.length, tracker.distinct) == (5, 3)
+
+
 class TestSlackBound:
     """The shell answers most demand misses with no tracker, by a slack
     certificate (`BlockShell._memo_miss`) that rests on one bound: for

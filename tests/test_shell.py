@@ -322,7 +322,7 @@ class TestServeRejects:
     would find point 1's block for 1.0 or True, and changes nothing on a
     reject."""
 
-    @pytest.mark.parametrize("r", [1.0, -1, 27, True, False])
+    @pytest.mark.parametrize("r", [1.0, -1, 27, True, False, "3", Fraction(1), [1]])
     def test_root_rejects_what_is_not_a_point(self, r):
         sh = BlockShell(tree_plan(build_hst([3, 3, 3], 3)), 3, default_initial(3), seed=0)
         with pytest.raises(ValueError,
@@ -333,10 +333,13 @@ class TestServeRejects:
     def test_a_sub_plan_rejects_a_leaf_outside_its_decomposition(self):
         plan = tree_plan(build_hst([3, 3, 3], 3)).subs[0]  # leaves 0..8
         sh = BlockShell(plan, 2, {0, 3}, seed=0)
-        with pytest.raises(ValueError, match=re.escape("point id 1.0 out of range")):
-            sh.serve(1.0)
-        with pytest.raises(ValueError, match="request 9 outside this decomposition"):
-            sh.serve(9)
+        for r in (1.0, True, -1, 27, "3"):
+            with pytest.raises(ValueError,
+                               match=re.escape(f"point id {r!r} out of range [0, 27)")):
+                sh.serve(r)
+        for r in (9, 13, 26):  # leaves of the metric, outside this subtree
+            with pytest.raises(ValueError, match=f"request {r} outside this decomposition"):
+                sh.serve(r)
         assert sh.phase_logs == [[]] and sh.total_inner == sh.total_jump == 0
 
 
@@ -665,12 +668,14 @@ class TestDemandMemo:
         assert 3 * calls[DemandTracker] < misses
 
     def test_trials_share_the_demands(self, monkeypatch):
+        # a shell pushes only through `push_all`
         pushes = Counter()
         for cls in (DemandTracker, UniformDemandTracker):
-            def counted(self, r, _push=cls.__dict__["push"]):
-                pushes["all"] += 1
-                return _push(self, r)
-            monkeypatch.setattr(cls, "push", counted)
+            def counted(self, requests, _push_all=cls.__dict__["push_all"]):
+                requests = list(requests)
+                pushes["all"] += len(requests)
+                return _push_all(self, requests)
+            monkeypatch.setattr(cls, "push_all", counted)
         space = build_hst([3, 3, 3], 3)
         spec = GeneratorSpec("uniform_random", 200, seed=5)
         counts = []
@@ -693,6 +698,7 @@ class TestMemoHitPath:
         first = run_shell(plan, 3, default_initial(3), seq, seed=7)
         calls = Counter()
         for cls, name in ((DemandTracker, "push"), (UniformDemandTracker, "push"),
+                          (DemandTracker, "push_all"), (UniformDemandTracker, "push_all"),
                           (DemandTracker, "demand")):
             def counted(self, *args, _orig=cls.__dict__[name], _name=name):
                 calls[_name] += 1
@@ -876,6 +882,25 @@ class TestServerCount:
         with pytest.raises(ShellInvariantError, match="server count"):
             sh.serve(1)
 
+    @pytest.mark.parametrize("skipped", ["donor", "target"])
+    def test_a_jump_that_skips_a_count_write_is_caught(self, skipped):
+        # the counts change only in `_jump_in`, which checks conservation
+        # right after its two writes; a list that drops every write lowering
+        # a count (or every one raising it) stands in for a `_jump_in` that
+        # skips the donor's decrement (or the target's increment)
+        class DropsAWrite(list):
+            def __setitem__(self, i, value):
+                if (value < self[i]) != (skipped == "donor"):
+                    super().__setitem__(i, value)
+
+        sh = two_block_shell()
+        sh._counts = DropsAWrite(sh._counts)
+        with pytest.raises(ShellInvariantError, match="server count not conserved"):
+            sh.serve(2)  # the empty block {2, 3}: a jump
+        # caught before the jump is priced or its blocks restart
+        assert sh.total_jump == 0
+        assert sh._subs[0].config == {0, 1} and sh._subs[1].config == frozenset()
+
     def test_a_jump_reads_two_configurations(self, monkeypatch):
         # the block subroutines are the only record of the servers' points:
         # a jump reads the donor's and the target's configurations, a phase
@@ -1040,7 +1065,9 @@ class TestOneServerSubtrees:
         checks.clear()
         for r in seq:
             sh.serve(r)
-        assert checks["all"] == len(seq)  # the one check in `serve`
+        # a valid request passes `serve_all`'s own type and block test, and
+        # the trackers trust the points it passed
+        assert checks["all"] == 0
 
 
 def streams(algo):
