@@ -14,11 +14,12 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence, Union
 
 from .generators import GeneratorSpec, generate
 from .metric import Decomposition, FiniteMetric, HstSpace, PointId
 from .offline import INF, max_demand_trace, opt_cost
+from .marking import Universe
 from .shell import BlockShell, NodePlan, PhaseLogs, check_hst_admissible, tree_plan
 
 CSV_HEADER = "seed,total,inner,jump,opt,ratio,phases,m_sum"
@@ -90,6 +91,15 @@ def run_shell(plan: NodePlan, k: int, initial: Iterable[PointId],
     )
 
 
+def additive_term(plan: Union[NodePlan, Universe], ell: int) -> Optional[float]:
+    """The additive slack f(ell) * ell * diameter / ln(ell) of the plan's
+    competitive guarantee with `ell` servers, in floats; None below two
+    servers, where ln(ell) is 0."""
+    if ell < 2:
+        return None
+    return float(plan.f(ell)) * ell * float(plan.diameter) / math.log(ell)
+
+
 def _ratio(total: Fraction, opt) -> object:
     if opt is None:
         return None
@@ -104,7 +114,8 @@ def run_trials(space: HstSpace, k: int, algo: str, gen_spec: GeneratorSpec,
     """Seeded batch of runs of one algorithm over one generated sequence.
 
     The sequence and the offline optimum are computed once, after the
-    inputs are checked; only the algorithm's random stream varies across
+    inputs are checked and the plan is built (`tree_plan` refuses a tree
+    too tall to serve); only the algorithm's random stream varies across
     trials.  `event_sink` receives the root shell's events of every trial
     (shell runs only).
     """
@@ -119,6 +130,7 @@ def run_trials(space: HstSpace, k: int, algo: str, gen_spec: GeneratorSpec,
         raise ValueError("marking as the whole algorithm needs a height-1 (uniform) space")
     if algo == "algox":
         check_hst_admissible(space, k)
+    plan = tree_plan(space)
     sequence = generate(gen_spec, space)
     metric = space.leaf_metric
 
@@ -127,18 +139,8 @@ def run_trials(space: HstSpace, k: int, algo: str, gen_spec: GeneratorSpec,
     else:
         opt = None  # guard tripped: costs still reported, ratios unavailable
 
-    plan = tree_plan(space)
     use_shell = isinstance(plan, NodePlan)  # algox on a tree of height >= 2
-    if use_shell:
-        scale = plan.dec.Delta
-    else:
-        scale = Fraction(plan.d, metric.scale)  # marking's universe is uniform at d
-
-    # additive slack of the competitive guarantee: f(k) * k * scale / log k
-    additive = None
-    if k >= 2:
-        additive = float(plan.f(k)) * k * float(scale) / math.log(k)
-
+    additive = additive_term(plan, k)
     reports = []
     for i in range(trials):
         seed = base_seed ^ i

@@ -40,8 +40,9 @@ def marking_f(ell: int) -> Fraction:
 class Universe:
     """A validated point set for marking: its sorted points, their set, and
     the common pairwise distance `d` in the metric's integer unit (0 for a
-    single point, where no paid move can occur).  Built once per block and
-    shared by every `Marking` started on it."""
+    single point, where no paid move can occur), which as a distance is its
+    `diameter`.  Built once per block and shared by every `Marking` started
+    on it."""
 
     __slots__ = ("metric", "points", "point_set", "d")
     f = staticmethod(marking_f)  # competitive function of marking on it
@@ -67,6 +68,10 @@ class Universe:
         self.point_set = frozenset(points)
         self.d = d
         return self
+
+    @property
+    def diameter(self) -> Fraction:
+        return Fraction(self.d, self.metric.scale)
 
     def start(self, seed: int) -> "Marking":
         """Marking on this universe, seeded and holding no servers."""

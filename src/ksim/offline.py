@@ -47,15 +47,18 @@ def _check_inputs(m: FiniteMetric, ell: int, rho: Sequence[PointId],
                   initial: Optional[Iterable[PointId]]) -> Optional[frozenset]:
     if not (0 <= ell <= m.n):
         raise ValueError(f"server count {ell} out of range [0, {m.n}]")
+    # `check_point` only words the refusal of a point these tests fail
     for r in rho:
-        m.check_point(r)
+        if type(r) is not int or not 0 <= r < m.n:
+            m.check_point(r)
     if initial is None:
         return None
     init = frozenset(initial)
     if len(init) != ell:
         raise ValueError(f"initial configuration has {len(init)} points, expected {ell}")
     for p in init:
-        m.check_point(p)
+        if type(p) is not int or not 0 <= p < m.n:
+            m.check_point(p)
     return init
 
 
@@ -252,6 +255,13 @@ class DemandTracker:
     distinct points still needs wide levels: a push or a growth that would
     keep a level of more than `DEMAND_LEVEL_GUARD` configurations raises
     ValueError before it does (`_check_width`), instead of running on.
+
+    A tracker tests its own points: `push` and `push_all` refuse a request
+    whose type is not exactly `int` (so 1.0 and True never pass for point
+    1 by their hash), and test a point's range on its first push alone,
+    the one that enters it in the tracker's seen points.  `check_point`
+    runs only to word a refusal, with the metric's message, and a refused
+    request leaves the ones pushed before it.
     """
 
     LEVELS = 3
@@ -259,7 +269,6 @@ class DemandTracker:
     def __init__(self, metric: FiniteMetric, price):
         self._metric = metric
         self._price = price
-        self._checked = True
         self._saving = 0  # saving() at the last answer of demand()
         self._restart(self.LEVELS)
 
@@ -278,15 +287,13 @@ class DemandTracker:
         demand() on a high demand does, replays a few times and not once per
         level.  Once L reaches half the distinct points, it is their count:
         the levels above half hold no more configurations than those below."""
-        requests, checked = self._requests, self._checked
+        requests = self._requests
         levels = max(ell, 2 * self._levels)
         seen = len(self._seen)
         levels = levels if 2 * levels < seen else seen
         self._check_width(seen, levels)
         self._restart(levels)
-        self._checked = False  # each was checked on its first push
         self.push_all(requests)
-        self._checked = checked
 
     def _check_width(self, distinct: int, levels: int) -> None:
         """Refuse to keep levels 1..min(distinct, levels) over `distinct`
@@ -299,14 +306,6 @@ class DemandTracker:
                 f"demand DP too large: level {ell} over {distinct} distinct points "
                 f"holds up to C({distinct}, {ell}) = {width} configurations, "
                 f"above {DEMAND_LEVEL_GUARD}")
-
-    @classmethod
-    def _trusted(cls, *args) -> "DemandTracker":
-        """A tracker whose `push` skips `check_point`, for a caller that has
-        just checked every point it pushes."""
-        self = cls(*args)
-        self._checked = False
-        return self
 
     @classmethod
     def for_metric(cls, metric: FiniteMetric, Delta) -> "DemandTracker":
@@ -324,7 +323,7 @@ class DemandTracker:
         return len(self._seen)
 
     def push(self, r: PointId) -> None:
-        if self._checked:
+        if type(r) is not int or (r not in self._seen and not 0 <= r < self._metric.n):
             self._metric.check_point(r)
         dist = self._metric.dist
         dp = self._dp
@@ -515,22 +514,24 @@ class UniformDemandTracker(DemandTracker):
         """One greedy step per request, with the tracker's fields bound once.
         Level ell = 1 has no machine (its list of ends stays empty), so its
         count of kept intervals stays 0 and the step skips it."""
-        check = self._metric.check_point if self._checked else None
+        metric, n = self._metric, self._metric.n
         reqs, last, seen = self._requests, self._last, self._seen
         all_ends, kept, levels = self._ends, self._kept, self._levels
         t = len(reqs)
         for r in requests:
-            if check is not None:
-                check(r)
-            reqs.append(r)
-            t += 1
+            if type(r) is not int:
+                metric.check_point(r)
             a = last.get(r)
             if a is None:
+                if not 0 <= r < n:
+                    metric.check_point(r)
                 a = 0
                 if seen and len(all_ends) < levels:
                     all_ends.append([0] + all_ends[-1])
                     kept.append(kept[-1])
                 seen.add(r)
+            reqs.append(r)
+            t += 1
             last[r] = t
             if a == t - 1:
                 self._empty_hits += 1

@@ -42,6 +42,11 @@ from .marking import Universe
 from .metric import Decomposition, HstSpace, PointId, decompose
 from .offline import DemandTracker, UniformDemandTracker
 
+# refuse a plan for a taller tree: `compose_f` nests one closure per level,
+# and nested shells serve about three frames deep per level, so a tree of a
+# few hundred levels would exhaust Python's recursion limit mid-run
+PLAN_MAX_HEIGHT = 64
+
 
 class ShellInvariantError(RuntimeError):
     """A structural invariant that provably holds was observed violated."""
@@ -63,8 +68,9 @@ class Subroutine(Protocol):
 
 class NodePlan:
     """What every shell at one tree node shares: the decomposition, its
-    blocks as sets, the distance inside each uniform block in the metric's
-    integer unit (None elsewhere, read from the decomposition), each block's
+    metric and its diameter (the decomposition's Delta), its blocks as
+    sets, the distance inside each uniform block in the metric's integer
+    unit (None elsewhere, read from the decomposition), each block's
     subroutine plan (a marking `Universe` or the child's `NodePlan`) and the
     competitive function `f`, all fixed once built; and a memo of block
     demands, which grows as the shells on the plan serve.
@@ -82,8 +88,8 @@ class NodePlan:
     prefix alone, so every shell on the plan reads them there, and a shell
     adds at most one node per request it serves."""
 
-    __slots__ = ("dec", "block_sets", "uniform_d", "subs", "nested", "f", "num", "den",
-                 "memo_child", "memo_key", "memo_peak", "memo_slack")
+    __slots__ = ("dec", "metric", "diameter", "block_sets", "uniform_d", "subs", "nested",
+                 "f", "num", "den", "memo_child", "memo_key", "memo_peak", "memo_slack")
 
     def __init__(self, dec: Decomposition, subs: tuple[Union["NodePlan", Universe], ...]):
         if len(subs) != dec.t:
@@ -99,6 +105,7 @@ class NodePlan:
         if not self.nested and not all(isinstance(sub, Universe) for sub in subs):
             raise ValueError("block plans must be all marking universes or all node plans")
         self.dec = dec
+        self.metric, self.diameter = dec.metric, dec.Delta
         self.block_sets = tuple(frozenset(b) for b in dec.blocks)
         # a uniform block's demand needs no configuration DP
         self.uniform_d = dec.uniform_d
@@ -215,11 +222,12 @@ class BlockShell(PhaseLogs):
         self._event_sink("\t".join(parts))
 
     def _new_tracker(self, s: int) -> DemandTracker:
-        # `serve_all` has tested every point the tracker will get
+        # a tracker tests each point on its first push alone, so the points
+        # `serve_all` has tested cost it no `check_point` call
         d = self._uniform_d[s]
         if d is None:
-            return DemandTracker._trusted(self.metric, self.dec.price)
-        return UniformDemandTracker._trusted(self.metric, self.dec.price, d)
+            return DemandTracker(self.metric, self.dec.price)
+        return UniformDemandTracker(self.metric, self.dec.price, d)
 
     def _choice(self, seq):
         self.draws += 1
@@ -484,15 +492,23 @@ class BlockShell(PhaseLogs):
 def _check_start(dec: Decomposition, init: frozenset) -> None:
     """Refuse a shell's start on `dec` at the nonempty configuration `init`
     when the separation is below min(k, t) for k = len(init), or when a
-    server is not on a point of the decomposition."""
+    server is not on a point of the decomposition (`_check_servers`)."""
     mu, least = dec.mu_eff, min(len(init), dec.t)
     # mu < least in ints, as a lazy reset checks here: comparing a Fraction
     # to an int costs microseconds
     if mu.numerator < least * mu.denominator:
         raise ValueError(f"separation too small: mu_eff={mu} < min(k,t)={least}")
-    for p in init:
-        dec.metric.check_point(p)
-        if p not in dec.block_of:
+    _check_servers(dec, init)
+
+
+def _check_servers(dec: Decomposition, servers: frozenset) -> None:
+    """Refuse a server that is not on a point of `dec`, tested as
+    `BlockShell.serve_all` tests a request: `type(p) is int` and one
+    `block_of` lookup.  `check_point` runs only to word the refusal of what
+    is not a point, before the refusal of a point outside `dec`."""
+    for p in servers:
+        if type(p) is not int or p not in dec.block_of:
+            dec.metric.check_point(p)
             raise ValueError(f"server at {p}, outside this decomposition")
 
 
@@ -526,12 +542,12 @@ class ShellSubroutine:
     creating it if need be.
 
     A reset to a single point builds no shell either: the adapter checks
-    the point alone (the plan checked the separation when it was built),
-    keeps it, and `serve(r)` moves it to r at `dist[p][r]`.  This is the
-    shell's own outcome, by induction on the height.  With one server each
-    random choice of the shell has one option: the only occupied block
-    donates (after at most one phase end), its one server moves, and r is
-    free.  A request inside the server's block costs `dist`, as one-server
+    the point alone (`_check_servers`; the plan checked the separation when
+    it was built), keeps it, and `serve(r)` moves it to r at `dist[p][r]`.
+    This is the shell's own outcome, by induction on the height.  With one
+    server each random choice of the shell has one option: the only
+    occupied block donates (after at most one phase end), its one server
+    moves, and r is free.  A request inside the server's block costs `dist`, as one-server
     marking pays `d` per miss.  The reset still counts its draw, so every
     later build gets the same seed; the draws the skipped shell would make
     come from its private streams, which nothing else reads.  A parent
@@ -579,17 +595,17 @@ class ShellSubroutine:
         return shell
 
     def reset(self, config: Iterable[PointId]) -> None:
+        """Restart at `config`: a single point is tested by `_check_servers`
+        and kept, two or more by `_check_start` and kept pending.  Neither
+        calls `check_point` on a valid configuration."""
         cfg = frozenset(config)
         self._shell = self._pending = self.point = None
         if not cfg:
             return
         self._owed += 1
         if len(cfg) == 1:
-            (p,) = cfg
-            self._plan.dec.metric.check_point(p)
-            if p not in self._block_of:
-                raise ValueError(f"server at {p}, outside this decomposition")
-            self.point = p
+            _check_servers(self._plan.dec, cfg)
+            (self.point,) = cfg
         else:
             _check_start(self._plan.dec, cfg)
             self._pending = cfg
@@ -598,9 +614,9 @@ class ShellSubroutine:
         p = self.point
         if p is not None:
             # a parent shell moves the point itself; this path serves a
-            # caller that holds the adapter, whose point it has not checked
-            self._plan.dec.metric.check_point(r)
-            if r not in self._block_of:
+            # caller that holds the adapter, whose point it has not tested
+            if type(r) is not int or r not in self._block_of:
+                self._plan.dec.metric.check_point(r)
                 raise ValueError(f"request {r} outside this decomposition")
             self.point = r
             return self._dist[p][r]
@@ -663,7 +679,11 @@ def node_decompositions(space: HstSpace) -> dict[int, Decomposition]:
 def tree_plan(space: HstSpace) -> Union[NodePlan, Universe]:
     """Plan of the algorithm on the whole tree, built in one walk up from the
     parents of leaves: marking on the leaves under each of those, a shell on
-    the child blocks of every node above."""
+    the child blocks of every node above.  A tree taller than
+    `PLAN_MAX_HEIGHT` is refused first."""
+    if space.height > PLAN_MAX_HEIGHT:
+        raise ValueError(f"tree height {space.height} is above the {PLAN_MAX_HEIGHT} "
+                         f"levels a plan may have")
     decs = node_decompositions(space)
     plans: dict[int, Union[NodePlan, Universe]] = {}
     for v in sorted(decs, reverse=True):  # a child's id exceeds its parent's

@@ -19,9 +19,9 @@ from fractions import Fraction
 from typing import Iterable, Optional, Sequence, Union
 
 from .generators import GeneratorSpec, generate
-from .harness import RunRecord, default_initial, run_shell
+from .harness import RunRecord, additive_term, default_initial, run_shell
 from .marking import Universe
-from .metric import FiniteMetric, HstSpace, build_hst, build_uniform
+from .metric import HstSpace, build_hst, build_uniform
 from .offline import DemandTracker, opt_cost
 from .shell import NodePlan, check_hst_admissible, tree_plan
 
@@ -214,12 +214,12 @@ def ama_within_hard_limit(reports: Sequence[CheckReport], k: int) -> bool:
     return all(r.context["measured_constant"] <= limit for r in reports)
 
 
-def check_subroutine_contract(plan: Union[NodePlan, Universe], metric: FiniteMetric,
-                              sequence: Sequence[int], seeds: Sequence[int],
-                              delta_scale, initial: Iterable[int],
+def check_subroutine_contract(plan: Union[NodePlan, Universe], sequence: Sequence[int],
+                              seeds: Sequence[int], initial: Iterable[int],
                               name: str = "subroutine_contract") -> CheckReport:
-    """Monte-Carlo mean cost against f(ell)*opt + f(ell)*ell*delta/ln(ell),
-    for the plan's f and ell = len(initial).
+    """Monte-Carlo mean cost against f(ell)*opt + f(ell)*ell*diameter/ln(ell),
+    for the plan's f, metric and diameter and ell = len(initial); the
+    additive term is `additive_term`'s, as in `run_trials`.
 
     Each seed starts its own instance from the plan at `initial`, and the
     instance serves the sequence in one `serve_all`.  The offline optimum is
@@ -228,17 +228,16 @@ def check_subroutine_contract(plan: Union[NodePlan, Universe], metric: FiniteMet
     """
     init = frozenset(initial)
     ell = len(init)
-    opt = opt_cost(metric, ell, sequence, initial=init).cost
+    opt = opt_cost(plan.metric, ell, sequence, initial=init).cost
     totals = []
     for seed in seeds:
         algo = plan.start(seed)
         algo.reset(init)
         # serve costs are in the metric's integer unit
-        totals.append(float(Fraction(algo.serve_all(sequence), metric.scale)))
+        totals.append(float(Fraction(algo.serve_all(sequence), plan.metric.scale)))
     mean, stderr = _mean_stderr(totals)
-    f_ell = float(plan.f(ell))
-    bound = f_ell * float(opt) + f_ell * ell * float(delta_scale) / math.log(ell) \
-        if ell >= 2 else math.inf
+    additive = additive_term(plan, ell)
+    bound = float(plan.f(ell)) * float(opt) + additive if additive is not None else math.inf
     return CheckReport(
         name=name, phase=None,
         lhs=mean, rhs=bound + 3 * stderr,
@@ -373,10 +372,8 @@ def run_contract_suite(ks: Sequence[int] = (3, 4), seeds: int = 2000,
         metric = build_uniform(k + 1, 1)
         seq = cyclic_sequence(k + 1, cycles * (k + 1))
         rep = check_subroutine_contract(
-            Universe(metric), metric, seq,
-            [base_seed ^ i for i in range(seeds)],
-            delta_scale=1, initial=default_initial(k),
-            name="marking_contract")
+            Universe(metric), seq, [base_seed ^ i for i in range(seeds)],
+            initial=default_initial(k), name="marking_contract")
         rep.context["k"] = k
         reports.append(rep)
 
@@ -387,9 +384,7 @@ def run_contract_suite(ks: Sequence[int] = (3, 4), seeds: int = 2000,
         seq = generate(gen, space)
         check_hst_admissible(space, k)
         rep = check_subroutine_contract(
-            tree_plan(space), space.leaf_metric, seq,
-            [base_seed ^ (1 << 20) ^ i for i in range(composed_seeds)],
-            delta_scale=space.leaf_metric.diameter(),
+            tree_plan(space), seq, [base_seed ^ (1 << 20) ^ i for i in range(composed_seeds)],
             initial=default_initial(k), name="composed_contract")
         rep.context["height"] = 2
         reports.append(rep)

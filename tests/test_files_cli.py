@@ -611,6 +611,19 @@ class TestCli:
         assert rc == 0
         assert capsys.readouterr().out == "demand 1\n"
 
+    @pytest.mark.parametrize("command", ["run", "bench"])
+    def test_a_tree_too_tall_to_plan_exits_one(self, workdir, capsys, command):
+        # 3,000 levels overflowed Python's stack in `compose_f`
+        tree = workdir / "tall.txt"
+        tree.write_text("mu 2\nbranching " + "1 " * 2998 + "2 2\n")
+        args = [command, "--hst", str(tree), "--k", "2", "--gen", "uniform_random"]
+        if command == "bench":
+            args += ["--trials", "2", "--out", str(workdir / "b.csv")]
+        assert main(args) == 1
+        assert not (workdir / "b.csv").exists()
+        assert capsys.readouterr().err == \
+            "error: tree height 3000 is above the 64 levels a plan may have\n"
+
     def test_demand_too_high_for_the_dp_exits_with_its_guard(self, workdir, capsys):
         # every server saves more than Delta, so the scan would keep level 6
         # over 30 points: C(30, 6) configurations, above DEMAND_LEVEL_GUARD

@@ -9,9 +9,9 @@ from ksim.generators import GeneratorSpec, generate, parse_generator
 from ksim.harness import (CSV_HEADER, default_initial, probe_demand_monotonicity,
                           reports_to_csv, run_shell, run_trials, solver_guard_ok)
 from ksim.marking import Universe
-from ksim.metric import build_hst, build_uniform
+from ksim.metric import FiniteMetric, build_hst, build_uniform
 from ksim.offline import INF
-from ksim.shell import tree_plan
+from ksim.shell import PLAN_MAX_HEIGHT, tree_plan
 
 
 class TestGenerators:
@@ -201,6 +201,23 @@ class TestRunTrials:
         with pytest.raises(ValueError, match="height-1"):
             run_trials(build_hst([2, 2], 2), 2, "marking", spec, 1, 0)
 
+    def test_the_tallest_plan_runs(self):
+        # one chain of unary levels above a [2, 2] tree nests a shell per level
+        space = build_hst([1] * (PLAN_MAX_HEIGHT - 2) + [2, 2], 2)
+        spec = GeneratorSpec("uniform_random", 60, seed=3)
+        for rep in run_trials(space, 2, "algox", spec, 2, base_seed=1):
+            assert rep.total == rep.inner + rep.jump and rep.total >= rep.opt > 0
+
+    def test_a_taller_tree_is_refused_before_generating(self, monkeypatch):
+        def no_call(*args, **kwargs):
+            raise AssertionError("a refused tree reached generate or opt_cost")
+        monkeypatch.setattr("ksim.harness.generate", no_call)
+        monkeypatch.setattr("ksim.harness.opt_cost", no_call)
+        space = build_hst([1] * (PLAN_MAX_HEIGHT - 1) + [2, 2], 2)
+        with pytest.raises(ValueError, match=f"tree height {PLAN_MAX_HEIGHT + 1} is above "
+                                             f"the {PLAN_MAX_HEIGHT} levels"):
+            run_trials(space, 2, "algox", GeneratorSpec("uniform_random", 60, seed=3), 1, 0)
+
     def test_algox_on_flat_space_degenerates_to_marking(self):
         space = build_hst([5], 2)
         spec = GeneratorSpec("phase_stress", 16, params={"width": 4})
@@ -277,6 +294,34 @@ def test_pinned_csv_bytes(name):
     reports = run_trials(build_hst(branching, mu), k, "algox", spec, trials, base_seed)
     expected = (GOLDEN / f"{name}.csv").read_bytes()
     assert reports_to_csv(reports).encode() == expected
+
+
+class TestPointChecks:
+    """Valid input makes no `FiniteMetric.check_point` call: serving, shell
+    restarts, demand trackers and `opt_cost` test each point themselves and
+    call it only to word a refusal."""
+
+    @pytest.fixture
+    def checks(self, monkeypatch):
+        calls = []
+        check = FiniteMetric.check_point
+        monkeypatch.setattr(FiniteMetric, "check_point",
+                            lambda self, p: calls.append(p) or check(self, p))
+        return calls
+
+    @pytest.mark.parametrize("branching, k, length, trials", [
+        ((3, 3, 3), 3, 200, 8),  # nested shells restart on every jump
+        ((8, 8), 8, 500, 1),
+    ])
+    def test_a_bench_batch(self, checks, branching, k, length, trials):
+        spec = GeneratorSpec("uniform_random", length, seed=5)
+        run_trials(build_hst(branching, k), k, "algox", spec, trials, base_seed=3)
+        assert checks == []
+
+    def test_the_lower_bound_suite(self, checks):
+        from ksim.verify import run_lower_bound_suite
+        _, passed = run_lower_bound_suite(runs_per_instance=1)
+        assert passed and checks == []
 
 
 class TestBlockDemandWork:

@@ -298,18 +298,20 @@ class TestUniformDemandTracker:
         with pytest.raises(ValueError, match="out of range"):
             UniformDemandTracker(build_uniform(3, 1), 2, 1).push(3)
 
-    def test_only_a_trusted_tracker_skips_the_check(self):
+    @pytest.mark.parametrize("pushed", [[], [0, 1]], ids=["fresh", "after-1"])
+    def test_both_trackers_refuse_what_is_not_a_point(self, pushed):
+        # 1.0 and True hash as 1, so after point 1 only the type test
+        # refuses them; every message is `check_point`'s
         m = build_uniform(3, 1)
-        for tracker in (DemandTracker(m, 2), UniformDemandTracker(m, 2, 1)):
-            with pytest.raises(ValueError, match="out of range"):
-                tracker.push(-1)
-        checked = DemandTracker(m, 2)
-        trusted = [DemandTracker._trusted(m, 2), UniformDemandTracker._trusted(m, 2, 1)]
-        for r in (0, 1, 0, 2, 1):
-            checked.push(r)
-            for tracker in trusted:
-                tracker.push(r)
-                assert tracker.demand() == checked.demand()
+        for make in (lambda: DemandTracker(m, 2), lambda: UniformDemandTracker(m, 2, 1)):
+            for push in ("push", "push_all"):
+                tracker = make()
+                tracker.push_all(pushed)
+                for r in (-1, 3, 1.0, True, "3"):
+                    with pytest.raises(ValueError, match=re.escape(
+                            f"point id {r!r} out of range [0, 3)")):
+                        getattr(tracker, push)(r if push == "push" else [r])
+                    assert (tracker.length, tracker.distinct) == (len(pushed), len(pushed))
 
 
 class TestMonotonicity:
@@ -601,18 +603,30 @@ class TestPushAll:
                      lambda: UniformDemandTracker(m, Delta * m.scale, 1)):
             self.check(batches, make(), make(), DemandTracker.for_metric(m, Delta))
 
-    def test_a_checked_batch_pushes_up_to_a_refused_point(self):
-        # as the pushes one by one would, and a trusted tracker skips the check
-        m = build_uniform(3, 1)
+    def test_a_checked_batch_pushes_up_to_a_refused_point(self, monkeypatch):
+        # as the pushes one by one would; valid points, pushed and replayed
+        # by a growth, cost no `check_point` call
+        m = build_uniform(9, 1)
+        for r in (-1, 9, 1.0, True, "3"):
+            for tracker in (DemandTracker(m, 2), UniformDemandTracker(m, 2, 1)):
+                with pytest.raises(ValueError, match=re.escape(
+                        f"point id {r!r} out of range [0, 9)")):
+                    tracker.push_all([0, 1, r, 2])
+                assert (tracker.length, tracker.distinct) == (2, 2)
+        calls = []
+        check = FiniteMetric.check_point
+        monkeypatch.setattr(FiniteMetric, "check_point",
+                            lambda self, p: calls.append(p) or check(self, p))
         for tracker in (DemandTracker(m, 2), UniformDemandTracker(m, 2, 1)):
-            with pytest.raises(ValueError, match=re.escape("point id 3 out of range [0, 3)")):
-                tracker.push_all([0, 1, 3, 2])
-            assert tracker.length == 2
-            with pytest.raises(ValueError, match="point id True"):
-                tracker.push_all([True])
-        for tracker in (DemandTracker._trusted(m, 2), UniformDemandTracker._trusted(m, 2, 1)):
-            tracker.push_all([0, 1, 0, 2, 1])
-            assert (tracker.length, tracker.distinct) == (5, 3)
+            tracker.push_all([0, 1, 0, 2, 1, 3, 4])
+            for r in (5, 6, 7, 8, 0):
+                tracker.push(r)
+            assert [tracker.opt(ell) for ell in range(10)] == \
+                [opt_cost(m, ell, [0, 1, 0, 2, 1, 3, 4, 5, 6, 7, 8, 0]).cost for ell in range(10)]
+            assert tracker._levels > DemandTracker.LEVELS  # the reads grew the levels
+        assert offline.demand(m, 2, range(9)) == 1
+        assert offline.max_demand_trace(m, Fraction(1, 3), [0, 1, 2, 0]) == [1, 2, 3, 3]
+        assert calls == []
 
 
 class TestSlackBound:

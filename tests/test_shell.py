@@ -5,7 +5,7 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from ksim import harness
 from ksim.generators import GeneratorSpec, generate
@@ -945,6 +945,34 @@ def node_plans(plan):
 
 mus = st.one_of(st.integers(2, 5),
                 st.fractions(min_value=Fraction(3, 2), max_value=5, max_denominator=4))
+
+
+class TestPlanValues:
+    """A plan carries the metric and the diameter of what it runs on, read
+    from its decomposition (a shell's Delta) or its universe."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(branching=st.lists(st.integers(1, 4), min_size=1, max_size=4)
+           .filter(lambda b: math.prod(b) <= 64), mu=mus)
+    @example(branching=[3, 1, 2], mu=Fraction(7, 2))
+    @example(branching=[1], mu=2)
+    def test_a_plan_carries_its_metric_and_diameter(self, branching, mu):
+        space = build_hst(branching, mu)
+        metric = space.leaf_metric
+        plan = tree_plan(space)
+        assert plan.metric is metric
+        assert plan.diameter == metric.diameter()
+        if space.height == 1:
+            assert isinstance(plan, Universe)
+            assert plan.diameter == Fraction(plan.d, metric.scale)
+        else:
+            assert isinstance(plan, NodePlan) and plan.diameter == plan.dec.Delta
+        # and so does every plan below the root, over its own points
+        for q in node_plans(plan):
+            assert q.metric is metric and q.diameter == metric.diameter(q.dec.points)
+            for sub in q.subs:
+                if isinstance(sub, Universe):
+                    assert sub.metric is metric and sub.diameter == metric.diameter(sub.points)
 
 
 class TestOneServerSubtrees:

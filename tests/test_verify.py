@@ -151,8 +151,7 @@ class TestSubroutineContract:
     def test_covered_requests_cost_nothing(self):
         metric = build_uniform(3, 1)
         initial = frozenset({0, 1})
-        rep = check_subroutine_contract(Universe(metric), metric, [0, 1, 0], range(20),
-                                        1, initial)
+        rep = check_subroutine_contract(Universe(metric), [0, 1, 0], range(20), initial)
         assert rep.lhs == 0
         assert rep.passed
 
@@ -161,8 +160,7 @@ class TestSubroutineContract:
         metric = build_uniform(k + 1, 1)
         initial = default_initial(k)
         seq = [i % (k + 1) for i in range(20 * (k + 1))]
-        rep = check_subroutine_contract(Universe(metric), metric, seq, range(400),
-                                        1, initial)
+        rep = check_subroutine_contract(Universe(metric), seq, range(400), initial)
         assert rep.passed
         assert rep.context["opt"] > 0
 
