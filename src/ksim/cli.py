@@ -17,7 +17,7 @@ import sys
 
 from . import __version__
 from .files import (ParseError, load_configuration, load_hst, load_metric, load_requests,
-                    parse_rational)
+                    parse_int, parse_rational)
 from .generators import parse_generator
 from .harness import (probe_demand_monotonicity, render_rational, reports_to_csv, run_trials,
                       solver_guard_ok)
@@ -57,18 +57,17 @@ _REQUIRED = {
 }
 
 
-def _integer(text: str) -> int:
-    try:
-        return int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text}") from None
+def _option_type(parse):
+    """An argparse type that parses with `parse` and reports its message."""
+    def convert(text: str):
+        try:
+            return parse(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+    return convert
 
 
-def _rational(text: str):
-    try:
-        return parse_rational(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
+_integer, _rational = _option_type(parse_int), _option_type(parse_rational)
 
 
 def _build_parser() -> _Parser:

@@ -4,8 +4,10 @@ Metric file: first non-comment token is n, followed by the n*(n-1)/2
 upper-triangle distances in row-major order, whitespace-separated.  Tree
 file: a `mu` line (integer or p/q) and a `branching` line with per-level
 child counts.  Requests and configurations are whitespace-separated point
-ids.  Lines starting with '#' are comments.  Parsers report the offending
-line on failure and re-validate every structural invariant on load.
+ids.  Every integer in a file, a point count, a branching count or a point
+id, is a `parse_int` literal.  Lines starting with '#' are comments.
+Parsers report the offending line on failure and re-validate every
+structural invariant on load.
 """
 
 from __future__ import annotations
@@ -41,7 +43,20 @@ def _tokens_with_lines(path: str) -> list[tuple[int, str]]:
     return toks
 
 
-_RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+_INT = re.compile(r"[+-]?[0-9]+")
+_RATIONAL = re.compile(_INT.pattern + r"(/[0-9]+)?")
+
+
+def parse_int(text: str) -> int:
+    """A decimal integer literal, an optional sign and ASCII digits alone.
+
+    The one parser of integers in text: underscores (`1_0`), other digits
+    (`١`), spaces, decimal points, exponents and prefixes such as `0x3`,
+    which the builtin `int` takes or reads as another number, are refused.
+    """
+    if _INT.fullmatch(text) is None:
+        raise ValueError(f"expected an integer, got {text}")
+    return int(text)
 
 
 def parse_rational(text: str) -> Fraction:
@@ -71,7 +86,7 @@ def load_metric(path: str) -> FiniteMetric:
         raise ParseError(path, 1, "empty metric file")
     lineno, tok = toks[0]
     try:
-        n = int(tok)
+        n = parse_int(tok)
     except ValueError:
         raise ParseError(path, lineno, f"bad point count {tok!r}") from None
     if n < 1:
@@ -115,7 +130,7 @@ def load_hst(path: str) -> HstSpace:
             if len(fields) < 2:
                 raise ParseError(path, lineno, "branching line needs at least one count")
             try:
-                branching = [int(f) for f in fields[1:]]
+                branching = [parse_int(f) for f in fields[1:]]
             except ValueError:
                 raise ParseError(path, lineno, "branching counts must be integers") from None
             branching_line = lineno
@@ -127,11 +142,9 @@ def load_hst(path: str) -> HstSpace:
         raise ParseError(path, 1, "missing branching line")
     if mu <= 1:
         raise ParseError(path, mu_line, f"mu must be > 1, got {mu}")
-    if any(b < 1 for b in branching):
-        raise ParseError(path, branching_line, "branching counts must be >= 1")
     try:
         return build_hst(branching, mu)
-    except ValueError as exc:  # too many leaves
+    except ValueError as exc:  # a count below 1, or too many leaves
         raise ParseError(path, branching_line, str(exc)) from None
 
 
@@ -140,7 +153,7 @@ def _point_ids(path: str, n: int) -> list[tuple[int, int]]:
     out = []
     for lineno, tok in _tokens_with_lines(path):
         try:
-            r = int(tok)
+            r = parse_int(tok)
         except ValueError:
             raise ParseError(path, lineno, f"bad point id {tok!r}") from None
         if not (0 <= r < n):

@@ -12,7 +12,8 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .draws import below
-from .metric import HstSpace, PointId
+from .files import load_requests, parse_int
+from .metric import HstSpace, PointId, check_int
 
 # the parameters each generator kind reads; any other key is rejected
 PARAMS = {"uniform_random": (), "block_sweep": ("width", "passes"),
@@ -35,11 +36,14 @@ def _leaf_blocks(space: HstSpace) -> list[tuple[PointId, ...]]:
 
 
 def generate(spec: GeneratorSpec, space: HstSpace) -> list[PointId]:
-    # `bool` is an `int`; True would read as length 1
-    if not isinstance(spec.length, int) or isinstance(spec.length, bool):
-        raise ValueError(f"length must be an int, got {spec.length!r}")
-    if spec.length < 0:
-        raise ValueError("length must be >= 0")
+    """The sequence `spec` asks for on `space`.
+
+    The length, the seed and every int parameter go through `check_int`:
+    the length is at least 0, `block_sweep`'s `passes` at least 1, and a
+    `width` or `block` at least 0 (a `width` of 0 is the whole block, a
+    `block` wraps around the blocks).  A file's `path` is text."""
+    check_int("length", spec.length, 0)
+    check_int("seed", spec.seed)
     if spec.kind not in PARAMS:
         raise ValueError(f"unknown generator kind {spec.kind!r}")
     unknown = sorted(set(spec.params) - set(PARAMS[spec.kind]))
@@ -55,10 +59,8 @@ def generate(spec: GeneratorSpec, space: HstSpace) -> list[PointId]:
         # driving that block's demand up while starving the others, then move
         # to the next block; built to provoke jumps and phase turnover
         blocks = _leaf_blocks(space)
-        width = int(spec.params.get("width", 0))
-        passes = int(spec.params.get("passes", 4))
-        if passes < 1:
-            raise ValueError(f"block_sweep passes must be >= 1, got {passes}")
+        width = check_int("block_sweep width", spec.params.get("width", 0), 0)
+        passes = check_int("block_sweep passes", spec.params.get("passes", 4), 1)
         out: list[PointId] = []
         burst = 0
         while len(out) < spec.length:
@@ -76,8 +78,9 @@ def generate(spec: GeneratorSpec, space: HstSpace) -> list[PointId]:
         # cycle over a fixed set of distinct leaves under one node; with one
         # more leaf than servers this forces a fault per round of marking
         blocks = _leaf_blocks(space)
-        blk = blocks[int(spec.params.get("block", 0)) % len(blocks)]
-        width = int(spec.params.get("width", len(blk)))
+        blk = blocks[check_int("phase_stress block", spec.params.get("block", 0), 0)
+                     % len(blocks)]
+        width = check_int("phase_stress width", spec.params.get("width", len(blk)), 0)
         width = max(1, min(width, len(blk)))
         return [blk[i % width] for i in range(spec.length)]
 
@@ -85,18 +88,23 @@ def generate(spec: GeneratorSpec, space: HstSpace) -> list[PointId]:
     path = spec.params.get("path")
     if not path:
         raise ValueError("file generator needs params['path']")
-    from .files import load_requests
     reqs = load_requests(path, space.n_leaves)
     return reqs[: spec.length] if spec.length else reqs
 
 
 def parse_generator(text: str, length: Optional[int] = None,
                     seed: Optional[int] = None) -> GeneratorSpec:
-    """Parse 'kind[:key=value,...]' as used by the command line."""
+    """Parse 'kind[:key=value,...]' as used by the command line.
+
+    `length`, `seed` and the kind's parameters but a file's `path` are
+    `parse_int` literals, parsed here, so the spec holds ints; a bad one is
+    refused with its key named.  A key the kind does not read stays text
+    for `generate` to refuse."""
     kind, _, rest = text.partition(":")
     kind = kind.strip()
     if kind not in KINDS:
         raise ValueError(f"unknown generator kind {kind!r}; expected one of {KINDS}")
+    ints = {"length", "seed", *PARAMS[kind]} - {"path"}
     params: dict = {}
     if rest:
         for item in rest.split(","):
@@ -105,7 +113,12 @@ def parse_generator(text: str, length: Optional[int] = None,
             key, eq, value = item.partition("=")
             if not eq:
                 raise ValueError(f"bad generator parameter {item!r}, expected key=value")
-            params[key.strip()] = value.strip()
-    spec = GeneratorSpec(kind=kind, length=int(params.pop("length", length or 0)),
-                         seed=int(params.pop("seed", seed or 0)), params=params)
-    return spec
+            key, value = key.strip(), value.strip()
+            if key in ints:
+                try:
+                    value = parse_int(value)
+                except ValueError as exc:
+                    raise ValueError(f"generator parameter {key}: {exc}") from None
+            params[key] = value
+    return GeneratorSpec(kind=kind, length=params.pop("length", length or 0),
+                         seed=params.pop("seed", seed or 0), params=params)

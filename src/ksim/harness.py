@@ -17,7 +17,7 @@ from itertools import product
 from typing import Callable, Iterable, Optional, Sequence, Union
 
 from .generators import GeneratorSpec, generate
-from .metric import Decomposition, FiniteMetric, HstSpace, PointId
+from .metric import Decomposition, FiniteMetric, HstSpace, PointId, check_int
 from .offline import INF, max_demand_trace, opt_cost
 from .marking import Universe
 from .shell import BlockShell, NodePlan, PhaseLogs, check_hst_admissible, tree_plan
@@ -119,10 +119,8 @@ def run_trials(space: HstSpace, k: int, algo: str, gen_spec: GeneratorSpec,
     trials.  `event_sink` receives the root shell's events of every trial
     (shell runs only).
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    if k < 1:
-        raise ValueError("need at least one server")
+    check_int("trials", trials, 1)
+    check_int("k", k, 1)
     if algo not in ("marking", "algox"):
         raise ValueError(f"unknown algorithm {algo!r}")
     init = default_initial(k)
@@ -234,8 +232,7 @@ def probe_demand_monotonicity(metric: FiniteMetric, Delta,
     if sequences is None:
         if max_len is None:
             raise ValueError("need sequences or max_len")
-        if max_len < 1:
-            raise ValueError(f"max_len must be >= 1, got {max_len}")
+        check_int("max_len", max_len, 1)
         pts = list(metric.points())
         sequences = (seq for length in range(1, max_len + 1)
                      for seq in product(pts, repeat=length))

@@ -49,10 +49,11 @@ class Universe:
 
     def __init__(self, metric: FiniteMetric, points: Optional[Sequence[PointId]] = None):
         self.metric = metric
-        self.points = tuple(sorted(points)) if points is not None else tuple(metric.points())
-        self.point_set = frozenset(self.points)
-        for p in self.points:
+        points = tuple(points) if points is not None else tuple(metric.points())
+        for p in points:  # before sorting, which a str would break
             metric.check_point(p)
+        self.points = tuple(sorted(points))
+        self.point_set = frozenset(self.points)
         self.d = metric.uniform_cost(self.points)
         if self.d is None:
             raise ValueError("marking requires a uniform space")
@@ -132,22 +133,29 @@ class Marking:
         return frozenset(self.positions)
 
     def reset(self, config: Iterable[PointId]) -> None:
-        """Restart from the given configuration: marks cleared, k = |config|."""
+        """Restart from the given configuration: marks cleared, k = |config|.
+
+        A position that is not a point of the metric is refused by
+        `check_point`'s message, and a point of the metric outside the
+        universe as outside this space."""
         positions = set(config)
         for p in positions:
-            # `type`: True and 1.0 would pass the subset test as point 1
-            if type(p) is not int:
-                raise ValueError(f"point id {p!r} is not an int")
-        if not positions <= self._point_set:
-            raise ValueError("configuration must lie inside the space")
+            # `type`: True and 1.0 would pass the membership test as point 1
+            if type(p) is not int or p not in self._point_set:
+                self.universe.metric.check_point(p)
+                raise ValueError("configuration must lie inside the space")
         self.positions = positions
         self.k = len(positions)
         self.marked = set()
         self.phase_count = 1
 
     def serve(self, r: PointId) -> int:
+        """Serve `r` and return the cost in the metric's integer unit.  A
+        request refused as `reset` refuses a position: by `check_point`, or
+        as outside this space."""
         # `type`: True and 1.0 would find point 1 in the set by their hash
         if type(r) is not int or r not in self._point_set:
+            self.universe.metric.check_point(r)
             raise ValueError(f"request {r} outside this space")
         if self.k == 0:
             raise RuntimeError("marking state has no servers; caller must move some in first")

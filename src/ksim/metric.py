@@ -32,6 +32,24 @@ def as_fraction(value) -> Fraction:
     return Fraction(value)
 
 
+def check_int(name: str, value, least: Optional[int] = None,
+              most: Optional[int] = None) -> int:
+    """`value` if it is an int within the bounds, else a ValueError naming it.
+
+    The one check of a count or a parameter that a caller passes in.  The
+    type must be exactly `int`: a bool, a float such as 2.0 and a str are
+    refused, not taken for the int they resemble.  With `most` the range is
+    [least, most]; with `least` alone it is least and up."""
+    if type(value) is not int:
+        raise ValueError(f"{name} must be an int, got {value!r}")
+    if most is not None:
+        if not least <= value <= most:
+            raise ValueError(f"{name} {value} out of range [{least}, {most}]")
+    elif least is not None and value < least:
+        raise ValueError(f"{name} must be >= {least}, got {value}")
+    return value
+
+
 class FiniteMetric:
     """Symmetric distance table over points 0..n-1.
 
@@ -111,9 +129,14 @@ class FiniteMetric:
         return cls(rows)
 
     def check_point(self, p: PointId) -> None:
-        # `type`, not `isinstance`, so that True and False are refused too
-        if type(p) is not int or not (0 <= p < self.n):
-            raise ValueError(f"point id {p!r} out of range [0, {self.n})")
+        """Refuse what is not a point of this metric: a type other than
+        exactly `int` (so True and 1.0 are not taken for point 1) as `point
+        id X is not an int`, an int outside [0, n) as out of range.  Every
+        entry that takes points words its refusal of a non-point here."""
+        if type(p) is not int:
+            raise ValueError(f"point id {p!r} is not an int")
+        if not 0 <= p < self.n:
+            raise ValueError(f"point id {p} out of range [0, {self.n})")
 
     def distance(self, p: PointId, q: PointId) -> Fraction:
         self.check_point(p)
@@ -146,8 +169,7 @@ class FiniteMetric:
 
 def build_uniform(n: int, d) -> FiniteMetric:
     """Uniform space: every pair of distinct points at distance d."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    check_int("n", n, 1)
     d = as_fraction(d)
     if d <= 0:
         raise ValueError("d must be positive")
@@ -177,13 +199,10 @@ class HstSpace:
         if mu <= 1:
             raise ValueError("mu must be > 1")
         branching = tuple(branching)
-        # `type`, so that 2.5 is not truncated and True not taken for 1
-        if any(type(b) is not int for b in branching):
-            raise ValueError(f"branching counts must be ints, got {branching}")
         if len(branching) == 0:
             raise ValueError("branching must have at least one level")
-        if any(b < 1 for b in branching):
-            raise ValueError("all branching counts must be >= 1")
+        for b in branching:
+            check_int("branching count", b, 1)
         leaves = math.prod(branching)
         if leaves > HST_MAX_LEAVES:
             raise ValueError(f"branching {list(branching)} gives {leaves} leaves, "

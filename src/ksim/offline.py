@@ -23,7 +23,7 @@ from fractions import Fraction
 from itertools import combinations, permutations
 from typing import Iterable, Optional, Sequence
 
-from .metric import FiniteMetric, PointId, as_fraction
+from .metric import FiniteMetric, PointId, as_fraction, check_int
 
 INF = float("inf")
 
@@ -45,8 +45,7 @@ class OptResult:
 
 def _check_inputs(m: FiniteMetric, ell: int, rho: Sequence[PointId],
                   initial: Optional[Iterable[PointId]]) -> Optional[frozenset]:
-    if not (0 <= ell <= m.n):
-        raise ValueError(f"server count {ell} out of range [0, {m.n}]")
+    check_int("server count", ell, 0, m.n)
     # `check_point` only words the refusal of a point these tests fail
     for r in rho:
         if type(r) is not int or not 0 <= r < m.n:
@@ -187,12 +186,12 @@ def opt_cost_exhaustive(m: FiniteMetric, ell: int, rho: Sequence[PointId],
     Refuses instances beyond (n <= 5, ell <= 3, len <= 7) to keep CI bounded.
     """
     rho = list(rho)
+    init = _check_inputs(m, ell, rho, initial)
     if m.n > EXHAUSTIVE_MAX_N or ell > EXHAUSTIVE_MAX_ELL or len(rho) > EXHAUSTIVE_MAX_LEN:
         raise ValueError(
             "exhaustive oracle refused: instance exceeds "
             f"n<={EXHAUSTIVE_MAX_N}, ell<={EXHAUSTIVE_MAX_ELL}, len<={EXHAUSTIVE_MAX_LEN}"
         )
-    init = _check_inputs(m, ell, rho, initial)
     if ell == 0:
         if rho:
             return OptResult(INF, None)
@@ -368,8 +367,7 @@ class DemandTracker:
         return min(self._dp[ell].values())
 
     def opt(self, ell: int):
-        if not (0 <= ell <= self._metric.n):
-            raise ValueError(f"server count {ell} out of range [0, {self._metric.n}]")
+        check_int("server count", ell, 0, self._metric.n)
         v = self._opt_scaled(ell)
         if v is None:
             return INF
@@ -379,8 +377,7 @@ class DemandTracker:
         """opt(ell) - opt(ell+1) in the metric's integer unit: what one more
         server saves.  Refuses an `ell` outside [1, metric.n], as `opt`
         refuses one outside [0, metric.n]."""
-        if not (1 <= ell <= self._metric.n):
-            raise ValueError(f"server count {ell} out of range [1, {self._metric.n}]")
+        check_int("server count", ell, 1, self._metric.n)
         return self._opt_scaled(ell) - self._opt_scaled(ell + 1)
 
     def demand(self) -> int:

@@ -39,7 +39,7 @@ from typing import Callable, Iterable, Optional, Protocol, Union
 
 from .draws import below
 from .marking import Universe
-from .metric import Decomposition, HstSpace, PointId, decompose
+from .metric import Decomposition, HstSpace, PointId, check_int, decompose
 from .offline import DemandTracker, UniformDemandTracker
 
 # refuse a plan for a taller tree: `compose_f` nests one closure per level,
@@ -167,8 +167,7 @@ class BlockShell(PhaseLogs):
                  event_sink: Optional[Callable[[str], None]] = None):
         dec = plan.dec
         init = frozenset(initial)
-        if k < 1:
-            raise ValueError("need at least one server")
+        check_int("k", k, 1)
         if len(init) != k:
             raise ValueError(f"initial configuration has {len(init)} points, expected k={k}")
         _check_start(dec, init)

@@ -21,7 +21,7 @@ from typing import Iterable, Optional, Sequence, Union
 from .generators import GeneratorSpec, generate
 from .harness import RunRecord, additive_term, default_initial, run_shell
 from .marking import Universe
-from .metric import HstSpace, build_hst, build_uniform
+from .metric import HstSpace, build_hst, build_uniform, check_int
 from .offline import DemandTracker, opt_cost
 from .shell import NodePlan, check_hst_admissible, tree_plan
 
@@ -262,31 +262,31 @@ class DeskInstance:
         return generate(self.gen, self.space)
 
 
-def desk_instances(length: int = 40) -> list[DeskInstance]:
-    """Small shell instances (k <= 4, t <= 4) used by the verification suites."""
-    short = min(30, length)
+def desk_instances() -> list[DeskInstance]:
+    """Small shell instances (k <= 4, t <= 4, 30 or 40 requests) used by the
+    verification suites."""
     return [
         DeskInstance("t2_mu2_k2_sweep", build_hst([2, 2], 2), 2,
-                     GeneratorSpec("block_sweep", short, seed=11,
+                     GeneratorSpec("block_sweep", 30, seed=11,
                                    params={"width": 2, "passes": 3})),
         DeskInstance("t3_mu3_k3_sweep", build_hst([3, 3], 3), 3,
-                     GeneratorSpec("block_sweep", length, seed=12,
+                     GeneratorSpec("block_sweep", 40, seed=12,
                                    params={"width": 3, "passes": 4})),
         DeskInstance("t2_mu4_k3_random", build_hst([2, 3], 4), 3,
-                     GeneratorSpec("uniform_random", length, seed=13)),
+                     GeneratorSpec("uniform_random", 40, seed=13)),
         DeskInstance("t4_mu4_k4_sweep", build_hst([4, 2], 4), 4,
-                     GeneratorSpec("block_sweep", length, seed=14,
+                     GeneratorSpec("block_sweep", 40, seed=14,
                                    params={"width": 2, "passes": 2})),
         DeskInstance("t2_mu5half_k2_random", build_hst([2, 2], Fraction(5, 2)), 2,
-                     GeneratorSpec("uniform_random", short, seed=15)),
+                     GeneratorSpec("uniform_random", 30, seed=15)),
         DeskInstance("t3_mu3_k4_random", build_hst([3, 2], 3), 4,
-                     GeneratorSpec("uniform_random", length, seed=16)),
+                     GeneratorSpec("uniform_random", 40, seed=16)),
     ]
 
 
 def run_lower_bound_suite(instances: Optional[Sequence[DeskInstance]] = None,
-                    runs_per_instance: int = 20, base_seed: int = 2024,
-                    length: int = 40) -> tuple[list[CheckReport], bool]:
+                          runs_per_instance: int = 20, base_seed: int = 2024
+                          ) -> tuple[list[CheckReport], bool]:
     """Seeded shell runs with every deterministic lower-bound check applied.
 
     Also checks, per run, that no phase made more than k jumps.  This holds
@@ -295,10 +295,9 @@ def run_lower_bound_suite(instances: Optional[Sequence[DeskInstance]] = None,
     the rest of the phase.  So each jump adds one server to the marked
     blocks, which never lose one within the phase and hold at most k.
     """
-    if runs_per_instance < 1:
-        raise ValueError(f"need at least one run per instance, got {runs_per_instance}")
+    check_int("runs_per_instance", runs_per_instance, 1)
     if instances is None:
-        instances = desk_instances(length)
+        instances = desk_instances()
     reports: list[CheckReport] = []
     for idx, inst in enumerate(instances):
         if inst.space.height < 2:
@@ -327,18 +326,16 @@ def run_lower_bound_suite(instances: Optional[Sequence[DeskInstance]] = None,
     return reports, passed
 
 
-def run_ama_suite(ks: Sequence[int] = (3, 4), seeds: int = 2000,
-                  base_seed: int = 99, length: int = 60
-                  ) -> tuple[list[CheckReport], bool]:
-    """Jump-cost bound on block-sweep instances, one batch per k."""
-    if seeds < 1:
-        raise ValueError(f"need at least one seed, got {seeds}")
+def run_ama_suite(seeds: int = 2000, base_seed: int = 99) -> tuple[list[CheckReport], bool]:
+    """Jump-cost bound on 60-request block-sweep instances, one batch per k
+    in (3, 4)."""
+    check_int("seeds", seeds, 1)
     reports: list[CheckReport] = []
     ok = True
-    for k in ks:
+    for k in (3, 4):
         space = build_hst([3, 4], k)
         plan = tree_plan(space)
-        gen = GeneratorSpec("block_sweep", length, seed=5 * k,
+        gen = GeneratorSpec("block_sweep", 60, seed=5 * k,
                             params={"width": 3, "passes": 3})
         seq = generate(gen, space)
         initial = default_initial(k)
@@ -357,20 +354,19 @@ def cyclic_sequence(width: int, length: int) -> list[int]:
 
 
 def run_contract_suite(ks: Sequence[int] = (3, 4), seeds: int = 2000,
-                       base_seed: int = 7, cycles: int = 30,
-                       include_composed: bool = True,
+                       base_seed: int = 7, include_composed: bool = True,
                        composed_seeds: int = 300
                        ) -> tuple[list[CheckReport], bool]:
-    """Expected-cost guarantee for marking on its adversarial cycle, plus the
-    same check for a composed two-level algorithm on a small tree."""
-    if seeds < 1:
-        raise ValueError(f"need at least one seed, got {seeds}")
-    if include_composed and composed_seeds < 1:
-        raise ValueError(f"need at least one composed seed, got {composed_seeds}")
+    """Expected-cost guarantee for marking on its adversarial cycle, 30
+    rounds of k + 1 points, plus the same check for a composed two-level
+    algorithm on a small tree."""
+    check_int("seeds", seeds, 1)
+    if include_composed:
+        check_int("composed_seeds", composed_seeds, 1)
     reports: list[CheckReport] = []
     for k in ks:
         metric = build_uniform(k + 1, 1)
-        seq = cyclic_sequence(k + 1, cycles * (k + 1))
+        seq = cyclic_sequence(k + 1, 30 * (k + 1))
         rep = check_subroutine_contract(
             Universe(metric), seq, [base_seed ^ i for i in range(seeds)],
             initial=default_initial(k), name="marking_contract")

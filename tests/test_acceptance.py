@@ -35,12 +35,12 @@ def _verdict(num: int, desc: str, passed: bool, detail: str = "") -> None:
 
 @pytest.fixture(scope="module")
 def lower_bound_result():
-    return run_lower_bound_suite(runs_per_instance=100, base_seed=515, length=40)
+    return run_lower_bound_suite(runs_per_instance=100, base_seed=515)
 
 
 @pytest.fixture(scope="module")
 def ama_result():
-    return run_ama_suite(ks=(3, 4), seeds=2000, base_seed=99, length=60)
+    return run_ama_suite(seeds=2000, base_seed=99)
 
 
 @pytest.fixture(scope="module")
@@ -169,7 +169,7 @@ def test_criterion_03_deterministic_lower_bounds(lower_bound_result):
 def test_criterion_04_marking_guarantee():
     t0 = time.time()
     reports, ok = run_contract_suite(ks=(3, 4), seeds=2000, base_seed=7,
-                                     cycles=30, include_composed=False)
+                                     include_composed=False)
     elapsed = time.time() - t0
     detail = ", ".join(
         f"k={r.context['k']}: mean {r.context['mean']:.1f} <= bound {r.context['bound']:.1f}"

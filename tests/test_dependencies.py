@@ -1,7 +1,9 @@
 """ksim runs on the standard library alone: every import in `src/ksim` names
-ksim itself (a relative import) or a standard library module.  And every
+ksim itself (a relative import) or a standard library module.  Every
 uniform draw in it goes through `ksim.draws.below`, so replay rests on
-`getrandbits` alone, not on how `random` implements its other methods."""
+`getrandbits` alone, not on how `random` implements its other methods.  And
+only `ksim.files.parse_int` converts to an int, so no entry takes `1_0` for
+10 or 2.9 for 2."""
 
 import ast
 import sys
@@ -73,3 +75,46 @@ def test_every_exported_name_is_defined():
     # `from ksim import *` raise
     import ksim
     assert [name for name in ksim.__all__ if not hasattr(ksim, name)] == []
+
+
+def _is_int(node: ast.AST) -> bool:
+    return isinstance(node, ast.Name) and node.id == "int"
+
+
+def int_conversions(tree: ast.AST):
+    """The enclosing function and line of every call of the builtin `int`,
+    and of every call handed `int` as a function (`map(int, xs)`,
+    `type=int`); `isinstance` and `issubclass` only test against it."""
+    found = []
+
+    def visit(node, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        if isinstance(node, ast.Call):
+            tests = isinstance(node.func, ast.Name) and node.func.id in ("isinstance",
+                                                                          "issubclass")
+            handed = [] if tests else node.args + [k.value for k in node.keywords]
+            if _is_int(node.func) or any(map(_is_int, handed)):
+                found.append((function, node.lineno))
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+
+    visit(tree, None)
+    return found
+
+
+def test_only_parse_int_converts_to_int():
+    # every integer in text is a `parse_int` literal; a count passed in is
+    # checked by `check_int`, never converted
+    found = []
+    for path in sorted(SRC.glob("**/*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found.extend((path.name, function) for function, _ in int_conversions(tree))
+    assert found == [("files.py", "parse_int")]
+
+
+def test_an_int_conversion_is_found():
+    tree = ast.parse("n = int(text)\ndef f(xs):\n    return list(map(int, xs))\n"
+                     "def g(p) -> int:\n    add(type=int)\n"
+                     "    return isinstance(p, int) or type(p) is int\n")
+    assert int_conversions(tree) == [(None, 1), ("f", 3), ("g", 5)]

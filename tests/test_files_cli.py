@@ -420,7 +420,7 @@ class TestCli:
             capture_output=True, text=True, timeout=60,
             env={**os.environ, "PYTHONPATH": str(src)})
         assert proc.returncode == 1
-        assert "error: need at least one server" in proc.stderr
+        assert "error: k must be >= 1, got 0" in proc.stderr
         assert "Traceback" not in proc.stderr
 
     def test_usage_error_exit_one(self, capsys):

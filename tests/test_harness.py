@@ -95,7 +95,7 @@ class TestGenerators:
         assert spec.kind == "block_sweep"
         assert spec.length == 50
         assert spec.seed == 7
-        assert spec.params == {"width": "3", "passes": "2"}
+        assert spec.params == {"width": 3, "passes": 2}
         with pytest.raises(ValueError):
             parse_generator("bogus")
         with pytest.raises(ValueError):
@@ -115,7 +115,7 @@ class TestRunTrials:
     def test_rejects_no_servers_before_generating(self):
         # the file does not exist: reading it would fail with another error
         spec = GeneratorSpec("file", 0, params={"path": "missing-requests.txt"})
-        with pytest.raises(ValueError, match="need at least one server"):
+        with pytest.raises(ValueError, match="k must be >= 1, got 0"):
             run_trials(build_hst([3], 2), 0, "marking", spec, 1, 0)
 
     def test_trials_repeat_no_set_up_work(self, monkeypatch):

@@ -159,29 +159,42 @@ class TestReset:
 
 
 class TestRefusesWhatIsNotAPoint:
-    """True and 1.0 would find point 1 in a set by their hash; -1 and n are
-    out of range."""
+    """True and 1.0 would find point 1 in a set by their hash, and "3" is
+    no point either: each is refused with `check_point`'s wording, as -1 and
+    n are.  A point of the metric outside the universe is outside this
+    space."""
 
-    BAD = [True, 1.0, -1, 3]
+    BAD = [(True, "point id True is not an int"), (1.0, "point id 1.0 is not an int"),
+           (-1, r"point id -1 out of range \[0, 3\)"),
+           (3, r"point id 3 out of range \[0, 3\)"), ("3", "point id '3' is not an int")]
+    IDS = ["True", "1.0", "-1", "3", "str"]
 
-    @pytest.mark.parametrize("p", BAD)
-    def test_constructor(self, p):
-        with pytest.raises(ValueError):
+    @pytest.mark.parametrize("p, message", BAD, ids=IDS)
+    def test_constructor(self, p, message):
+        with pytest.raises(ValueError, match=message):
             Universe(build_uniform(3, 1), [p, 0])
 
-    @pytest.mark.parametrize("p", BAD)
-    def test_reset(self, p):
+    @pytest.mark.parametrize("p, message", BAD, ids=IDS)
+    def test_reset(self, p, message):
         st = started(build_uniform(3, 1), [0, 2], seed=0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=message):
             st.reset([p, 0])
         assert st.positions == {0, 2}
 
-    @pytest.mark.parametrize("p", BAD)
-    def test_serve(self, p):
+    @pytest.mark.parametrize("p, message", BAD, ids=IDS)
+    def test_serve(self, p, message):
         st = started(build_uniform(3, 1), [0, 2], seed=0)
-        with pytest.raises(ValueError, match="outside this space"):
+        with pytest.raises(ValueError, match=message):
             st.serve(p)
         assert st.positions == {0, 2} and st.marked == set()
+
+    def test_a_metric_point_outside_the_universe_is_outside_this_space(self):
+        st = started(build_uniform(4, 1), [0], seed=0, points=[0, 1])
+        with pytest.raises(ValueError, match="configuration must lie inside the space"):
+            st.reset([3])
+        with pytest.raises(ValueError, match="request 2 outside this space"):
+            st.serve(2)
+        assert st.positions == {0} and st.marked == set()
 
 
 class TestCompetitiveFunction:

@@ -131,7 +131,7 @@ class TestBuildHst:
     @pytest.mark.parametrize("branching", [[2.5, 3], [True, 3], [3, 2.0]])
     def test_rejects_counts_that_are_not_ints(self, branching):
         # int() would build [2, 3], [1, 3] and [3, 2] from these
-        with pytest.raises(ValueError, match="branching counts must be ints"):
+        with pytest.raises(ValueError, match="branching count must be an int, got "):
             build_hst(branching, 3)
 
     @settings(max_examples=40, deadline=None)

@@ -17,6 +17,13 @@ from ksim.shell import (BlockShell, NodePlan, ShellInvariantError, ShellSubrouti
                         check_hst_admissible, compose_f, tree_plan)
 
 
+def not_a_point(r, n: int) -> str:
+    """`check_point`'s refusal of `r` on n points, as a pattern."""
+    if type(r) is not int:
+        return re.escape(f"point id {r!r} is not an int")
+    return re.escape(f"point id {r} out of range [0, {n})")
+
+
 def started(space, initial, seed):
     """The whole tree's algorithm, started by its plan and reset to `initial`."""
     algo = tree_plan(space).start(seed)
@@ -325,8 +332,7 @@ class TestServeRejects:
     @pytest.mark.parametrize("r", [1.0, -1, 27, True, False, "3", Fraction(1), [1]])
     def test_root_rejects_what_is_not_a_point(self, r):
         sh = BlockShell(tree_plan(build_hst([3, 3, 3], 3)), 3, default_initial(3), seed=0)
-        with pytest.raises(ValueError,
-                           match=re.escape(f"point id {r!r} out of range [0, 27)")):
+        with pytest.raises(ValueError, match=not_a_point(r, 27)):
             sh.serve(r)
         assert sh.phase_logs == [[]] and sh.total_inner == sh.total_jump == 0
 
@@ -334,8 +340,7 @@ class TestServeRejects:
         plan = tree_plan(build_hst([3, 3, 3], 3)).subs[0]  # leaves 0..8
         sh = BlockShell(plan, 2, {0, 3}, seed=0)
         for r in (1.0, True, -1, 27, "3"):
-            with pytest.raises(ValueError,
-                               match=re.escape(f"point id {r!r} out of range [0, 27)")):
+            with pytest.raises(ValueError, match=not_a_point(r, 27)):
                 sh.serve(r)
         for r in (9, 13, 26):  # leaves of the metric, outside this subtree
             with pytest.raises(ValueError, match=f"request {r} outside this decomposition"):
@@ -1069,12 +1074,12 @@ class TestOneServerSubtrees:
         with pytest.raises(ValueError, match="outside"):
             sub.serve(6)
 
-    @pytest.mark.parametrize("r", [True, 1.0])
+    @pytest.mark.parametrize("r", [True, 1.0, "3", -1, 27])
     def test_one_point_rejects_what_is_not_a_point(self, r):
-        # both would find point 1 in the block's dict by their hash
+        # True and 1.0 would find point 1 in the block's dict by their hash
         algo = started(build_hst([3, 3, 3], 3), {0}, seed=3)
         assert algo.point == 0
-        with pytest.raises(ValueError, match=re.escape(f"point id {r!r} out of range")):
+        with pytest.raises(ValueError, match=not_a_point(r, 27)):
             algo.serve(r)
         assert algo.point == 0 and type(algo.point) is int
 

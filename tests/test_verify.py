@@ -264,7 +264,8 @@ class TestReporting:
 class TestContractSuite:
     @pytest.mark.parametrize("composed_seeds", [0, -1])
     def test_refuses_no_composed_seeds(self, composed_seeds):
-        with pytest.raises(ValueError, match="need at least one composed seed"):
+        with pytest.raises(ValueError,
+                           match=f"composed_seeds must be >= 1, got {composed_seeds}"):
             run_contract_suite(composed_seeds=composed_seeds)
 
     def test_composed_contract_plans_the_tree_once(self, monkeypatch):
