@@ -13,12 +13,11 @@ from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
 from .draws import below, skip_certain
-from .metric import FiniteMetric, PointId
+from .metric import FiniteMetric, PointId, check_int
 
 
 def harmonic(n: int) -> Fraction:
-    if n < 1:
-        raise ValueError("harmonic number needs n >= 1")
+    check_int("n", n, 1)
     total = Fraction(0)
     for i in range(1, n + 1):
         total += Fraction(1, i)
@@ -32,8 +31,7 @@ def marking_f(ell: int) -> Fraction:
     checked in tests: f is nondecreasing, and ell*f(ell)/log(ell) is
     nondecreasing for ell >= 2.
     """
-    if ell < 1:
-        raise ValueError("ell must be >= 1")
+    check_int("ell", ell, 1)
     return 2 * harmonic(ell)
 
 

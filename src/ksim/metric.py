@@ -241,7 +241,7 @@ class HstSpace:
         for j in reversed(range(self.height)):
             lca[j] = 2 + mu * lca[j + 1]
         self._lca_distance = lca
-        self.leaf_metric = self._build_leaf_metric()
+        self.leaf_metric, self._lca_cost = self._build_leaf_metric()
 
     # -- tree queries -------------------------------------------------------
 
@@ -278,21 +278,24 @@ class HstSpace:
     def leaf_distance(self, p: PointId, q: PointId) -> Fraction:
         return self._lca_distance[self._lca_depth(self.leaf_nodes[p], self.leaf_nodes[q])]
 
-    def _build_leaf_metric(self) -> FiniteMetric:
+    def _build_leaf_metric(self) -> tuple[FiniteMetric, list[int]]:
         # Leaves are numbered breadth-first, so the leaves under a depth-j node
         # form one index range of prod(branching[j:]) entries, all at the
         # distance of LCA depth j from each other unless a deeper node holds
         # them too.  Only depths with two or more children are the LCA of a
-        # leaf pair; they alone enter the table and its scale.
+        # leaf pair; they alone enter the table and its scale.  Returns the
+        # table and each such depth's LCA distance in its unit (0 elsewhere).
         n = self.n_leaves
         depths = [j for j, b in enumerate(self.branching) if b > 1]
         scale = math.lcm(*(self._lca_distance[j].denominator for j in depths))
+        cost = [0] * (self.height + 1)
         fills = []
         for j in depths:
             size = math.prod(self.branching[j:])
             value = self._lca_distance[j] * scale
             assert value.denominator == 1
-            fills.append((size, [value.numerator] * size))
+            cost[j] = value.numerator
+            fills.append((size, [cost[j]] * size))
         rows = []
         for p in range(n):
             row = [0] * n
@@ -301,7 +304,7 @@ class HstSpace:
                 row[lo:lo + size] = fill
             row[p] = 0
             rows.append(tuple(row))
-        return FiniteMetric._trusted(tuple(rows), scale)
+        return FiniteMetric._trusted(tuple(rows), scale), cost
 
     @cached_property
     def _depth_values(self) -> list[tuple]:
@@ -318,7 +321,7 @@ class HstSpace:
         its depth, or with a single child that child's diameter), delta its
         children's diameter or 1 when they are single leaves, and every
         child block shares the children's common distance."""
-        branching, scale, height = self.branching, self.leaf_metric.scale, self.height
+        branching, height = self.branching, self.height
         span = [math.prod(branching[j:]) for j in range(height + 1)]
         diameter = [Fraction(0)] * (height + 1)
         cost = [0] * (height + 1)  # the diameter in the table's unit
@@ -327,10 +330,7 @@ class HstSpace:
         for j in reversed(range(height)):
             if branching[j] > 1:
                 below += 1
-                diameter[j] = self._lca_distance[j]
-                value = diameter[j] * scale
-                assert value.denominator == 1
-                cost[j] = value.numerator
+                diameter[j], cost[j] = self._lca_distance[j], self._lca_cost[j]
             else:
                 diameter[j], cost[j] = diameter[j + 1], cost[j + 1]
             uniform[j] = cost[j] if below <= 1 else None
@@ -487,8 +487,7 @@ def decompose(space: HstSpace, node: int) -> Decomposition:
     leaves.  The leaves under a node form one index range, split evenly
     among its children; Delta, delta and the blocks' common distances are
     the same at every node of one depth (see `HstSpace._depth_values`)."""
-    if not (0 <= node < space.node_count()):
-        raise ValueError(f"node {node} out of range")
+    check_int("node", node, 0, space.node_count() - 1)
     if space.is_leaf(node):
         raise ValueError("cannot decompose at a leaf node")
     first, size, span, values = space._depth_values[space.depth[node]]

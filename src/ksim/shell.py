@@ -22,7 +22,9 @@ none.  Then:
 
 A block gains servers only by jumps, up to its peak, and loses them only as
 a donor, while it is above its peak, so a marked block stays marked for the
-rest of the phase.
+rest of the phase.  At a phase end, with every block marked, this gives
+the sandwich the shell checks: counts equal peaks, with the trigger's block
+one short.
 
 Per-phase bookkeeping (end-of-phase server counts, jump counts, request
 logs) is retained for the inequality checks in `ksim.verify`.  Costs are
@@ -184,29 +186,19 @@ class BlockShell(PhaseLogs):
         self.draws = 0
         self._event_sink = event_sink
 
-        # a started subroutine holds no servers, so only occupied blocks
-        # need a reset
+        # a started subroutine holds no servers, so `_open_phase` resets
+        # only the occupied blocks
         self._subs: list[Subroutine] = [sub.start(self.rng.getrandbits(64))
                                         for sub in plan.subs]
-        for s in range(self.t):
-            if self._counts[s]:
-                self._subs[s].reset(init & self._block_sets[s])
-
-        self._node = list(range(self.t))  # each block's phase prefix in the memo
-        self._trackers: list[Optional[DemandTracker]] = [None] * self.t
-        self._tracked = list(range(self.t))  # the prefix each tracker has pushed
+        self._node: list[int] = []  # each block's phase prefix in the memo
 
         # records for verification
-        self.phase_logs: list[list[PointId]] = [[]]   # [-1] is the running phase
-        self.dhat: list[list[int]] = [list(self._counts)]  # [0] = initial counts
+        self.phase_logs: list[list[PointId]] = []   # [-1] is the running phase
+        self.dhat: list[list[int]] = []  # [0] = initial counts, then one per phase end
         self.phase_jump_counts: list[int] = []
-        self._current_phase_jumps = 0
         self.total_inner = 0
         self.total_jump = 0
-
-        for s in range(self.t):
-            if not self._counts[s]:
-                self._emit("mark", block=s)
+        self._open_phase(init)
 
     # -- plumbing -----------------------------------------------------------
 
@@ -442,50 +434,50 @@ class BlockShell(PhaseLogs):
 
     # -- phase boundary -----------------------------------------------------
 
-    def _end_phase(self, trigger: PointId, s: int, prev_peak: int) -> None:
-        """End the phase on `trigger`, a request to block s whose peak demand
-        was `prev_peak` before it; the request belongs to the next phase."""
-        self.phase_logs[-1].pop()
-        peak_plus = [self._plan.memo_peak[v] for v in self._node]
-        peak_without = list(peak_plus)
-        peak_without[s] = prev_peak
-        self._check_sandwich(peak_without, peak_plus)
-
+    def _open_phase(self, init: Optional[frozenset]) -> None:
+        """Open a phase: record the block counts in `dhat`, start an empty
+        log and jump count, put every block at its empty prefix (peak 0, so
+        the empty blocks are the marked ones) with no tracker, and restart
+        each occupied block's subroutine, at `init`'s points in the block
+        when given (the shell's start), else at its own configuration (a
+        phase end; the jump that emptied a block has reset it already)."""
+        t = self.t
         self.dhat.append(list(self._counts))
-        self.phase_jump_counts.append(self._current_phase_jumps)
-        self._emit("phase_end", trigger=trigger)
-
-        self._current_phase_jumps = 0
         self.phase_logs.append([])
-        # in place, as `serve_all` holds this list; empty prefixes peak at 0,
-        # so the empty blocks are the marked ones
-        self._node[:] = range(self.t)
-        self._trackers = [None] * self.t
-        self._tracked = list(range(self.t))
-        # the jump that emptied a block has reset its subroutine already
-        for b, sub in enumerate(self._subs):
-            if self._counts[b]:
+        self._current_phase_jumps = 0
+        # in place, as `serve_all` holds this list
+        self._node[:] = range(t)
+        self._trackers: list[Optional[DemandTracker]] = [None] * t
+        self._tracked = list(range(t))  # the prefix each tracker has pushed
+        counts, block_sets = self._counts, self._block_sets
+        for s, sub in enumerate(self._subs):
+            if not counts[s]:
+                self._emit("mark", block=s)
+            elif init is None:
                 sub.reset(sub.config)
             else:
-                self._emit("mark", block=b)
+                sub.reset(init & block_sets[s])
 
-    def _check_sandwich(self, peak_without: list[int], peak_plus: list[int]) -> None:
-        """End-of-phase counts sit between the peak demands with and without
-        the triggering request, with equality in all blocks but at most one."""
-        exceptions = 0
+    def _end_phase(self, trigger: PointId, s: int, prev_peak: int) -> None:
+        """End the phase on `trigger`, a request to block s whose peak demand
+        was `prev_peak` before it; the request belongs to the next phase.
+
+        The sandwich, checked here: the counts equal the peaks, with the
+        trigger's block one short, at its peak before the request.  No block
+        holds fewer servers than that peak (a request that raises a peak
+        past the count jumps a server in, and a donor gives only while above
+        its peak), and with no unmarked block none holds more."""
+        self.phase_logs[-1].pop()
+        counts, memo_peak, node = self._counts, self._plan.memo_peak, self._node
         for b in range(self.t):
-            c = self._counts[b]
-            if not (peak_without[b] <= c <= peak_plus[b]):
+            peak = prev_peak if b == s else memo_peak[node[b]]
+            if counts[b] != peak:
                 raise ShellInvariantError(
-                    f"phase {self.phase}: block {b} count {c} outside "
-                    f"[{peak_without[b]}, {peak_plus[b]}]"
-                )
-            if not (peak_without[b] == c == peak_plus[b]):
-                exceptions += 1
-        if exceptions > 1:
-            raise ShellInvariantError(
-                f"phase {self.phase}: {exceptions} blocks broke the count/demand equality"
-            )
+                    f"phase {self.phase}: block {b} count {counts[b]} is not "
+                    f"its peak {peak}")
+        self.phase_jump_counts.append(self._current_phase_jumps)
+        self._emit("phase_end", trigger=trigger)
+        self._open_phase(None)
 
 
 def _check_start(dec: Decomposition, init: frozenset) -> None:

@@ -240,9 +240,10 @@ def test_criterion_07_growth_per_level(growth_result):
 
 def test_criterion_08_sandwich_invariant(lower_bound_result, envelope_result,
                                          growth_result):
-    # the end-of-phase count/demand sandwich is asserted inside the shell at
-    # every phase end; any violation raises and would have failed the
-    # fixtures.  Here: confirm a substantial number of phase ends ran.
+    # the end-of-phase count/demand sandwich (counts equal peaks, with the
+    # trigger's block one short) is asserted inside the shell at every
+    # phase end; any violation raises and would have failed the fixtures.
+    # Here: confirm a substantial number of phase ends ran.
     reports, _ = lower_bound_result
     ends = len([r for r in reports if r.name == "phase_cost_delta"])
     ends += sum(v["phases_total"] for v in envelope_result.values())

@@ -1,4 +1,5 @@
 import random
+import re
 from collections import Counter
 from fractions import Fraction
 
@@ -206,6 +207,14 @@ class TestCompetitiveFunction:
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             marking_f(0)
+
+    @pytest.mark.parametrize("value", [True, 2.0, 2.5, "3"])
+    def test_rejects_what_is_not_an_int(self, value):
+        # True would count as one server, 2.0 as two
+        with pytest.raises(ValueError, match=re.escape(f"ell must be an int, got {value!r}")):
+            marking_f(value)
+        with pytest.raises(ValueError, match=re.escape(f"n must be an int, got {value!r}")):
+            harmonic(value)
 
     def test_nondecreasing(self):
         vals = [marking_f(ell) for ell in range(1, 64)]

@@ -347,8 +347,13 @@ class TestDecompose:
         (lambda: Decomposition(build_uniform(4, 1), [[0, 1], [2, 3]], 2, 1),
          r"cross-block distance d\(0,2\) = 1 != Delta = 2"),
         (lambda: decompose(build_hst([2, 2], 3), 7), "node 7 out of range"),
+        # True and 1.0 would otherwise find node 1's depth and blocks
+        (lambda: decompose(build_hst([2, 2], 2), True), "node must be an int, got True"),
+        (lambda: decompose(build_hst([2, 2], 2), 1.0), "node must be an int, got 1.0"),
+        (lambda: decompose(build_hst([2, 2], 2), "1"), "node must be an int, got '1'"),
     ], ids=["no-points", "ragged-row", "point-in-two-blocks", "no-blocks",
-            "cross-distance-not-Delta", "node-out-of-range"])
+            "cross-distance-not-Delta", "node-out-of-range", "node-bool", "node-float",
+            "node-str"])
     def test_refusals(self, build, message):
         with pytest.raises(ValueError, match=message):
             build()

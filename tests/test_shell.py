@@ -909,7 +909,7 @@ class TestServerCount:
     def test_a_jump_reads_two_configurations(self, monkeypatch):
         # the block subroutines are the only record of the servers' points:
         # a jump reads the donor's and the target's configurations, a phase
-        # end each unmarked block's, and nothing else reads one
+        # end each occupied block's, and nothing else reads one
         reads = Counter()
         config = Marking.config
 
@@ -938,6 +938,57 @@ class TestServerCount:
                 configs = [sub.config for sub in sh._subs]
                 assert sh.positions == frozenset().union(*configs)
                 assert len(sh.positions) == 3 == sum(map(len, configs))
+
+
+def one_request_before_a_phase_end():
+    """The traced two-block run (see TestTracedTwoBlockRun) with both blocks
+    marked, one server each: a request to 2 raises block 1's peak to 2 and
+    ends the phase."""
+    sh = two_block_shell()
+    sh.serve(2)
+    survivor = sorted(sh.positions & {0, 1})[0]
+    for r in [survivor, 3, 2, 3]:
+        sh.serve(r)
+    return sh
+
+
+class TestUnreachableStates:
+    """Each invariant check the shell makes, shown to fire on a state that
+    a correct run never reaches."""
+
+    def test_a_count_off_its_peak_at_a_phase_end_is_caught(self):
+        sh = one_request_before_a_phase_end()
+        # block 0 now peaks above its one server and stays marked, so the
+        # phase still ends, with block 0 off its peak
+        sh._plan.memo_peak[sh._node[0]] = 2
+        with pytest.raises(ShellInvariantError, match="phase 1: block 0 count 1 is not its peak 2"):
+            sh.serve(2)
+
+    def test_a_second_phase_end_for_one_request_is_caught(self, monkeypatch):
+        # a phase end that opens an empty log and nothing else leaves every
+        # block marked, so the replay of its trigger finds no donor again
+        sh = one_request_before_a_phase_end()
+        ends = []
+
+        def end_phase(r, s, prev_peak):
+            # without the check the replay would end phases forever
+            assert not ends, "the replay ended a second phase"
+            ends.append(r)
+            sh.phase_logs.append([])
+        monkeypatch.setattr(sh, "_end_phase", end_phase)
+        with pytest.raises(ShellInvariantError, match="phase ended twice for a single request"):
+            sh.serve(2)
+
+    def test_a_jump_into_a_full_block_is_caught(self):
+        # a subroutine that claims every point of its block, though the
+        # shell counts no server there, leaves a jump nowhere to land
+        class Full:
+            config = frozenset({2, 3})
+
+        sh = two_block_shell()
+        sh._subs[1] = Full()
+        with pytest.raises(ShellInvariantError, match="no unoccupied point in the demanding block"):
+            sh.serve(2)
 
 
 def node_plans(plan):

@@ -2,7 +2,9 @@ import subprocess
 import sys
 from pathlib import Path
 
-CODE_LINES = Path(__file__).resolve().parents[1] / "tools" / "code_lines.py"
+TOOLS = Path(__file__).resolve().parents[1] / "tools"
+CODE_LINES = TOOLS / "code_lines.py"
+OUTPUT_DIGESTS = TOOLS / "output_digests.py"
 
 # code lines: 4, 7, 8, 11, 13, 14, 17 and 20; the docstrings, the comments
 # and the blank lines are left out, and a string that is no docstring counts
@@ -49,3 +51,18 @@ class TestCodeLines:
                                         ["8", str(tmp_path / "pkg" / "a.py")],
                                         ["9", "total"]]
         assert code_lines(tmp_path / "b.py") == [["1", str(tmp_path / "b.py")], ["1", "total"]]
+
+
+def output_digests(*args):
+    proc = subprocess.run([sys.executable, str(OUTPUT_DIGESTS), *args],
+                          capture_output=True, text=True, check=True)
+    return proc.stdout.splitlines()
+
+
+class TestOutputDigests:
+    def test_one_entry_digests_the_same_twice(self):
+        entry = "2_2_2_2_mu2_k2.run.block_sweep.s7"
+        lines = output_digests(entry)
+        assert [line.split()[0] for line in lines] == [f"{entry}.stdout", f"{entry}.log"]
+        assert all(len(line.split()[1]) == 64 for line in lines)
+        assert output_digests(entry) == lines
