@@ -53,16 +53,17 @@ class TestCodeLines:
         assert code_lines(tmp_path / "b.py") == [["1", str(tmp_path / "b.py")], ["1", "total"]]
 
 
-def output_digests(*args):
-    proc = subprocess.run([sys.executable, str(OUTPUT_DIGESTS), *args],
+def output_digests():
+    proc = subprocess.run([sys.executable, str(OUTPUT_DIGESTS)],
                           capture_output=True, text=True, check=True)
     return proc.stdout.splitlines()
 
 
 class TestOutputDigests:
-    def test_one_entry_digests_the_same_twice(self):
-        entry = "2_2_2_2_mu2_k2.run.block_sweep.s7"
-        lines = output_digests(entry)
-        assert [line.split()[0] for line in lines] == [f"{entry}.stdout", f"{entry}.log"]
+    def test_the_matrix_digests_the_same_twice(self):
+        lines = output_digests()
+        names = [line.split()[0] for line in lines]
+        # 7 trees x 4 commands x 2 seeds, each with its stdout and its file
+        assert len(names) == len(set(names)) == 112
         assert all(len(line.split()[1]) == 64 for line in lines)
-        assert output_digests(entry) == lines
+        assert output_digests() == lines

@@ -2,7 +2,7 @@
 over a fixed matrix of trees, generators and seeds, one `name digest` line
 per output.
 
-    python3 tools/output_digests.py [TEXT]   # TEXT: only the names holding it
+    python3 tools/output_digests.py
 
 Two checkouts that print the same lines write the same bytes on the whole
 matrix, so comparing two commits is one `diff` of this tool's output in
@@ -58,15 +58,12 @@ def digest(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def main(argv: list[str]) -> int:
-    only = argv[0] if argv else ""
+def main() -> int:
     home = os.getcwd()
     with tempfile.TemporaryDirectory() as tmp:
         os.chdir(tmp)
         try:
             for name, text, args, output in entries():
-                if only not in name:
-                    continue
                 Path("tree.txt").write_text(text, encoding="utf-8")
                 stdout = io.StringIO()
                 with contextlib.redirect_stdout(stdout):
@@ -82,4 +79,4 @@ def main(argv: list[str]) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())
