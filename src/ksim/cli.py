@@ -19,8 +19,8 @@ from . import __version__
 from .files import (ParseError, load_configuration, load_hst, load_metric, load_requests,
                     parse_int, parse_rational)
 from .generators import parse_generator
-from .harness import (probe_demand_monotonicity, render_rational, reports_to_csv, run_trials,
-                      solver_guard_ok)
+from .harness import (CSV_HEADER, probe_demand_monotonicity, render_rational, reports_to_csv,
+                      run_trials, solver_guard_ok)
 from .metric import build_uniform
 from .offline import demand as demand_op, opt_cost
 from .verify import checks_to_csv, run_ama_suite, run_contract_suite, run_lower_bound_suite
@@ -45,16 +45,9 @@ class _Parser(argparse.ArgumentParser):
         raise CliError(message)
 
 
-# options a command cannot run without; enforced after the config file is
-# merged, so the config may supply them
-_REQUIRED = {
-    "opt": ("metric", "servers", "requests"),
-    "demand": ("metric", "delta", "requests"),
-    "run": ("hst", "k", "gen"),
-    "bench": ("hst", "k", "trials", "out"),
-    "verify": (),
-    "probe-demand": ("delta",),
-}
+# the default of an option a command cannot run without; checked after the
+# config file is merged, so the config may supply the option
+_REQUIRED = object()
 
 
 def _option_type(parse):
@@ -77,32 +70,33 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_opt = sub.add_parser("opt", help="offline optimum for a request file")
-    p_opt.add_argument("--metric")
-    p_opt.add_argument("--servers", type=_integer)
-    p_opt.add_argument("--requests")
+    p_opt.add_argument("--metric", default=_REQUIRED)
+    p_opt.add_argument("--servers", type=_integer, default=_REQUIRED)
+    p_opt.add_argument("--requests", default=_REQUIRED)
     p_opt.add_argument("--initial", help="file with the fixed starting configuration")
 
     p_dem = sub.add_parser("demand", help="block demand of a request file")
-    p_dem.add_argument("--metric")
-    p_dem.add_argument("--delta", type=_rational, help="separation cost, integer or p/q")
-    p_dem.add_argument("--requests")
+    p_dem.add_argument("--metric", default=_REQUIRED)
+    p_dem.add_argument("--delta", type=_rational, default=_REQUIRED,
+                       help="separation cost, integer or p/q")
+    p_dem.add_argument("--requests", default=_REQUIRED)
 
     p_run = sub.add_parser("run", help="one seeded online run")
-    p_run.add_argument("--hst")
-    p_run.add_argument("--k", type=_integer)
-    p_run.add_argument("--gen", help="kind[:key=value,...]")
+    p_run.add_argument("--hst", default=_REQUIRED)
+    p_run.add_argument("--k", type=_integer, default=_REQUIRED)
+    p_run.add_argument("--gen", default=_REQUIRED, help="kind[:key=value,...]")
     p_run.add_argument("--seed", type=_integer, default=0)
     p_run.add_argument("--length", type=_integer, default=50)
     p_run.add_argument("--events", help="write the event log here (height 2 or more)")
 
     p_bench = sub.add_parser("bench", help="seeded trial batch, CSV out")
-    p_bench.add_argument("--hst")
-    p_bench.add_argument("--k", type=_integer)
+    p_bench.add_argument("--hst", default=_REQUIRED)
+    p_bench.add_argument("--k", type=_integer, default=_REQUIRED)
     p_bench.add_argument("--gen", default="uniform_random")
-    p_bench.add_argument("--trials", type=_integer)
+    p_bench.add_argument("--trials", type=_integer, default=_REQUIRED)
     p_bench.add_argument("--seed", type=_integer, default=0)
     p_bench.add_argument("--length", type=_integer, default=50)
-    p_bench.add_argument("--out")
+    p_bench.add_argument("--out", default=_REQUIRED)
 
     p_ver = sub.add_parser("verify", help="run a verification suite")
     p_ver.add_argument("--suite", choices=["all", "ama", "lower", "contract"],
@@ -117,7 +111,7 @@ def _build_parser() -> _Parser:
     p_probe = sub.add_parser("probe-demand", help="prefix-demand step behaviour")
     p_probe.add_argument("--points", type=_integer, default=3)
     p_probe.add_argument("--d", type=_rational, default="1", help="uniform block distance")
-    p_probe.add_argument("--delta", type=_rational)
+    p_probe.add_argument("--delta", type=_rational, default=_REQUIRED)
     p_probe.add_argument("--max-len", type=_integer, default=6)
     return parser
 
@@ -151,8 +145,8 @@ def _parse_args(parser: _Parser, argv: list[str]) -> argparse.Namespace:
 
 
 def _check_required(args) -> None:
-    missing = [name for name in _REQUIRED[args.command]
-               if getattr(args, name.replace("-", "_"), None) is None]
+    # the namespace holds the options in declaration order
+    missing = [name for name, value in vars(args).items() if value is _REQUIRED]
     if missing:
         raise CliError(f"{args.command}: missing required option(s): "
                        + ", ".join(f"--{m}" for m in missing))
@@ -203,13 +197,8 @@ def _cmd_run(args) -> int:
     if events is not None:
         with open(args.events, "w", encoding="utf-8") as fh:
             fh.writelines(line + "\n" for line in events)
-    print(f"total {render_rational(rep.total)}")
-    print(f"inner {render_rational(rep.inner)}")
-    print(f"jump {render_rational(rep.jump)}")
-    print(f"opt {render_rational(rep.opt)}")
-    print(f"ratio {render_rational(rep.ratio)}")
-    print(f"phases {rep.phases}")
-    print(f"m_sum {rep.m_sum}")
+    for name in CSV_HEADER.split(",")[1:]:  # every trial field but the seed
+        print(f"{name} {render_rational(getattr(rep, name))}")
     return 0
 
 

@@ -14,6 +14,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
+from operator import attrgetter
 from typing import Callable, Iterable, Optional, Sequence, Union
 
 from .generators import GeneratorSpec, generate
@@ -22,7 +23,9 @@ from .offline import INF, max_demand_trace, opt_cost
 from .marking import Universe
 from .shell import BlockShell, NodePlan, PhaseLogs, check_hst_admissible, tree_plan
 
+# the trial output's fields, in order: the CSV columns and `ksim run`'s lines
 CSV_HEADER = "seed,total,inner,jump,opt,ratio,phases,m_sum"
+_csv_fields = attrgetter(*CSV_HEADER.split(","))
 
 # refuse offline optima whose configuration DP would get too large
 OPT_STATE_GUARD = 5_000_000
@@ -38,8 +41,7 @@ class TrialReport:
     ratio: object          # Fraction, INF ("flagged non-finite"), or None
     phases: int            # phases started (>= 1)
     m_sum: int
-    additive: object       # the competitive guarantee's additive term, or None
-    adjusted_ratio: object # (total - additive) / opt, or None
+    adjusted_ratio: object # (total - additive_term) / opt, or None
 
 
 @dataclass
@@ -121,6 +123,7 @@ def run_trials(space: HstSpace, k: int, algo: str, gen_spec: GeneratorSpec,
     """
     check_int("trials", trials, 1)
     check_int("k", k, 1)
+    check_int("base_seed", base_seed)
     if algo not in ("marking", "algox"):
         raise ValueError(f"unknown algorithm {algo!r}")
     init = default_initial(k)
@@ -155,39 +158,29 @@ def run_trials(space: HstSpace, k: int, algo: str, gen_spec: GeneratorSpec,
             phases = alg.phase_count
             m_sum = 0
         total = inner + jump
-        ratio = _ratio(total, opt)
         adjusted = None
         if additive is not None and opt:
             adjusted = (float(total) - additive) / float(opt)
         reports.append(TrialReport(
-            seed=seed, total=total, inner=inner, jump=jump, opt=opt, ratio=ratio,
-            phases=phases, m_sum=m_sum,
-            additive=additive, adjusted_ratio=adjusted,
+            seed=seed, total=total, inner=inner, jump=jump, opt=opt, ratio=_ratio(total, opt),
+            phases=phases, m_sum=m_sum, adjusted_ratio=adjusted,
         ))
     return reports
 
 
 def render_rational(value) -> str:
+    """An int or a Fraction as `p/q` (an integer as itself), INF as `inf`
+    and None as `na`."""
     if value is None:
         return "na"
     if value == INF:
         return "inf"
-    return str(Fraction(value))
+    return str(value)
 
 
 def reports_to_csv(reports: Sequence[TrialReport]) -> str:
     lines = [CSV_HEADER]
-    for r in reports:
-        lines.append(",".join([
-            str(r.seed),
-            render_rational(r.total),
-            render_rational(r.inner),
-            render_rational(r.jump),
-            render_rational(r.opt),
-            render_rational(r.ratio),
-            str(r.phases),
-            str(r.m_sum),
-        ]))
+    lines.extend(",".join(map(render_rational, _csv_fields(r))) for r in reports)
     return "\n".join(lines) + "\n"
 
 

@@ -102,7 +102,7 @@ class Marking:
         # most instances on a nested tree never draw, so the stream is
         # seeded on the first eviction that draws (or read of `rng`); the
         # draws are the same either way
-        self._seed = seed
+        self._seed = check_int("seed", seed)
         self._rng: Optional[random.Random] = None  # created by `_stream`
         self._owed = 0  # one-candidate evictions whose draw is not yet taken
         self.positions: set[PointId] = set()

@@ -26,9 +26,11 @@ HST_MAX_LEAVES = 4096
 
 
 def as_fraction(value) -> Fraction:
-    """Coerce to an exact rational.  Floats are rejected: they carry rounding."""
-    if isinstance(value, float):
-        raise TypeError("distances must be exact rationals, got float %r" % value)
+    """`value`, an int or a Fraction, as a Fraction.  Anything else is a
+    TypeError: a float carries rounding, and a bool or a str such as "3/2"
+    is not taken for the number it resembles."""
+    if type(value) is not int and not isinstance(value, Fraction):
+        raise TypeError(f"expected an int or a Fraction, got {type(value).__name__} {value!r}")
     return Fraction(value)
 
 
@@ -67,8 +69,9 @@ class FiniteMetric:
     __slots__ = ("n", "scale", "dist")
 
     def __init__(self, rows: Sequence[Sequence]):
-        rows = [[v if isinstance(v, (int, Fraction)) else as_fraction(v) for v in row]
-                for row in rows]
+        # an int or a Fraction is kept as it is; as_fraction refuses the rest
+        rows = [[v if type(v) is int or isinstance(v, Fraction) else as_fraction(v)
+                 for v in row] for row in rows]
         self.n = n = len(rows)
         self.scale = scale = math.lcm(*(v.denominator for row in rows for v in row))
         self.dist = t = tuple(tuple(v.numerator * (scale // v.denominator) for v in row)

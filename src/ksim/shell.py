@@ -178,11 +178,8 @@ class BlockShell(PhaseLogs):
         self.k = k
         self.t = dec.t
         self._plan = plan
-        self._n = dec.metric.n
-        self._block_sets = plan.block_sets
-        self._uniform_d = plan.uniform_d
-        self._counts = [len(init & bs) for bs in self._block_sets]
-        self.rng = random.Random(seed)
+        self._counts = [len(init & bs) for bs in plan.block_sets]
+        self.rng = random.Random(check_int("seed", seed))
         self.draws = 0
         self._event_sink = event_sink
 
@@ -215,7 +212,7 @@ class BlockShell(PhaseLogs):
     def _new_tracker(self, s: int) -> DemandTracker:
         # a tracker tests each point on its first push alone, so the points
         # `serve_all` has tested cost it no `check_point` call
-        d = self._uniform_d[s]
+        d = self._plan.uniform_d[s]
         if d is None:
             return DemandTracker(self.metric, self.dec.price)
         return UniformDemandTracker(self.metric, self.dec.price, d)
@@ -274,7 +271,7 @@ class BlockShell(PhaseLogs):
         An answer below P or above P + 1 breaks a theorem and raises
         ShellInvariantError before the memo grows."""
         plan = self._plan
-        keys, n = plan.memo_key, self._n
+        keys, n = plan.memo_key, plan.metric.n
         tracker = self._trackers[s]
         if tracker is None:
             tracker = self._trackers[s] = self._new_tracker(s)
@@ -320,7 +317,7 @@ class BlockShell(PhaseLogs):
         memo_key, memo_peak, memo_slack = plan.memo_key, plan.memo_peak, plan.memo_slack
         num, den = plan.num, plan.den
         t = self.t
-        n = self._n
+        n = plan.metric.n
         dist = self.metric.dist
         sink = self._event_sink
         # marking blocks read len(positions); a `held` on Marking cost ~115 ns a serve
@@ -412,7 +409,7 @@ class BlockShell(PhaseLogs):
         if r not in cfg_s:
             dst = r
         else:
-            free = sorted(self._block_sets[s] - cfg_s)
+            free = sorted(self._plan.block_sets[s] - cfg_s)
             if not free:
                 raise ShellInvariantError("no unoccupied point in the demanding block")
             dst = self._choice(free)
@@ -449,7 +446,7 @@ class BlockShell(PhaseLogs):
         self._node[:] = range(t)
         self._trackers: list[Optional[DemandTracker]] = [None] * t
         self._tracked = list(range(t))  # the prefix each tracker has pushed
-        counts, block_sets = self._counts, self._block_sets
+        counts, block_sets = self._counts, self._plan.block_sets
         for s, sub in enumerate(self._subs):
             if not counts[s]:
                 self._emit("mark", block=s)
@@ -549,9 +546,7 @@ class ShellSubroutine:
 
     def __init__(self, plan: NodePlan, seed: int):
         self._plan = plan
-        self._block_of = plan.dec.block_of
-        self._dist = plan.dec.metric.dist
-        self._seed = seed
+        self._seed = check_int("seed", seed)
         self._rng: Optional[random.Random] = None  # created by `_stream`
         self._owed = 0  # draws counted by resets and not taken from the stream
         # at most one of these is set; none while holding no servers
@@ -606,11 +601,11 @@ class ShellSubroutine:
         if p is not None:
             # a parent shell moves the point itself; this path serves a
             # caller that holds the adapter, whose point it has not tested
-            if type(r) is not int or r not in self._block_of:
-                self._plan.dec.metric.check_point(r)
+            if type(r) is not int or r not in self._plan.dec.block_of:
+                self._plan.metric.check_point(r)
                 raise ValueError(f"request {r} outside this decomposition")
             self.point = r
-            return self._dist[p][r]
+            return self._plan.metric.dist[p][r]
         shell = self.shell
         if shell is None:
             raise RuntimeError("subtree holds no servers; caller must jump one in first")

@@ -296,6 +296,7 @@ def run_lower_bound_suite(instances: Optional[Sequence[DeskInstance]] = None,
     blocks, which never lose one within the phase and hold at most k.
     """
     check_int("runs_per_instance", runs_per_instance, 1)
+    check_int("base_seed", base_seed)
     if instances is None:
         instances = desk_instances()
     reports: list[CheckReport] = []
@@ -330,6 +331,7 @@ def run_ama_suite(seeds: int = 2000, base_seed: int = 99) -> tuple[list[CheckRep
     """Jump-cost bound on 60-request block-sweep instances, one batch per k
     in (3, 4)."""
     check_int("seeds", seeds, 1)
+    check_int("base_seed", base_seed)
     reports: list[CheckReport] = []
     ok = True
     for k in (3, 4):
@@ -361,6 +363,7 @@ def run_contract_suite(ks: Sequence[int] = (3, 4), seeds: int = 2000,
     rounds of k + 1 points, plus the same check for a composed two-level
     algorithm on a small tree."""
     check_int("seeds", seeds, 1)
+    check_int("base_seed", base_seed)
     if include_composed:
         check_int("composed_seeds", composed_seeds, 1)
     reports: list[CheckReport] = []

@@ -429,6 +429,24 @@ class TestCli:
         assert main(["run", "--hst", "missing.txt", "--k", "2", "--gen", "x"]) == 1
         assert main(["demand", "--metric", "x"]) == 1  # missing required flags
 
+    @pytest.mark.parametrize("command, missing", [
+        ("opt", "--metric, --servers, --requests"),
+        ("demand", "--metric, --delta, --requests"),
+        ("run", "--hst, --k, --gen"),
+        ("bench", "--hst, --k, --trials, --out"),
+        ("probe-demand", "--delta"),
+    ])
+    def test_missing_options_are_named_in_declaration_order(self, capsys, command, missing):
+        assert main([command]) == 1
+        assert capsys.readouterr().err == \
+            f"error: {command}: missing required option(s): {missing}\n"
+
+    def test_a_null_config_value_leaves_a_required_option_missing(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"hst": None, "k": None, "gen": "uniform_random"}))
+        assert main(["--config", str(cfg), "run", "--k", "2"]) == 1
+        assert capsys.readouterr().err == "error: run: missing required option(s): --hst\n"
+
     def test_check_failure_exit_two(self, workdir, capsys, monkeypatch):
         failing = CheckReport(name="stub", phase=1, lhs=2, rhs=1, passed=False,
                               context={"seed": 0})

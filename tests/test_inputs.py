@@ -4,7 +4,10 @@
   ASCII digits: on the command line, in a config file, in every file format
   and in a generator's text.
 - Counts and parameters passed to the library go through `metric.check_int`:
-  exactly an int, within the entry's bounds.
+  exactly an int, within the entry's bounds.  A seed is one of them, checked
+  where a run or a subroutine starts.
+- Rationals passed to the library go through `metric.as_fraction`: an int
+  or a Fraction, anything else a TypeError.
 - Points are refused in `FiniteMetric.check_point`'s words: `point id X is
   not an int` for a wrong type, `out of range` for an int outside [0, n).
 """
@@ -18,9 +21,11 @@ from ksim import files, metric
 from ksim.cli import main
 from ksim.files import ParseError, load_configuration, load_hst, load_metric, load_requests
 from ksim.generators import GeneratorSpec, generate, parse_generator
-from ksim.harness import probe_demand_monotonicity, run_trials
-from ksim.metric import build_hst, build_uniform
-from ksim.offline import DemandTracker, UniformDemandTracker, opt_cost, opt_cost_exhaustive
+from ksim.harness import probe_demand_monotonicity, run_shell, run_trials
+from ksim.marking import Marking, Universe
+from ksim.metric import Decomposition, FiniteMetric, HstSpace, build_hst, build_uniform
+from ksim.offline import (DemandTracker, UniformDemandTracker, demand, opt_cost,
+                          opt_cost_exhaustive)
 from ksim.shell import BlockShell, ShellSubroutine, tree_plan
 from ksim.verify import run_ama_suite, run_contract_suite, run_lower_bound_suite
 
@@ -154,6 +159,22 @@ COUNTS = [
      "seeds", 1, None),
     ("composed-seeds", lambda v: run_contract_suite(ks=(), seeds=1, composed_seeds=v),
      "composed_seeds", 1, None),
+    # a seed of True would run as seed 1
+    ("BlockShell-seed", lambda v: BlockShell(tree_plan(SPACE), 2, {0, 2}, v), "seed", None,
+     None),
+    ("run_shell-seed", lambda v: run_shell(tree_plan(SPACE), 2, {0, 2}, [1, 3], v), "seed",
+     None, None),
+    ("Universe.start", lambda v: Universe(M3).start(v), "seed", None, None),
+    ("Marking", lambda v: Marking(Universe(M3), v), "seed", None, None),
+    ("NodePlan.start", lambda v: tree_plan(SPACE).start(v), "seed", None, None),
+    ("ShellSubroutine", lambda v: ShellSubroutine(tree_plan(SPACE), v), "seed", None, None),
+    ("run_trials-seed", lambda v: run_trials(SPACE, 2, "algox", SPEC, 1, v), "base_seed",
+     None, None),
+    ("lower-seed", lambda v: run_lower_bound_suite(runs_per_instance=1, base_seed=v),
+     "base_seed", None, None),
+    ("ama-seed", lambda v: run_ama_suite(seeds=1, base_seed=v), "base_seed", None, None),
+    ("contract-seed", lambda v: run_contract_suite(ks=(), seeds=1, composed_seeds=1,
+                                                   base_seed=v), "base_seed", None, None),
 ]
 
 
@@ -174,7 +195,9 @@ class TestCounts:
     @pytest.mark.parametrize("call, name, least, most", [c[1:] for c in COUNTS],
                              ids=[c[0] for c in COUNTS])
     def test_an_entry_refuses_what_is_not_a_count(self, call, name, least, most):
-        refused = [(v, f"{name} must be an int, got {v!r}") for v in (True, 2.0, 2.9, "3")]
+        # a seed of None would seed the stream from the OS
+        odd = (True, 2.0, 2.9, "3") + ((None,) if name.endswith("seed") else ())
+        refused = [(v, f"{name} must be an int, got {v!r}") for v in odd]
         if most is not None:
             refused += [(v, f"{name} {v} out of range [{least}, {most}]")
                         for v in (least - 1, most + 1)]
@@ -223,3 +246,25 @@ def test_an_entry_words_a_non_point_as_check_point(call, n):
     for r in (True, 1.0, "3", -1, n):
         with pytest.raises(ValueError, match=not_a_point(r, n)):
             call(r)
+
+
+# entry taking a rational; a float, a bool and a str are refused alike
+RATIONALS = [
+    ("FiniteMetric", lambda v: FiniteMetric([[0, v], [v, 0]])),
+    ("from_upper_triangle", lambda v: FiniteMetric.from_upper_triangle(2, [v])),
+    ("build_uniform", lambda v: build_uniform(2, v)),
+    ("build_hst", lambda v: build_hst([2, 2], v)),
+    ("HstSpace", lambda v: HstSpace([2, 2], v)),
+    ("Decomposition-Delta", lambda v: Decomposition(M3, [[0], [1], [2]], v, 1)),
+    ("Decomposition-delta", lambda v: Decomposition(M3, [[0], [1], [2]], 1, v)),
+    ("for_metric", lambda v: DemandTracker.for_metric(M3, v)),
+    ("demand", lambda v: demand(M3, v, [0, 1])),
+]
+
+
+@pytest.mark.parametrize("call", [e[1] for e in RATIONALS], ids=[e[0] for e in RATIONALS])
+def test_an_entry_refuses_a_rational_that_is_not_an_int_or_a_fraction(call):
+    for v in (True, "3", "3/2", 1.5):
+        message = f"got {type(v).__name__} {v!r}"
+        with pytest.raises(TypeError, match=re.escape(message)):
+            call(v)

@@ -1238,7 +1238,7 @@ class EagerShellSubroutine(ShellSubroutine):
         if len(cfg) == 1:
             (p,) = cfg
             self._plan.dec.metric.check_point(p)
-            if p not in self._block_of:
+            if p not in self._plan.dec.block_of:
                 raise ValueError(f"server at {p}, outside this decomposition")
             self.point = p
         else:
