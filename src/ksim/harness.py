@@ -56,15 +56,22 @@ class RunRecord(PhaseLogs):
     phase_jump_counts: list
     total_inner: Fraction
     total_jump: Fraction
-    # The verification checks' tables, keyed by tuple(sequence) and filled on
-    # first use, so each distinct sequence is solved once.  A value depends
-    # on `dec` and `k` too: records may share the tables (the lower-bound
-    # suite hands one pair to every run of an instance) only when both agree.
-    # optima: the k-server free-start optimum of a phase or of the whole run
+    # The verification checks' tables, filled on first use, so each distinct
+    # sequence is solved once.  A value depends on `dec`, `k` and `sequence`
+    # too: records may share the tables (the lower-bound suite hands one set
+    # to every run of an instance) only when all three agree.
+    # optima: by tuple(sequence), the k-server free-start optimum of a phase
+    # or of the whole run
     optima: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    # demand_bounds: the right-hand side of the per-phase demand bound
+    # demand_bounds: by tuple(sequence), the right-hand side of the per-phase
+    # demand bound
     demand_bounds: dict = field(default_factory=dict, init=False, repr=False,
                                 compare=False)
+    # prefix_costs: the whole run's `OptResult.prefix_costs`, the optimum of
+    # every prefix of `sequence` in the metric's integer unit; None until
+    # solved
+    prefix_costs: Optional[tuple] = field(default=None, init=False, repr=False,
+                                          compare=False)
 
 
 def default_initial(k: int) -> frozenset:

@@ -23,7 +23,7 @@ from fractions import Fraction
 from itertools import combinations, permutations
 from typing import Iterable, Optional, Sequence
 
-from .metric import FiniteMetric, PointId, as_fraction, check_int
+from .metric import Decomposition, FiniteMetric, PointId, as_fraction, check_int
 
 INF = float("inf")
 
@@ -34,13 +34,18 @@ DEMAND_LEVEL_GUARD = 20_000
 
 @dataclass(frozen=True)
 class OptResult:
-    """Optimal total movement and one final configuration attaining it.
+    """Optimal total movement, one final configuration attaining it, and
+    the optimum of every prefix.
 
-    cost is +inf exactly when no servers face a nonempty sequence; config is
-    None in that case.
+    prefix_costs[i] is the optimum of the first i + 1 requests from the
+    same start, in the metric's integer unit: the DP's minimum after step
+    i, so `Fraction(prefix_costs[i], scale)` is `opt_cost` of that prefix.
+    An empty sequence gives ().  cost is +inf exactly when no servers face
+    a nonempty sequence; config and prefix_costs are None in that case.
     """
     cost: object  # Fraction, or float('inf')
     config: Optional[frozenset]
+    prefix_costs: Optional[tuple]
 
 
 def _check_inputs(m: FiniteMetric, ell: int, rho: Sequence[PointId],
@@ -126,15 +131,15 @@ def opt_cost(m: FiniteMetric, ell: int, rho: Sequence[PointId],
     init = _check_inputs(m, ell, rho, initial)
     if ell == 0:
         if rho:
-            return OptResult(INF, None)
-        return OptResult(Fraction(0), frozenset())
+            return OptResult(INF, None, None)
+        return OptResult(Fraction(0), frozenset(), ())
     if not rho:
         cfg = init if init is not None else _pad_config([], ell, m.n)
-        return OptResult(Fraction(0), cfg)
+        return OptResult(Fraction(0), cfg, ())
 
     distinct = set(rho)
     if init is None and ell >= len(distinct):
-        return OptResult(Fraction(0), _pad_config(distinct, ell, m.n))
+        return OptResult(Fraction(0), _pad_config(distinct, ell, m.n), (0,) * len(rho))
 
     universe = sorted(distinct | (init if init is not None else set()))
     dist = m.dist
@@ -144,13 +149,15 @@ def opt_cost(m: FiniteMetric, ell: int, rho: Sequence[PointId],
     else:
         dp = {_mask(c): 0 for c in combinations(universe, ell)}
 
+    prefix_costs = []
     for r in rho:
         dp = _lazy_step(dp, r, dist)
+        prefix_costs.append(min(dp.values()))
 
-    best = min(dp.values())
+    best = prefix_costs[-1]
     # ties go to the lexicographically least sorted point list
     best_cfg = min(_members(cfg) for cfg, c in dp.items() if c == best)
-    return OptResult(Fraction(best, m.scale), frozenset(best_cfg))
+    return OptResult(Fraction(best, m.scale), frozenset(best_cfg), tuple(prefix_costs))
 
 
 EXHAUSTIVE_MAX_N = 5
@@ -194,8 +201,8 @@ def opt_cost_exhaustive(m: FiniteMetric, ell: int, rho: Sequence[PointId],
         )
     if ell == 0:
         if rho:
-            return OptResult(INF, None)
-        return OptResult(Fraction(0), frozenset())
+            return OptResult(INF, None, None)
+        return OptResult(Fraction(0), frozenset(), ())
 
     configs = list(combinations(range(m.n), ell))  # sorted tuples
     reloc = _relocation_table(m.dist, configs)
@@ -205,6 +212,7 @@ def opt_cost_exhaustive(m: FiniteMetric, ell: int, rho: Sequence[PointId],
     else:
         dp = {c: 0 for c in configs}
 
+    prefix_costs = []
     for r in rho:
         new_dp = {}
         for dst in configs:
@@ -218,6 +226,7 @@ def opt_cost_exhaustive(m: FiniteMetric, ell: int, rho: Sequence[PointId],
             if best is not None:
                 new_dp[dst] = best
         dp = new_dp
+        prefix_costs.append(min(dp.values()))
 
     best_cfg = None
     best = None
@@ -225,7 +234,7 @@ def opt_cost_exhaustive(m: FiniteMetric, ell: int, rho: Sequence[PointId],
         if best is None or c < best:
             best = c
             best_cfg = cfg
-    return OptResult(Fraction(best, m.scale), frozenset(best_cfg))
+    return OptResult(Fraction(best, m.scale), frozenset(best_cfg), tuple(prefix_costs))
 
 
 class DemandTracker:
@@ -551,6 +560,37 @@ class UniformDemandTracker(DemandTracker):
                 self._grow(ell)
             return self._d * (len(self._requests) - self._empty_hits - self._kept[ell - 1])
         return super()._opt_scaled(ell)
+
+
+def block_tracker(dec: Decomposition, s: int) -> DemandTracker:
+    """An empty demand tracker for block s of `dec`, priced at
+    `dec.price`: the interval greedy where the block is uniform
+    (`dec.uniform_d[s]` set), the configuration DP elsewhere."""
+    d = dec.uniform_d[s]
+    if d is None:
+        return DemandTracker(dec.metric, dec.price)
+    return UniformDemandTracker(dec.metric, dec.price, d)
+
+
+def demand_bound(dec: Decomposition, k: int, rho: Sequence[PointId]) -> Fraction:
+    """The sum over the blocks of `dec` of each block's free-start optimum
+    on its requests in `rho`, at the block's demand, plus Delta per server
+    that the demands sum to beyond `k`.
+
+    Each block's tracker is `block_tracker`'s, fed in one `push_all`; the
+    sum is taken in the metric's integer unit."""
+    parts: list[list[PointId]] = [[] for _ in range(dec.t)]
+    block_of = dec.block_of
+    for r in rho:
+        parts[block_of[r]].append(r)
+    total = demand_sum = 0
+    for s, part in enumerate(parts):
+        tracker = block_tracker(dec, s)
+        tracker.push_all(part)
+        d_s = tracker.demand()
+        demand_sum += d_s
+        total += tracker._opt_scaled(d_s)
+    return Fraction(total + dec.price * (demand_sum - k), dec.metric.scale)
 
 
 def demand(m: FiniteMetric, Delta, rho: Sequence[PointId]) -> int:

@@ -42,7 +42,7 @@ from typing import Callable, Iterable, Optional, Protocol, Union
 from .draws import below
 from .marking import Universe
 from .metric import Decomposition, HstSpace, PointId, check_int, decompose
-from .offline import DemandTracker, UniformDemandTracker
+from .offline import DemandTracker, block_tracker
 
 # refuse a plan for a taller tree: `compose_f` nests one closure per level,
 # and nested shells serve about three frames deep per level, so a tree of a
@@ -90,7 +90,7 @@ class NodePlan:
     prefix alone, so every shell on the plan reads them there, and a shell
     adds at most one node per request it serves."""
 
-    __slots__ = ("dec", "metric", "diameter", "block_sets", "uniform_d", "subs", "nested",
+    __slots__ = ("dec", "metric", "diameter", "block_sets", "subs", "nested",
                  "f", "num", "den", "memo_child", "memo_key", "memo_peak", "memo_slack")
 
     def __init__(self, dec: Decomposition, subs: tuple[Union["NodePlan", Universe], ...]):
@@ -109,8 +109,6 @@ class NodePlan:
         self.dec = dec
         self.metric, self.diameter = dec.metric, dec.Delta
         self.block_sets = tuple(frozenset(b) for b in dec.blocks)
-        # a uniform block's demand needs no configuration DP
-        self.uniform_d = dec.uniform_d
         self.subs = subs
         self.f = compose_f(subs[0].f)
         self.num, self.den = dec.price.numerator, dec.price.denominator
@@ -209,14 +207,6 @@ class BlockShell(PhaseLogs):
         parts.append(f"draws={self.draws}")
         self._event_sink("\t".join(parts))
 
-    def _new_tracker(self, s: int) -> DemandTracker:
-        # a tracker tests each point on its first push alone, so the points
-        # `serve_all` has tested cost it no `check_point` call
-        d = self._plan.uniform_d[s]
-        if d is None:
-            return DemandTracker(self.metric, self.dec.price)
-        return UniformDemandTracker(self.metric, self.dec.price, d)
-
     def _choice(self, seq):
         self.draws += 1
         return seq[below(self.rng.getrandbits, len(seq))]
@@ -274,7 +264,9 @@ class BlockShell(PhaseLogs):
         keys, n = plan.memo_key, plan.metric.n
         tracker = self._trackers[s]
         if tracker is None:
-            tracker = self._trackers[s] = self._new_tracker(s)
+            # a tracker tests each point on its first push alone, so the
+            # points `serve_all` has tested cost it no `check_point` call
+            tracker = self._trackers[s] = block_tracker(self.dec, s)
         requests = [r]
         v, pushed = parent, self._tracked[s]
         while v != pushed:

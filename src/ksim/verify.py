@@ -22,7 +22,7 @@ from .generators import GeneratorSpec, generate
 from .harness import RunRecord, additive_term, default_initial, run_shell
 from .marking import Universe
 from .metric import HstSpace, build_hst, build_uniform, check_int
-from .offline import DemandTracker, opt_cost
+from .offline import demand_bound, opt_cost
 from .shell import NodePlan, check_hst_admissible, tree_plan
 
 
@@ -71,36 +71,34 @@ def _mean_stderr(values: Sequence[float]) -> tuple[float, float]:
 
 
 def _opt(record: RunRecord, seq: Sequence[int]) -> Fraction:
-    """Free-start optimum with k servers of `seq`, solved once per table."""
+    """Free-start optimum with k servers of `seq`, solved once per table.
+
+    A prefix of the run is read off the whole run's solve, which the first
+    such read makes: `opt_cost` passes through every prefix of the
+    sequence it solves (`OptResult.prefix_costs`)."""
     key = tuple(seq)
     cost = record.optima.get(key)
     if cost is None:
-        cost = record.optima[key] = opt_cost(record.dec.metric, record.k, key).cost
+        n = len(key)
+        metric = record.dec.metric
+        if n and record.sequence[:n] == seq:
+            if record.prefix_costs is None:
+                record.prefix_costs = opt_cost(metric, record.k, record.sequence).prefix_costs
+            cost = Fraction(record.prefix_costs[n - 1], metric.scale)
+        else:
+            cost = opt_cost(metric, record.k, key).cost
+        record.optima[key] = cost
     return cost
 
 
 def _demand_bound(record: RunRecord, seq: Sequence[int]) -> Fraction:
     """Sum of the block optima at their demands plus Delta per server
-    beyond k, solved once per table.
-
-    One demand tracker per block (the configuration DP, not the shell's
-    uniform fast path) gives both the block's demand and its optimum there.
-    """
+    beyond k (`offline.demand_bound`, with the shell's tracker for each
+    block), solved once per table."""
     key = tuple(seq)
     bound = record.demand_bounds.get(key)
     if bound is None:
-        dec = record.dec
-        trackers = [DemandTracker(dec.metric, dec.price) for _ in range(dec.t)]
-        for r in key:
-            trackers[dec.block_of[r]].push(r)
-        bound = Fraction(0)
-        demand_sum = 0
-        for tracker in trackers:
-            d_s = tracker.demand()
-            demand_sum += d_s
-            bound += tracker.opt(d_s)
-        bound += dec.Delta * (demand_sum - record.k)
-        record.demand_bounds[key] = bound
+        bound = record.demand_bounds[key] = demand_bound(record.dec, record.k, key)
     return bound
 
 
@@ -154,7 +152,9 @@ def check_phase_costs_delta(record: RunRecord) -> list[CheckReport]:
 
 def deterministic_checks(record: RunRecord) -> list[CheckReport]:
     """All three lower-bound checks; they share each optimum through the
-    record's `optima` table."""
+    record's `optima` table, and every optimum of a prefix of the run
+    through one solve of the whole run, which `check_lower_bound_mp` needs
+    anyway."""
     out = check_lower_bound_demand(record)
     out.append(check_lower_bound_mp(record))
     out.extend(check_phase_costs_delta(record))
@@ -173,9 +173,12 @@ def check_ama_bound(records: Sequence[RunRecord], k: int,
     many random streams).  Only phase indices completed in every record are
     compared.  Each report carries the measured constant
     mean_jump_cost / (Delta * mean_gain); checks for k < 3 are advisory.
+    No records, even with `min_seeds=0`, is refused.
     """
     if len(records) < min_seeds:
         raise ValueError(f"need at least {min_seeds} seeded runs, got {len(records)}")
+    if not records:
+        raise ValueError("records is empty: a mean over no runs is no check")
     first_seq = records[0].sequence
     for rec in records:
         if rec.sequence != first_seq:
@@ -224,8 +227,10 @@ def check_subroutine_contract(plan: Union[NodePlan, Universe], sequence: Sequenc
     Each seed starts its own instance from the plan at `initial`, and the
     instance serves the sequence in one `serve_all`.  The offline optimum is
     pinned to that start too.  3-sigma margin; advisory for ell < 3 where
-    the log term degenerates.
+    the log term degenerates.  No seeds is refused.
     """
+    if not seeds:
+        raise ValueError("seeds is empty: a mean over no runs is no check")
     init = frozenset(initial)
     ell = len(init)
     opt = opt_cost(plan.metric, ell, sequence, initial=init).cost
@@ -307,13 +312,14 @@ def run_lower_bound_suite(instances: Optional[Sequence[DeskInstance]] = None,
         seq = inst.sequence()
         initial = default_initial(inst.k)
         # every run serves the same sequence with the same dec and k, so all
-        # share one pair of tables, seeded with the whole run's optimum
-        optima = {tuple(seq): opt_cost(plan.dec.metric, inst.k, seq).cost}
+        # share one set of tables, seeded with the whole run's solve
+        prefix_costs = opt_cost(plan.dec.metric, inst.k, seq).prefix_costs
+        optima: dict = {}
         demand_bounds: dict = {}
         for i in range(runs_per_instance):
             seed = base_seed ^ (i * 7919) ^ (idx << 16)
             rec = run_shell(plan, inst.k, initial, seq, seed)
-            rec.optima, rec.demand_bounds = optima, demand_bounds
+            rec.optima, rec.demand_bounds, rec.prefix_costs = optima, demand_bounds, prefix_costs
             for rep in deterministic_checks(rec):
                 rep.context["instance"] = inst.name
                 reports.append(rep)

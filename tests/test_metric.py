@@ -435,11 +435,11 @@ class TestStructuralDecompositions:
         monkeypatch.setattr(FiniteMetric, "uniform_cost", refuse("FiniteMetric.uniform_cost"))
         deep = tree_plan(build_hst([12, 12, 12], 12))
         assert (deep.dec.t, len(deep.dec.points), deep.dec.Delta) == (12, 1728, 2 * (1 + 12 + 144))
-        assert deep.uniform_d == (None,) * 12
-        assert deep.subs[0].uniform_d == (2,) * 12
+        assert deep.dec.uniform_d == (None,) * 12
+        assert deep.subs[0].dec.uniform_d == (2,) * 12
         assert deep.subs[0].subs[0].d == 2
         space = build_hst([8, 8], 8)
         wide = tree_plan(space)
-        assert (wide.dec.t, wide.dec.price, wide.uniform_d) == (8, 18, (2,) * 8)
+        assert (wide.dec.t, wide.dec.price, wide.dec.uniform_d) == (8, 18, (2,) * 8)
         assert [u.d for u in wide.subs] == [2] * 8
         assert wide.subs[7].points == tuple(range(56, 64))

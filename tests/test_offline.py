@@ -4,7 +4,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from ksim import offline
 from ksim.generators import GeneratorSpec, generate
@@ -133,6 +133,52 @@ class TestExhaustiveOracle:
                 init = frozenset(rng.sample(range(n), ell))
                 assert (opt_cost(m, ell, rho, initial=init).cost
                         == opt_cost_exhaustive(m, ell, rho, initial=init).cost)
+
+
+class TestPrefixCosts:
+    """`OptResult.prefix_costs`: the optimum of every prefix, read off one
+    solve of the whole sequence."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_each_entry_is_the_prefix_optimum(self, data):
+        n = data.draw(st.integers(2, 7))
+        weights = data.draw(st.lists(rationals, min_size=n * (n - 1) // 2,
+                                     max_size=n * (n - 1) // 2))
+        m = metric_closure(n, weights)
+        assume(m.scale > 1)  # some distance off the integer grid
+        ell = data.draw(st.integers(1, n))
+        initial = data.draw(st.none() | st.sets(st.integers(0, n - 1),
+                                                min_size=ell, max_size=ell))
+        rho = data.draw(st.lists(st.integers(0, n - 1), max_size=9))
+        res = opt_cost(m, ell, rho, initial)
+        assert len(res.prefix_costs) == len(rho)
+        assert all(type(c) is int for c in res.prefix_costs)
+        for i in range(len(rho)):
+            assert (Fraction(res.prefix_costs[i], m.scale)
+                    == opt_cost(m, ell, rho[: i + 1], initial).cost)
+        if n <= 5 and ell <= 3 and len(rho) <= 7:
+            oracle = opt_cost_exhaustive(m, ell, rho, initial)
+            assert oracle.prefix_costs == res.prefix_costs
+            for i in range(len(rho)):
+                assert (Fraction(res.prefix_costs[i], m.scale)
+                        == opt_cost_exhaustive(m, ell, rho[: i + 1], initial).cost)
+
+    def test_trivial_paths(self):
+        m = build_uniform(4, 1)
+        # a free start covering every distinct point pays nothing
+        assert opt_cost(m, 3, [0, 1, 0, 2]).prefix_costs == (0, 0, 0, 0)
+        assert opt_cost(m, 4, [3]).prefix_costs == (0,)
+        # a pinned start with as many servers still runs the DP
+        assert opt_cost(m, 2, [2, 0], initial={0, 1}).prefix_costs == (1, 1)
+        # no requests: no prefixes
+        assert opt_cost(m, 2, []).prefix_costs == ()
+        assert opt_cost(m, 2, [], initial={0, 1}).prefix_costs == ()
+        assert opt_cost(m, 0, []).prefix_costs == ()
+        assert opt_cost_exhaustive(m, 0, []).prefix_costs == ()
+        # zero servers against requests: every prefix is +inf, so no ints
+        assert opt_cost(m, 0, [1]).prefix_costs is None
+        assert opt_cost_exhaustive(m, 0, [1]).prefix_costs is None
 
 
 class TestDemand:

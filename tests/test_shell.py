@@ -12,7 +12,7 @@ from ksim.generators import GeneratorSpec, generate
 from ksim.harness import default_initial, reports_to_csv, run_shell, run_trials
 from ksim.marking import Marking, Universe, marking_f
 from ksim.metric import Decomposition, FiniteMetric, build_hst, decompose
-from ksim.offline import DemandTracker, UniformDemandTracker
+from ksim.offline import DemandTracker, UniformDemandTracker, block_tracker
 from ksim.shell import (BlockShell, NodePlan, ShellInvariantError, ShellSubroutine,
                         check_hst_admissible, compose_f, tree_plan)
 
@@ -112,21 +112,19 @@ class TestConstruction:
 
 class TestTrackerChoice:
     def test_uniform_blocks_get_the_interval_tracker(self):
-        space = build_hst([8, 8], 8)
-        sh = BlockShell(tree_plan(space), 8, range(8), seed=0)
-        assert all(type(sh._new_tracker(s)) is UniformDemandTracker for s in range(2))
+        dec = tree_plan(build_hst([8, 8], 8)).dec
+        assert all(type(block_tracker(dec, s)) is UniformDemandTracker for s in range(8))
 
     def test_non_uniform_blocks_keep_the_dp(self):
-        root = started(build_hst([3, 3, 3], 3), {0, 1, 2}, seed=0).shell
-        assert all(type(root._new_tracker(s)) is DemandTracker for s in range(3))
-        inner = root._subs[0].shell  # [3,3] node: blocks of three leaves
-        assert all(type(inner._new_tracker(s)) is UniformDemandTracker for s in range(3))
+        root = tree_plan(build_hst([3, 3, 3], 3))
+        assert all(type(block_tracker(root.dec, s)) is DemandTracker for s in range(3))
+        inner = root.subs[0]  # [3,3] node: blocks of three leaves
+        assert all(type(block_tracker(inner.dec, s)) is UniformDemandTracker for s in range(3))
 
     def test_single_point_blocks_count_as_uniform(self):
-        plan = tree_plan(build_hst([2, 1], 2))
-        assert plan.uniform_d == (0, 0)
-        sh = BlockShell(plan, 1, {0}, seed=0)
-        assert all(type(sh._new_tracker(s)) is UniformDemandTracker for s in range(2))
+        dec = tree_plan(build_hst([2, 1], 2)).dec
+        assert dec.uniform_d == (0, 0)
+        assert all(type(block_tracker(dec, s)) is UniformDemandTracker for s in range(2))
 
 
 class TestTracedTwoBlockRun:
@@ -667,7 +665,7 @@ class TestDemandMemo:
                    base_seed=0)
         (plan,) = plans
         # the root's blocks run the DP tracker, the nested shells' the greedy
-        assert plan.uniform_d == (None, None, None)
+        assert plan.dec.uniform_d == (None, None, None)
         misses = len(plan.memo_peak) - plan.dec.t  # a node per miss
         assert misses > 100
         assert 3 * calls[DemandTracker] < misses

@@ -1,12 +1,13 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ksim.generators import GeneratorSpec, generate
 from ksim.harness import default_initial, run_shell
 from ksim.marking import Universe
 from ksim.metric import build_hst, build_uniform
-from ksim.offline import opt_cost
+from ksim.offline import DemandTracker, block_tracker, demand_bound, opt_cost
 from ksim.shell import tree_plan
 from ksim.verify import (CheckReport, check_ama_bound, check_lower_bound_demand,
                          check_lower_bound_mp, check_phase_costs_delta,
@@ -50,6 +51,50 @@ class TestLowerBoundDemand:
         assert reports[0].passed  # 0 >= Delta * (0 - k)
 
 
+def dp_demand_bound(record, seq) -> Fraction:
+    """The demand bound with the configuration DP on every block, uniform or
+    not: the oracle for `demand_bound`."""
+    dec = record.dec
+    trackers = [DemandTracker(dec.metric, dec.price) for _ in range(dec.t)]
+    for r in seq:
+        trackers[dec.block_of[r]].push(r)
+    bound = Fraction(0)
+    demand_sum = 0
+    for tracker in trackers:
+        d_s = tracker.demand()
+        demand_sum += d_s
+        bound += tracker.opt(d_s)
+    return bound + dec.Delta * (demand_sum - record.k)
+
+
+class TestDemandBound:
+    # [2,2] mu 5/2 puts Delta off the integer grid; the root blocks of
+    # [2,2,2] are not uniform, so they run the DP tracker
+    @pytest.mark.parametrize("branching, mu, k", [
+        ([2, 2], 2, 2), ([3, 2], 3, 3), ([2, 2], Fraction(5, 2), 2), ([2, 2, 2], 2, 3),
+    ], ids=["2x2", "3x2", "2x2-mu5/2", "2x2x2"])
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_equals_the_dp_on_every_phase(self, branching, mu, k, data):
+        space = build_hst(branching, mu)
+        n = space.leaf_metric.n
+        seq = data.draw(st.lists(st.integers(0, n - 1), max_size=30))
+        rec = run_shell(tree_plan(space), k, default_initial(k), seq,
+                        seed=data.draw(st.integers(0, 2 ** 16)))
+        reports = check_lower_bound_demand(rec)
+        assert len(reports) == len(rec.phase_logs)
+        for r in reports:
+            phase_seq = rec.phase_sequence(r.phase, r.phase <= rec.completed_phases)
+            oracle = dp_demand_bound(rec, phase_seq)
+            assert type(r.rhs) is Fraction
+            assert r.rhs == oracle == demand_bound(rec.dec, k, phase_seq)
+
+    def test_root_blocks_of_a_height_three_tree_run_the_dp(self):
+        dec = tree_plan(build_hst([2, 2, 2], 2)).dec
+        assert dec.uniform_d == (None, None)
+        assert all(type(block_tracker(dec, s)) is DemandTracker for s in range(dec.t))
+
+
 class TestLowerBoundMp:
     def test_alone_solves_the_whole_sequence(self):
         rec = traced_record(extra=[0, 1, 3])
@@ -63,14 +108,17 @@ class TestLowerBoundMp:
         solved = []
 
         def counting_opt_cost(metric, k, sequence, *args, **kwargs):
-            solved.append(list(sequence) == whole)
+            solved.append(list(sequence))
             return opt_cost(metric, k, sequence, *args, **kwargs)
 
         monkeypatch.setattr(ksim.verify, "opt_cost", counting_opt_cost)
         _, passed = run_lower_bound_suite([inst], runs_per_instance=5)
         assert passed
-        assert solved.count(True) == 1
-        assert solved.count(False) > 0  # the phase optima are still solved
+        # the seed solve comes first; every later solve is a phase that is
+        # not a prefix of the run, whose optimum that solve already holds
+        assert solved[0] == whole
+        assert solved[1:]  # the other phase optima are still solved
+        assert not any(whole[:len(s)] == s for s in solved[1:])
 
     def test_single_phase_sum_is_empty(self):
         rec = traced_record()
@@ -120,6 +168,10 @@ class TestAmaBound:
         with pytest.raises(ValueError, match="at least"):
             check_ama_bound(records, 3)
 
+    def test_refuses_no_records(self):
+        with pytest.raises(ValueError, match="records is empty"):
+            check_ama_bound([], 3, min_seeds=0)
+
     def test_requires_identical_sequence(self):
         records = self.make_records(4)
         other = self.make_records(4, seq=[0, 1, 2, 3])
@@ -154,6 +206,10 @@ class TestSubroutineContract:
         rep = check_subroutine_contract(Universe(metric), [0, 1, 0], range(20), initial)
         assert rep.lhs == 0
         assert rep.passed
+
+    def test_refuses_no_seeds(self):
+        with pytest.raises(ValueError, match="seeds is empty"):
+            check_subroutine_contract(Universe(build_uniform(3, 1)), [0, 2], [], {0, 1})
 
     def test_marking_on_adversarial_cycle(self):
         k = 3
@@ -222,12 +278,20 @@ class TestReporting:
             return opt_cost(metric, k, sequence, *args, **kwargs)
         monkeypatch.setattr("ksim.verify.opt_cost", counted)
         reports = deterministic_checks(rec)
-        # one solve per distinct sequence: the phase sequences (shared by
-        # two checks) and the whole run; this sweep repeats a phase sequence
-        distinct = {tuple(rec.phase_sequence(p, p <= rec.completed_phases))
-                    for p in range(1, phases + 1)} | {tuple(seq)}
-        assert len(distinct) < phases + 1
-        assert sorted(calls) == sorted(distinct)
+        # one solve of the whole run, whose prefix optima cover every phase
+        # sequence that is a prefix of it, and one per distinct phase
+        # sequence that is not (shared by two checks); this sweep repeats a
+        # phase sequence
+        phase_seqs = {tuple(rec.phase_sequence(p, p <= rec.completed_phases))
+                      for p in range(1, phases + 1)}
+        assert len(phase_seqs) < phases
+        prefixes = {s for s in phase_seqs if s and tuple(seq[:len(s)]) == s}
+        assert sorted(calls) == sorted((phase_seqs - prefixes) | {tuple(seq)})
+        # phase 1 with its follow-up request is read off the whole run,
+        # which the first check to need it solves
+        first = tuple(rec.phase_sequence(1, True))
+        assert first in prefixes and first not in calls
+        assert calls[0] == tuple(seq)
         shared = [r for r in reports if r.name in ("lower_bound_demand", "phase_cost_delta")]
         assert len(shared) == 2 * phases - 1
         for r in shared:
